@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 parse/validation error, 2 bad flags,
 """
 
 import argparse
+import math
 import statistics
 import sys
 from dataclasses import dataclass
@@ -17,7 +18,8 @@ from pathlib import Path
 
 from . import dataio, datagen, oracle, verify
 from .miner import PRESETS, MiningConfig, MiningStats, mine
-from .model import DatabaseValidationError, Thresholds, UncertainDatabase, UtilityTable
+from .model import (DatabaseValidationError, Thresholds, UncertainDatabase, UtilityTable,
+                    make_database)
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
@@ -56,6 +58,8 @@ def _load_inputs(db_path: str, ptable_path: str) -> tuple[UncertainDatabase, Uti
 def _thresholds_from(args) -> Thresholds:
     if not 0.0 <= args.min_pro <= 1.0:
         raise _UsageError("min-pro must be in [0,1]")
+    if not math.isfinite(args.min_util):
+        raise _UsageError("min-util must be finite")
     return Thresholds(args.min_util, args.min_pro)
 
 
@@ -161,12 +165,6 @@ class BenchPlan:
             raise _UsageError(f"min-pro must be in [0,1], got {bad}")
 
 
-def _truncate(db: UncertainDatabase, k: int) -> UncertainDatabase:
-    kept = db.transactions[:k]
-    universe = frozenset(e.item for tx in kept for e in tx.entries)
-    return UncertainDatabase(kept, universe)
-
-
 def _run_cell(db, table, thresholds, preset, repeats) -> MiningStats:
     """Counters from the first run; elapsed is the median over repeats."""
     results, stats = mine(db, table, thresholds, MiningConfig.from_preset(preset))
@@ -253,7 +251,7 @@ def cmd_bench(args) -> int:
 
     prefixes = plan.prefix_sizes or (full_db.size,)
     for prefix in prefixes:
-        db = _truncate(full_db, prefix) if scalability else full_db
+        db = make_database(full_db.transactions[:prefix]) if scalability else full_db
         for min_util in plan.min_util_values:
             for min_pro in plan.min_pro_values:
                 thresholds = Thresholds(min_util, min_pro)

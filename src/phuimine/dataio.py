@@ -4,7 +4,8 @@ Database file: one transaction per non-empty, non-comment line, tokens
 `item:quantity:probability` separated by single spaces. `#` starts a
 comment (whole line or trailing). Tids follow line order.
 
-Utility table file: lines `item:utility` with a signed decimal utility.
+Utility table file: lines `item:utility` with a signed, finite decimal
+utility.
 
 Results file: one line per pattern, `<ids ascending> #UTIL: u #PROB: p`
 sorted by (pattern length, item ids), numbers with at most six
@@ -18,6 +19,7 @@ that parse(serialize(x)) == x.
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, dataclass
 from decimal import Decimal
 from typing import Iterable, Sequence
@@ -117,6 +119,8 @@ def parse_ptable(text: str) -> UtilityTable:
                 utility = float(parts[1])
             except ValueError:
                 raise ParseError(line_no, col, f"utility must be a number, got {parts[1]!r}") from None
+            if not math.isfinite(utility):
+                raise ParseError(line_no, col, f"utility must be finite, got {parts[1]!r}")
             if item in entries:
                 raise ParseError(line_no, col, f"duplicate item {item} in utility table")
             entries[item] = utility
@@ -164,23 +168,20 @@ def serialize_results(patterns: Iterable[MinedPattern]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-STATS_CSV_FIELDS = [
-    "preset", "min_util", "min_pro", "visited_nodes", "joins_attempted",
-    "joins_abandoned", "eucs_skips", "phuis_found", "elapsed_ms",
-]
+def _stats_record(stats: MiningStats) -> dict:
+    """Every MiningStats field in declaration order, elapsed in ms."""
+    record = asdict(stats)
+    record["elapsed_ms"] = record.pop("elapsed") * 1000.0
+    return record
+
+
+STATS_CSV_FIELDS = list(_stats_record(MiningStats()))
 
 
 def stats_csv_row(stats: MiningStats) -> list[str]:
     return [
-        stats.preset,
-        _six_digits(stats.min_util),
-        _six_digits(stats.min_pro),
-        str(stats.visited_nodes),
-        str(stats.joins_attempted),
-        str(stats.joins_abandoned),
-        str(stats.eucs_skips),
-        str(stats.phuis_found),
-        _six_digits(stats.elapsed * 1000.0),
+        _six_digits(v) if isinstance(v, float) else str(v)
+        for v in _stats_record(stats).values()
     ]
 
 
@@ -195,12 +196,7 @@ def serialize_stats(runs: MiningStats | Sequence[MiningStats], fmt: str = "csv")
             writer.writerow(stats_csv_row(s))
         return buf.getvalue()
     if fmt == "json":
-        payload = []
-        for s in stats_list:
-            d = asdict(s)
-            d["elapsed_ms"] = s.elapsed * 1000.0
-            del d["elapsed"]
-            payload.append(d)
+        payload = [_stats_record(s) for s in stats_list]
         return json.dumps(payload, indent=2) + "\n"
     raise ValueError(f"unknown stats format {fmt!r}; expected 'csv' or 'json'")
 

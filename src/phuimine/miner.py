@@ -22,8 +22,8 @@ only in visited-node counts and runtime.
       is below min_util
 """
 
+import math
 import time
-import tracemalloc
 from dataclasses import dataclass, field
 
 from .model import (
@@ -103,7 +103,6 @@ class MiningStats:
     s5_skips: int = 0
     phuis_found: int = 0
     elapsed: float = 0.0  # seconds
-    peak_alloc: int = 0  # bytes, best effort (0 unless tracemalloc is tracing)
 
 
 @dataclass(frozen=True)
@@ -179,7 +178,6 @@ def build_eucs(ordered_db: list[OrderedTransaction]) -> EUCS:
 
 
 def search(
-    prefix: PUList | None,
     extensions: list[PUList],
     thresholds: Thresholds,
     pro_bound: float,
@@ -188,7 +186,8 @@ def search(
     stats: MiningStats,
     out: list[MinedPattern],
 ) -> None:
-    """Depth-first exploration of the extensions of one prefix node.
+    """Depth-first exploration of sibling extensions, which share all
+    but their last item.
 
     Every extension examined here counts as a visited node. A node is
     emitted when both of its exact measures reach their bounds; it is
@@ -218,7 +217,7 @@ def search(
                 continue
             stats.joins_attempted += 1
             pyz = construct(
-                prefix, py, pz,
+                py, pz,
                 min_util=min_util, pro_bound=pro_bound,
                 la_prune=config.s1_pu_prune,
             )
@@ -232,7 +231,7 @@ def search(
                 continue
             children.append(pyz)
         if children:
-            search(py, children, thresholds, pro_bound, config, eucs, stats, out)
+            search(children, thresholds, pro_bound, config, eucs, stats, out)
 
 
 def mine(
@@ -251,6 +250,8 @@ def mine(
         config = MiningConfig.from_preset("ALL")
     if not 0.0 <= thresholds.min_pro <= 1.0:
         raise ValueError(f"min_pro must be in [0, 1], got {thresholds.min_pro}")
+    if not math.isfinite(thresholds.min_util):
+        raise ValueError(f"min_util must be finite, got {thresholds.min_util}")
     report = validate_database(db, table)
     if not report.ok:
         raise DatabaseValidationError(report)
@@ -273,11 +274,9 @@ def mine(
         lists = build_initial_pulists(ordered_db, order)
         eucs = build_eucs(ordered_db) if config.s6_eucp else EUCS()
         extensions = [lists[i] for i in order.ordered_items if lists[i].tids]
-        search(None, extensions, thresholds, pro_bound, config, eucs, stats, out)
+        search(extensions, thresholds, pro_bound, config, eucs, stats, out)
 
     stats.elapsed = time.perf_counter() - started
-    if tracemalloc.is_tracing():
-        stats.peak_alloc = tracemalloc.get_traced_memory()[1]
     return out, stats
 
 

@@ -10,6 +10,7 @@ All types are immutable after construction and safe to share across
 threads.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -145,10 +146,15 @@ def validate_database(db: UncertainDatabase, table: UtilityTable) -> ValidationR
 
     Returns a report rather than raising; an empty report means success.
     Checks: duplicate items within a transaction, probability outside
-    (0, 1], quantity < 1, items without a utility-table entry, empty
-    transactions and non-consecutive tids.
+    (0, 1], quantity < 1, items without a utility-table entry, a
+    non-finite unit utility, empty transactions and non-consecutive
+    tids.
     """
-    violations: list[Violation] = []
+    violations: list[Violation] = [
+        Violation(0, item, f"utility {u} is not finite")
+        for item, u in sorted(table.entries.items())
+        if not math.isfinite(u)
+    ]
     for pos, tx in enumerate(db.transactions, start=1):
         if tx.tid != pos:
             violations.append(Violation(tx.tid, None, f"tid {tx.tid} at position {pos}; tids must be 1..n"))

@@ -1,24 +1,29 @@
 """Vertical probability-utility lists with signed utilities.
 
-A pattern's list holds one entry per supporting transaction:
-(tid, pro, pu, nu, rpu) where
+A pattern's list holds one entry per supporting transaction, stored as
+seven tid-sorted parallel columns:
 
-  pro  existence probability of the pattern in that transaction,
-  pu   positive part of the pattern's utility there,
-  nu   negative part (nu <= 0; pu + nu is the actual utility),
-  rpu  summed utility of positive-group items that follow the
-       pattern's last item in the processing order.
+  tids  the supporting transactions, ascending,
+  pro   existence probability of the pattern in that transaction,
+  pu    positive part of the pattern's utility there,
+  nu    negative part (nu <= 0; pu + nu is the actual utility),
+  rpu   summed utility of positive-group items that follow the
+        pattern's last item in the processing order,
+  iu    utility of the pattern's last item there,
+  ip    existence probability of the pattern's last item there.
 
-Entries are kept as tid-sorted flat arrays; joins locate matching tids
-by binary search. Lists for k-itemsets are built by joining two
-(k-1)-item lists that share a (k-2)-item prefix, optionally abandoning
-the join early once the unmatched remainder of the left operand can no
-longer reach the thresholds.
+The list of Pyz is built from the lists of Py and Pz alone (the
+HUI-Miner join, with negative utilities split off as in FHN): Py's
+entry is extended by z's own utility and probability, which Pz carries
+in its iu and ip columns, so no lookup in the list of P and no division
+is needed. Matching tids are found by binary search, and the join can
+be abandoned early once the unmatched remainder of Py can no longer
+reach the thresholds.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .model import Item, Pattern, UncertainDatabase, UtilityTable
 
@@ -31,28 +36,17 @@ class ProcessingOrder:
     ordered_items: tuple[Item, ...]
     rank: Mapping[Item, int]
 
-    def __contains__(self, item: Item) -> bool:
-        return item in self.rank
-
-
-@dataclass(frozen=True)
-class PUEntry:
-    tid: int
-    pro: float
-    pu: float
-    nu: float
-    rpu: float
-
 
 class PUList:
     """Per-pattern list stored as parallel tid-sorted columns.
 
     `pattern_po` keeps the items in processing order (the order they
     were appended along the enumeration path); `pattern` exposes the
-    canonical ascending-id form.
+    canonical ascending-id form. `append` fills the pattern columns and
+    their sums; whoever builds the list also fills `iu` and `ip`.
     """
 
-    __slots__ = ("pattern_po", "tids", "pro", "pu", "nu", "rpu",
+    __slots__ = ("pattern_po", "tids", "pro", "pu", "nu", "rpu", "iu", "ip",
                  "sum_pro", "sum_pu", "sum_nu", "sum_rpu")
 
     def __init__(self, pattern_po: tuple[Item, ...]):
@@ -62,6 +56,8 @@ class PUList:
         self.pu: list[float] = []
         self.nu: list[float] = []
         self.rpu: list[float] = []
+        self.iu: list[float] = []
+        self.ip: list[float] = []
         self.sum_pro = 0.0
         self.sum_pu = 0.0
         self.sum_nu = 0.0
@@ -84,16 +80,6 @@ class PUList:
 
     def __len__(self) -> int:
         return len(self.tids)
-
-    def entries(self) -> Iterator[PUEntry]:
-        for i, tid in enumerate(self.tids):
-            yield PUEntry(tid, self.pro[i], self.pu[i], self.nu[i], self.rpu[i])
-
-    def sums(self) -> tuple[float, float, float, float, float]:
-        """(sum_pro, sum_pu, sum_nu, sum_rpu, sum_iu) where the total
-        utility sum_iu is sum_pu + sum_nu."""
-        return (self.sum_pro, self.sum_pu, self.sum_nu, self.sum_rpu,
-                self.sum_pu + self.sum_nu)
 
 
 def compute_processing_order(
@@ -161,6 +147,12 @@ def build_initial_pulists(
                 lists[item].append(tid, p, u, 0.0, suffix[j + 1])
             else:
                 lists[item].append(tid, p, 0.0, u, suffix[j + 1])
+    for lst in lists.values():
+        # A single-item list's last item is the pattern itself, so its
+        # item columns are its own pro and signed utility columns (a
+        # negative-group item has u < 0, hence nu < 0, in every entry).
+        lst.ip = lst.pro
+        lst.iu = lst.nu if lst.sum_nu < 0.0 else lst.pu
     return lists
 
 
@@ -168,7 +160,6 @@ ABANDONED = None  # construct() result when the early-abandon test fires
 
 
 def construct(
-    prefix: PUList | None,
     py: PUList,
     pz: PUList,
     *,
@@ -178,10 +169,13 @@ def construct(
 ) -> PUList | None:
     """Join the lists of Py = P + y and Pz = P + z into the list of Pyz.
 
-    For a shared tid the joined entry is
-      (tid, ey.pro * ez.pro / e.pro, ey.pu + ez.pu - e.pu,
-       ey.nu + ez.nu - e.nu, ez.rpu)
-    against the prefix entry e; without a prefix the e terms drop out.
+    For a tid in both lists, Py's entry ey is extended by z alone, whose
+    utility iu and probability ip Pz's entry ez carries:
+      pro = ey.pro * ez.ip
+      pu  = ey.pu + ez.iu if ez.iu >= 0, else ey.pu
+      nu  = ey.nu + ez.iu if ez.iu < 0, else ey.nu
+      rpu = ez.rpu,  iu = ez.iu,  ip = ez.ip
+    This multiplies and adds in processing order, as a direct scan does.
 
     With la_prune enabled, a running probability budget (sum of Py.pro)
     and utility budget (sum of Py.pu + Py.rpu) lose each unmatched Py
@@ -190,41 +184,38 @@ def construct(
     returns ABANDONED (None).
     """
     out = PUList(py.pattern_po + (pz.pattern_po[-1],))
-    o_tids, o_pro, o_pu, o_nu, o_rpu = out.tids, out.pro, out.pu, out.nu, out.rpu
+    o_tids, o_pro, o_pu, o_nu = out.tids, out.pro, out.pu, out.nu
+    o_rpu, o_iu, o_ip = out.rpu, out.iu, out.ip
     s_pro = s_pu = s_nu = s_rpu = 0.0
 
     probability = py.sum_pro
     utility = py.sum_pu + py.sum_rpu
 
     y_tids, y_pro, y_pu, y_nu, y_rpu = py.tids, py.pro, py.pu, py.nu, py.rpu
-    z_tids, z_pro, z_pu, z_nu, z_rpu = pz.tids, pz.pro, pz.pu, pz.nu, pz.rpu
+    z_tids, z_rpu, z_iu, z_ip = pz.tids, pz.rpu, pz.iu, pz.ip
     z_len = len(z_tids)
-    p_tids = prefix.tids if prefix is not None else None
 
     k = 0  # tids ascend, so each binary search can start past the last hit
     for i, tid in enumerate(y_tids):
         k = bisect_left(z_tids, tid, k)
         if k < z_len and z_tids[k] == tid:
-            if p_tids is not None:
-                m = bisect_left(p_tids, tid)
-                if m >= len(p_tids) or p_tids[m] != tid:
-                    raise ValueError(
-                        f"prefix list for {prefix.pattern_po} lacks tid {tid} "
-                        "shared by both extensions"
-                    )
-                pro = y_pro[i] * z_pro[k] / prefix.pro[m]
-                pu = y_pu[i] + z_pu[k] - prefix.pu[m]
-                nu = y_nu[i] + z_nu[k] - prefix.nu[m]
+            u = z_iu[k]
+            p = z_ip[k]
+            pro = y_pro[i] * p
+            pu = y_pu[i]
+            nu = y_nu[i]
+            if u >= 0.0:
+                pu += u
             else:
-                pro = y_pro[i] * z_pro[k]
-                pu = y_pu[i] + z_pu[k]
-                nu = y_nu[i] + z_nu[k]
+                nu += u
             rpu = z_rpu[k]
             o_tids.append(tid)
             o_pro.append(pro)
             o_pu.append(pu)
             o_nu.append(nu)
             o_rpu.append(rpu)
+            o_iu.append(u)
+            o_ip.append(p)
             s_pro += pro
             s_pu += pu
             s_nu += nu
@@ -272,4 +263,7 @@ def build_pulist_by_scan(
                 nu += u
         rpu = sum(u for item, u, _ in entries if rank[item] > last_rank and u > 0.0)
         out.append(tid, pro, pu, nu, rpu)
+        iu, ip = found[members[-1]]
+        out.iu.append(iu)
+        out.ip.append(ip)
     return out

@@ -56,17 +56,15 @@ def rel_close(a: float, b: float, rel_tol: float = 1e-9) -> bool:
 
 
 def entries_of(pul: PUList) -> list[tuple[int, float, float, float, float]]:
-    return [(e.tid, e.pro, e.pu, e.nu, e.rpu) for e in pul.entries()]
+    return list(zip(pul.tids, pul.pro, pul.pu, pul.nu, pul.rpu))
 
 
-def lists_match(a: PUList, b: PUList, rel_tol: float = 1e-9) -> bool:
-    """Same tids, exact pu/nu/rpu, pro within relative tolerance."""
-    if a.tids != b.tids or a.pu != b.pu or a.nu != b.nu or a.rpu != b.rpu:
-        return False
-    return all(rel_close(x, y, rel_tol) for x, y in zip(a.pro, b.pro))
+def lists_match(a: PUList, b: PUList) -> bool:
+    """Same pattern, and every column and column sum exactly equal."""
+    return all(getattr(a, name) == getattr(b, name) for name in PUList.__slots__)
 
 
-def join_equivalence_walk(db, table, rel_tol: float = 1e-9):
+def join_equivalence_walk(db, table):
     """Rebuild every reachable (non-empty) list twice: bottom-up joins
     without early abandonment vs a direct scan. Returns mismatching
     patterns (empty list = all equal)."""
@@ -78,21 +76,21 @@ def join_equivalence_walk(db, table, rel_tol: float = 1e-9):
     lists = build_initial_pulists(ordered_db, order)
     mismatches = []
 
-    def rec(prefix, extensions):
+    def rec(extensions):
         for i, py in enumerate(extensions):
             scanned = build_pulist_by_scan(ordered_db, order, py.pattern_po)
-            if not lists_match(py, scanned, rel_tol):
+            if not lists_match(py, scanned):
                 mismatches.append(py.pattern_po)
             children = []
             for pz in extensions[i + 1:]:
-                pyz = construct(prefix, py, pz)
+                pyz = construct(py, pz)
                 if pyz.tids:
                     children.append(pyz)
             if children:
-                rec(py, children)
+                rec(children)
 
     roots = [lists[i] for i in order.ordered_items if lists[i].tids]
-    rec(None, roots)
+    rec(roots)
     return mismatches
 
 

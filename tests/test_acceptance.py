@@ -10,10 +10,9 @@ from dataclasses import dataclass, field
 import pytest
 
 from phuimine import dataio, measures, verify
-from phuimine.cli import _truncate
 from phuimine.datagen import GenParams, generate
 from phuimine.miner import initial_scan, mine, mine_preset
-from phuimine.model import Pattern, Thresholds
+from phuimine.model import Pattern, Thresholds, make_database
 from phuimine.oracle import qualifying_patterns
 from phuimine.pulist import (
     build_initial_pulists,
@@ -81,7 +80,7 @@ def sweep():
         if dataio.parse_ptable(dataio.serialize_ptable(table)) != table:
             outcome.roundtrip_failures.append(f"seed {seed}: ptable")
 
-        mismatches = join_equivalence_walk(db, table, rel_tol=verify.PRO_REL_TOL)
+        mismatches = join_equivalence_walk(db, table)
         if mismatches:
             outcome.join_failures.append(f"seed {seed}: {mismatches[:3]}")
 
@@ -161,7 +160,7 @@ def test_c2_intermediate_values():
             assert rel_close(got[1], want[1], 1e-9)
         assert len(c_entries) == len(expected_c)
 
-        ac = construct(None, lists[A], lists[C])
+        ac = construct(lists[A], lists[C])
         expected_ac = [(3, 0.70, 32.0, -4.0, 0.0), (4, 0.81, 24.0, -2.0, 0.0)]
         got_ac = entries_of(ac)
         for got, want in zip(got_ac, expected_ac):
@@ -226,7 +225,8 @@ def test_c7_scalability_shape():
         for preset in COUNTER_PRESETS:
             series = []
             for prefix in prefixes:
-                _, stats = mine_preset(_truncate(db, prefix), table, thresholds, preset)
+                head = make_database(db.transactions[:prefix])
+                _, stats = mine_preset(head, table, thresholds, preset)
                 series.append(stats.elapsed)
             assert series == sorted(series), f"{preset}: not non-decreasing: {series}"
             elapsed[preset] = series

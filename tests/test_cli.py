@@ -53,6 +53,11 @@ class TestMineCommand:
                     "--min-util", "20", "--min-pro", "1.5"])
         assert code == 2
         assert "min-pro must be in [0,1]" in capsys.readouterr().err
+        for bad in ("nan", "inf", "1e400"):
+            code = run(["mine", "--db", db, "--ptable", ptable,
+                        "--min-util", bad, "--min-pro", "0.25"])
+            assert code == 2
+            assert "min-util must be finite" in capsys.readouterr().err
 
     def test_preset_none_identical(self, data_files, tmp_path):
         db, ptable = data_files
@@ -91,6 +96,14 @@ class TestMineCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "bad.db:1" in err and "quantity" in err
+        db.write_text("1:1:0.5\n")
+        for bad in ("nan", "inf", "1e400"):
+            ptable.write_text(f"1:{bad}\n")
+            code = run(["mine", "--db", str(db), "--ptable", str(ptable),
+                        "--min-util", "1", "--min-pro", "0"])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "p.ptable:1" in err and "utility must be finite" in err
 
     def test_missing_file(self, tmp_path, capsys):
         code = run(["mine", "--db", str(tmp_path / "nope.db"),
@@ -200,7 +213,7 @@ class TestBenchCommand:
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 5  # header + one row per preset
-        phuis = [int(line.split(",")[7]) for line in lines[1:]]
+        phuis = [int(line.split(",")[10]) for line in lines[1:]]
         assert phuis == [10, 10, 10, 10]
         visited = [int(line.split(",")[3]) for line in lines[1:]]
         assert visited == sorted(visited, reverse=True)

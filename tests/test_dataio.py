@@ -69,6 +69,12 @@ class TestParsePtable:
         with pytest.raises(dataio.ParseError, match="duplicate item 1"):
             dataio.parse_ptable("1:8\n1:9")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_utility_rejected(self, token):
+        with pytest.raises(dataio.ParseError, match="utility must be finite") as err:
+            dataio.parse_ptable(f"1:8\n2:5 1:{token}")
+        assert err.value.line == 2 and err.value.column == 5
+
     def test_one_entry_per_line_also_works(self):
         table = dataio.parse_ptable("1:8\n2:5\n")
         assert table.entries == {1: 8.0, 2: 5.0}
@@ -108,8 +114,9 @@ class TestSerializeStats:
         text = dataio.serialize_stats(stats)
         lines = text.splitlines()
         assert lines[0] == ("preset,min_util,min_pro,visited_nodes,joins_attempted,"
-                            "joins_abandoned,eucs_skips,phuis_found,elapsed_ms")
-        assert lines[1] == "ALL,20,0.25,0,0,0,0,0,0"
+                            "joins_abandoned,eucs_skips,s3_cuts,s4_cuts,s5_skips,"
+                            "phuis_found,elapsed_ms")
+        assert lines[1] == "ALL,20,0.25,0,0,0,0,0,0,0,0,0"
 
     def test_two_runs_one_header(self):
         runs = [MiningStats(preset="P12"), MiningStats(preset="ALL")]
@@ -125,6 +132,7 @@ class TestSerializeStats:
         assert payload[0]["visited_nodes"] == 12
         assert payload[0]["elapsed_ms"] == pytest.approx(2.0)
         assert "elapsed" not in payload[0]
+        assert list(payload[0]) == dataio.STATS_CSV_FIELDS
 
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="unknown stats format"):

@@ -128,6 +128,11 @@ class TestMine:
         with pytest.raises(ValueError, match="min_pro"):
             mine(ex_db, ex_table, Thresholds(20, 1.5))
 
+    @pytest.mark.parametrize("min_util", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_min_util_rejected(self, ex_db, ex_table, min_util):
+        with pytest.raises(ValueError, match="min_util must be finite"):
+            mine(ex_db, ex_table, Thresholds(min_util, 0.25))
+
     def test_invalid_database_raises(self, ex_table):
         bad = make_database([Transaction(1, (TransactionEntry(1, 0, 0.5),))])
         with pytest.raises(DatabaseValidationError):

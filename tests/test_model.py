@@ -1,3 +1,5 @@
+import pytest
+
 from phuimine import dataio
 from phuimine.model import (
     Pattern,
@@ -48,6 +50,14 @@ def test_missing_utility_entry_reported():
     tx = make_transaction(1, [TransactionEntry(7, 1, 0.5)])
     report = validate_database(make_database([tx]), UtilityTable({1: 4.0}))
     assert any("missing from utility table" in v.message for v in report.violations)
+
+
+@pytest.mark.parametrize("utility", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_utility_reported(utility):
+    tx = make_transaction(1, [TransactionEntry(1, 1, 0.5)])
+    report = validate_database(make_database([tx]), UtilityTable({1: utility}))
+    assert [(v.tid, v.item) for v in report.violations] == [(0, 1)]
+    assert "not finite" in report.violations[0].message
 
 
 def test_tids_must_be_consecutive():

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phuimine import measures
-from phuimine.datagen import generate_small
+from phuimine.datagen import GenParams, generate, generate_small
 from phuimine.miner import initial_scan
 from phuimine.model import Pattern, Thresholds, UtilityTable
 from phuimine.pulist import (
@@ -85,31 +85,38 @@ class TestInitialLists:
             (4, 0.90, 24.0, 0.0, 0.0),
         ]
 
+    def test_item_columns_are_the_pattern_columns(self, ex_lists):
+        # a single item is its own last item: ip is pro, iu the signed utility
+        assert ex_lists[A].ip is ex_lists[A].pro and ex_lists[A].iu is ex_lists[A].pu
+        assert ex_lists[C].ip is ex_lists[C].pro and ex_lists[C].iu is ex_lists[C].nu
+
     def test_sums(self, ex_lists):
-        pro, pu, nu, rpu, iu = ex_lists[A].sums()
-        assert (pro, pu, nu, rpu, iu) == (2.5, 96.0, 0.0, 89.0, 96.0)
-        pro, pu, nu, rpu, iu = ex_lists[C].sums()
-        assert rel_close(pro, 3.3)
-        assert (pu, nu, rpu, iu) == (0.0, -16.0, 0.0, -16.0)
+        a, c = ex_lists[A], ex_lists[C]
+        assert (a.sum_pro, a.sum_pu, a.sum_nu, a.sum_rpu) == (2.5, 96.0, 0.0, 89.0)
+        assert rel_close(c.sum_pro, 3.3)
+        assert (c.sum_pu, c.sum_nu, c.sum_rpu) == (0.0, -16.0, 0.0)
 
     def test_empty_list_sums(self):
-        assert PUList((9,)).sums() == (0.0, 0.0, 0.0, 0.0, 0.0)
+        empty = PUList((9,))
+        assert (empty.sum_pro, empty.sum_pu, empty.sum_nu, empty.sum_rpu) == (0.0,) * 4
 
 
 class TestConstruct:
     def test_two_item_join_ac(self, ex_lists):
-        ac = construct(None, ex_lists[A], ex_lists[C])
+        ac = construct(ex_lists[A], ex_lists[C])
         got = entries_of(ac)
         assert [e[0] for e in got] == [3, 4]
         assert got[0][2:] == (32.0, -4.0, 0.0)
         assert got[1][2:] == (24.0, -2.0, 0.0)
         assert rel_close(got[0][1], 0.70)
         assert rel_close(got[1][1], 0.81)
+        # the last item's own columns come from c's list
+        assert (ac.iu, ac.ip) == ([-4.0, -2.0], [0.70, 0.90])
 
     def test_three_item_join_dbe(self, ex_lists):
-        db_list = construct(None, ex_lists[D], ex_lists[B])
-        de_list = construct(None, ex_lists[D], ex_lists[E])
-        dbe = construct(ex_lists[D], db_list, de_list)
+        db_list = construct(ex_lists[D], ex_lists[B])
+        de_list = construct(ex_lists[D], ex_lists[E])
+        dbe = construct(db_list, de_list)
         got = entries_of(dbe)
         assert [e[0] for e in got] == [1, 5]
         assert got[0][2:] == (67.0, 0.0, 0.0)
@@ -120,19 +127,19 @@ class TestConstruct:
     def test_la_prune_abandons_ad(self, ex_lists):
         # unmatched T3 and T4 drain the probability budget below 1.25
         result = construct(
-            None, ex_lists[A], ex_lists[D],
+            ex_lists[A], ex_lists[D],
             min_util=20.0, pro_bound=0.25 * 5, la_prune=True,
         )
         assert result is None
 
     def test_la_prune_off_builds_ad(self, ex_lists):
-        ad = construct(None, ex_lists[A], ex_lists[D])
+        ad = construct(ex_lists[A], ex_lists[D])
         assert ad.tids == [1]
 
     def test_disjoint_join_is_empty(self, ex_lists):
         # b and e share transactions with everything; build a pair that
         # does not: a appears in T1,T3,T4 and {d}-only rows are T2,T5
-        a_then_d = construct(None, ex_lists[A], ex_lists[D])
+        a_then_d = construct(ex_lists[A], ex_lists[D])
         assert len(a_then_d) == 1
 
     def test_never_cooccurring_items_join_empty(self):
@@ -146,16 +153,9 @@ class TestConstruct:
         survivors, _ = initial_scan(db, table, Thresholds(0.0, 0.0), apply_filter=False)
         order = compute_processing_order(table, {i: v[0] for i, v in survivors.items()})
         lists = build_initial_pulists(reorder_database(db, table, order), order)
-        joined = construct(None, lists[order.ordered_items[0]], lists[order.ordered_items[1]])
-        assert joined.tids == [] and joined.sums() == (0.0, 0.0, 0.0, 0.0, 0.0)
-
-    def test_prefix_must_cover_shared_tids(self, ex_lists):
-        bogus_prefix = PUList((D,))
-        bogus_prefix.append(9, 0.5, 1.0, 0.0, 0.0)
-        db_list = construct(None, ex_lists[D], ex_lists[B])
-        de_list = construct(None, ex_lists[D], ex_lists[E])
-        with pytest.raises(ValueError, match="lacks tid"):
-            construct(bogus_prefix, db_list, de_list)
+        joined = construct(lists[order.ordered_items[0]], lists[order.ordered_items[1]])
+        assert joined.tids == []
+        assert (joined.sum_pro, joined.sum_pu, joined.sum_nu, joined.sum_rpu) == (0.0,) * 4
 
 
 class TestJoinScanEquivalence:
@@ -165,9 +165,14 @@ class TestJoinScanEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_fuzz_walk(self, seed):
-        db, table = generate_small(seed, negative_fraction=0.5, max_items=8,
-                                   max_transactions=12)
-        assert join_equivalence_walk(db, table) == []
+        dyadic = generate_small(seed, negative_fraction=0.5, max_items=8,
+                                max_transactions=12)
+        # probabilities and utilities off the binary grid: only a join
+        # that multiplies and adds in processing order matches the scan
+        non_dyadic = generate(GenParams(n_transactions=30, n_items=8, avg_tx_len=4,
+                                        max_tx_len=7, seed=seed))
+        for db, table in (dyadic, non_dyadic):
+            assert join_equivalence_walk(db, table) == []
 
 
 def _all_reachable_lists(db, table):
@@ -216,9 +221,9 @@ def test_entry_field_signs(seed):
                                max_transactions=12)
     lists, _order = _all_reachable_lists(db, table)
     for l in lists:
-        for e in l.entries():
-            assert e.pu >= 0.0 and e.nu <= 0.0 and e.rpu >= 0.0
-            assert 0.0 < e.pro <= 1.0
+        for pro, pu, nu, rpu, ip in zip(l.pro, l.pu, l.nu, l.rpu, l.ip):
+            assert pu >= 0.0 and nu <= 0.0 and rpu >= 0.0
+            assert 0.0 < pro <= ip <= 1.0
 
 
 def test_sum_iu_matches_reference_measures(ex_db, ex_table, ex_lists, ex_order):
@@ -226,7 +231,6 @@ def test_sum_iu_matches_reference_measures(ex_db, ex_table, ex_lists, ex_order):
     for items in [(A,), (C,), (A, C), (B, C, E), (D, E)]:
         scan = build_pulist_by_scan(ordered_db, ex_order, list(items))
         pattern = Pattern.of(items)
-        pro, pu, nu, _rpu, iu = scan.sums()
-        assert iu == pu + nu
-        assert rel_close(iu, measures.pattern_utility(pattern, ex_db, ex_table))
-        assert rel_close(pro, measures.expected_support(pattern, ex_db))
+        utility = scan.sum_pu + scan.sum_nu
+        assert rel_close(utility, measures.pattern_utility(pattern, ex_db, ex_table))
+        assert rel_close(scan.sum_pro, measures.expected_support(pattern, ex_db))
