@@ -200,25 +200,3 @@ def serialize_stats(runs: MiningStats | Sequence[MiningStats], fmt: str = "csv")
         return json.dumps(payload, indent=2) + "\n"
     raise ValueError(f"unknown stats format {fmt!r}; expected 'csv' or 'json'")
 
-
-def parse_name_map(text: str) -> dict[str, int]:
-    """Sidecar `name id` pairs mapping string labels to item ids."""
-    mapping: dict[str, int] = {}
-    for line_no, content in _content_lines(text):
-        parts = content.split()
-        if len(parts) != 2:
-            raise ParseError(line_no, 1, f"expected 'name id', got {content.strip()!r}")
-        name, raw_id = parts
-        try:
-            item = int(raw_id)
-        except ValueError:
-            raise ParseError(line_no, 1, f"item id must be an integer, got {raw_id!r}") from None
-        if name in mapping:
-            raise ParseError(line_no, 1, f"duplicate name {name!r}")
-        mapping[name] = item
-    return mapping
-
-
-def serialize_name_map(mapping: dict[str, int]) -> str:
-    lines = [f"{name} {item}" for name, item in sorted(mapping.items())]
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -1,7 +1,8 @@
 """One-phase depth-first miner over the set-enumeration tree.
 
-The miner scans the database once for per-item bounds, once more to
-build the initial vertical lists, then explores extensions recursively.
+The miner scans the database once for per-item bounds and once more to
+build the initial vertical lists (and, for s6, the item-pair map) in the
+same walk, then explores extensions recursively.
 Each candidate's exact utility and expected support come straight from
 its list's column sums, so qualifying patterns are emitted without a
 verification pass.
@@ -22,7 +23,6 @@ only in visited-node counts and runtime.
       is below min_util
 """
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -36,12 +36,10 @@ from .model import (
     validate_database,
 )
 from .pulist import (
-    OrderedTransaction,
     PUList,
     build_initial_pulists,
     compute_processing_order,
     construct,
-    reorder_database,
 )
 
 
@@ -107,7 +105,11 @@ class MiningStats:
 
 @dataclass(frozen=True)
 class EUCS:
-    """Pair rtwu co-occurrence map; keys are (lower id, higher id)."""
+    """Pair rtwu co-occurrence map; keys are (lower id, higher id).
+
+    Filled by build_initial_pulists, so each transaction adds its
+    positive utility over the surviving items only (a tighter, still
+    sound bound than over all of its items)."""
 
     pair_rtwu: dict[tuple[Item, Item], float] = field(default_factory=dict)
 
@@ -151,30 +153,6 @@ def initial_scan(
     else:
         survivors = {i: (v[0], v[1]) for i, v in acc.items()}
     return survivors, n
-
-
-def build_eucs(ordered_db: list[OrderedTransaction]) -> EUCS:
-    """Register every co-occurring item pair with its summed rtu.
-
-    Works on the filtered, reordered transactions, so the rtu values
-    reflect surviving items only (a tighter, still-sound bound)."""
-    pair_rtwu: dict[tuple[Item, Item], float] = {}
-    for _tid, entries in ordered_db:
-        rtu = 0.0
-        for _item, u, _p in entries:
-            if u > 0.0:
-                rtu += u
-        n = len(entries)
-        for i in range(n):
-            a = entries[i][0]
-            for j in range(i + 1, n):
-                b = entries[j][0]
-                key = (a, b) if a < b else (b, a)
-                if key in pair_rtwu:
-                    pair_rtwu[key] += rtu
-                else:
-                    pair_rtwu[key] = rtu
-    return EUCS(pair_rtwu)
 
 
 def search(
@@ -248,10 +226,6 @@ def mine(
     """
     if config is None:
         config = MiningConfig.from_preset("ALL")
-    if not 0.0 <= thresholds.min_pro <= 1.0:
-        raise ValueError(f"min_pro must be in [0, 1], got {thresholds.min_pro}")
-    if not math.isfinite(thresholds.min_util):
-        raise ValueError(f"min_util must be finite, got {thresholds.min_util}")
     report = validate_database(db, table)
     if not report.ok:
         raise DatabaseValidationError(report)
@@ -270,9 +244,9 @@ def mine(
     out: list[MinedPattern] = []
     if survivors:
         order = compute_processing_order(table, {i: v[0] for i, v in survivors.items()})
-        ordered_db = reorder_database(db, table, order)
-        lists = build_initial_pulists(ordered_db, order)
-        eucs = build_eucs(ordered_db) if config.s6_eucp else EUCS()
+        pair_rtwu = {} if config.s6_eucp else None
+        lists = build_initial_pulists(db, table, order, pair_rtwu)
+        eucs = EUCS(pair_rtwu or {})
         extensions = [lists[i] for i in order.ordered_items if lists[i].tids]
         search(extensions, thresholds, pro_bound, config, eucs, stats, out)
 
@@ -294,7 +268,6 @@ __all__ = [
     "MiningConfig",
     "MiningStats",
     "PRESETS",
-    "build_eucs",
     "initial_scan",
     "mine",
     "mine_preset",

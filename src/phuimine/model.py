@@ -11,6 +11,7 @@ threads.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -77,10 +78,19 @@ class UtilityTable:
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Minimum utility (absolute) and minimum probability (relative)."""
+    """Minimum utility (absolute) and minimum probability (relative).
+
+    Raises ValueError unless min_util is finite and min_pro is in [0, 1].
+    """
 
     min_util: float
     min_pro: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.min_pro <= 1.0:
+            raise ValueError(f"min_pro must be in [0, 1], got {self.min_pro}")
+        if not math.isfinite(self.min_util):
+            raise ValueError(f"min_util must be finite, got {self.min_util}")
 
     def probability_bound(self, db_size: int) -> float:
         """Effective absolute probability bound; compute once per database."""
@@ -147,14 +157,22 @@ def validate_database(db: UncertainDatabase, table: UtilityTable) -> ValidationR
     Returns a report rather than raising; an empty report means success.
     Checks: duplicate items within a transaction, probability outside
     (0, 1], quantity < 1, items without a utility-table entry, a
-    non-finite unit utility, empty transactions and non-consecutive
-    tids.
+    non-finite unit utility, an occurrence whose utility (unit utility
+    times quantity) is not a finite float, empty transactions and
+    non-consecutive tids.
     """
     violations: list[Violation] = [
         Violation(0, item, f"utility {u} is not finite")
         for item, u in sorted(table.entries.items())
         if not math.isfinite(u)
     ]
+    # Only a quantity above its item's bound can make unit * quantity
+    # overflow (or be too large to become a float); the exact test runs
+    # on those alone.
+    quantity_bound = {
+        item: sys.float_info.max / 2 / max(abs(u), 1.0) if math.isfinite(u) else math.inf
+        for item, u in table.entries.items()
+    }
     for pos, tx in enumerate(db.transactions, start=1):
         if tx.tid != pos:
             violations.append(Violation(tx.tid, None, f"tid {tx.tid} at position {pos}; tids must be 1..n"))
@@ -169,9 +187,21 @@ def validate_database(db: UncertainDatabase, table: UtilityTable) -> ValidationR
                 violations.append(Violation(tx.tid, e.item, f"probability {e.probability} out of range (0, 1]"))
             if e.quantity < 1:
                 violations.append(Violation(tx.tid, e.item, f"quantity {e.quantity} must be >= 1"))
-            if e.item not in table.entries:
+            bound = quantity_bound.get(e.item)
+            if bound is None:
                 violations.append(Violation(tx.tid, e.item, "item missing from utility table"))
+            elif e.quantity > bound and not _finite_product(table.entries[e.item], e.quantity):
+                violations.append(Violation(
+                    tx.tid, e.item,
+                    f"utility {table.entries[e.item]} x quantity {e.quantity} is not finite"))
     return ValidationReport(tuple(violations))
+
+
+def _finite_product(unit: float, quantity: int) -> bool:
+    try:
+        return math.isfinite(unit * quantity)
+    except OverflowError:  # a quantity too large to become a float
+        return False
 
 
 def make_transaction(tid: int, entries: Iterable[TransactionEntry]) -> Transaction:

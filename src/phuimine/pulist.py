@@ -12,6 +12,9 @@ seven tid-sorted parallel columns:
   iu    utility of the pattern's last item there,
   ip    existence probability of the pattern's last item there.
 
+The single-item lists come from the miner's second database scan, one
+walk over the transactions that projects each onto the surviving items
+in processing order and, for s6, also fills the item-pair map (EUCS).
 The list of Pyz is built from the lists of Py and Pz alone (the
 HUI-Miner join, with negative utilities split off as in FHN): Py's
 entry is extended by z's own utility and probability, which Pz carries
@@ -96,57 +99,57 @@ def compute_processing_order(
     return ProcessingOrder(tuple(items), {it: r for r, it in enumerate(items)})
 
 
-# One reordered transaction: (tid, [(item, utility, probability), ...])
-# with entries restricted to ordered items and sorted by their rank.
-OrderedTransaction = tuple[int, list[tuple[Item, float, float]]]
-
-
-def reorder_database(
+def build_initial_pulists(
     db: UncertainDatabase,
     table: UtilityTable,
     order: ProcessingOrder,
-) -> list[OrderedTransaction]:
-    """Project every transaction onto the surviving items and sort its
-    entries by processing rank. Transactions left empty are dropped from
-    the projection (the database size used in bounds is unaffected)."""
+    pair_rtwu: dict[tuple[Item, Item], float] | None = None,
+) -> dict[Item, PUList]:
+    """One list per surviving item, from one walk over the transactions.
+
+    Each transaction is projected onto the surviving items and sorted
+    by processing rank. A single positive-group item has nu = 0 per
+    entry, a negative-group item has pu = 0; rpu sums the positive
+    utilities that follow the item in the projected transaction (one
+    reverse suffix scan per transaction). Given a pair_rtwu dict, the
+    same walk adds the transaction's positive utility over the
+    surviving items to every co-occurring pair (lower id, higher id):
+    the EUCS that s6 consults.
+    """
     rank = order.rank
-    out: list[OrderedTransaction] = []
+    unit = table.unit_utility
+    lists = {item: PUList((item,)) for item in order.ordered_items}
     for tx in db.transactions:
-        kept = [
-            (e.item, table.unit_utility(e.item) * e.quantity, e.probability)
+        entries = [
+            (e.item, unit(e.item) * e.quantity, e.probability)
             for e in tx.entries
             if e.item in rank
         ]
-        if not kept:
+        if not entries:
             continue
-        kept.sort(key=lambda t: rank[t[0]])
-        out.append((tx.tid, kept))
-    return out
-
-
-def build_initial_pulists(
-    ordered_db: Sequence[OrderedTransaction],
-    order: ProcessingOrder,
-) -> dict[Item, PUList]:
-    """One list per surviving item.
-
-    A single positive-group item has nu = 0 per entry, a negative-group
-    item has pu = 0; rpu sums the positive utilities that follow the
-    item in the reordered transaction (one reverse suffix scan per
-    transaction).
-    """
-    lists = {item: PUList((item,)) for item in order.ordered_items}
-    for tid, entries in ordered_db:
+        entries.sort(key=lambda t: rank[t[0]])
         n = len(entries)
         suffix = [0.0] * (n + 1)
         for j in range(n - 1, -1, -1):
             u = entries[j][1]
             suffix[j] = suffix[j + 1] + (u if u > 0.0 else 0.0)
+        tid = tx.tid
         for j, (item, u, p) in enumerate(entries):
             if u >= 0.0:
                 lists[item].append(tid, p, u, 0.0, suffix[j + 1])
             else:
                 lists[item].append(tid, p, 0.0, u, suffix[j + 1])
+        if pair_rtwu is not None:
+            rtu = suffix[0]
+            for i in range(n):
+                a = entries[i][0]
+                for j in range(i + 1, n):
+                    b = entries[j][0]
+                    key = (a, b) if a < b else (b, a)
+                    if key in pair_rtwu:
+                        pair_rtwu[key] += rtu
+                    else:
+                        pair_rtwu[key] = rtu
     for lst in lists.values():
         # A single-item list's last item is the pattern itself, so its
         # item columns are its own pro and signed utility columns (a
@@ -233,22 +236,29 @@ def construct(
 
 
 def build_pulist_by_scan(
-    ordered_db: Sequence[OrderedTransaction],
+    db: UncertainDatabase,
+    table: UtilityTable,
     order: ProcessingOrder,
     pattern_items: Sequence[Item],
 ) -> PUList:
     """Direct scan construction of an arbitrary pattern's list.
 
-    Independent of the join: used to cross-check construct(). The
-    pattern is given in any order and normalized to processing order.
+    Independent of the join and of build_initial_pulists: reads the
+    transactions themselves, to cross-check construct(). The pattern is
+    given in any order and normalized to processing order.
     """
     rank = order.rank
+    unit = table.unit_utility
     members = sorted(pattern_items, key=lambda i: rank[i])
     member_set = set(members)
     last_rank = rank[members[-1]]
     out = PUList(tuple(members))
-    for tid, entries in ordered_db:
-        found = {item: (u, p) for item, u, p in entries if item in member_set}
+    for tx in db.transactions:
+        found = {
+            e.item: (unit(e.item) * e.quantity, e.probability)
+            for e in tx.entries
+            if e.item in member_set
+        }
         if len(found) != len(member_set):
             continue
         pro = 1.0
@@ -261,8 +271,13 @@ def build_pulist_by_scan(
                 pu += u
             else:
                 nu += u
-        rpu = sum(u for item, u, _ in entries if rank[item] > last_rank and u > 0.0)
-        out.append(tid, pro, pu, nu, rpu)
+        following = sorted(
+            (rank[e.item], unit(e.item) * e.quantity)
+            for e in tx.entries
+            if e.item in rank and rank[e.item] > last_rank
+        )
+        rpu = sum(u for _rank, u in following if u > 0.0)
+        out.append(tx.tid, pro, pu, nu, rpu)
         iu, ip = found[members[-1]]
         out.iu.append(iu)
         out.ip.append(ip)

@@ -9,7 +9,6 @@ from phuimine.pulist import (
     build_pulist_by_scan,
     compute_processing_order,
     construct,
-    reorder_database,
 )
 from phuimine import dataio
 
@@ -72,13 +71,12 @@ def join_equivalence_walk(db, table):
     if not survivors:
         return []
     order = compute_processing_order(table, {i: rw for i, (rw, _p) in survivors.items()})
-    ordered_db = reorder_database(db, table, order)
-    lists = build_initial_pulists(ordered_db, order)
+    lists = build_initial_pulists(db, table, order)
     mismatches = []
 
     def rec(extensions):
         for i, py in enumerate(extensions):
-            scanned = build_pulist_by_scan(ordered_db, order, py.pattern_po)
+            scanned = build_pulist_by_scan(db, table, order, py.pattern_po)
             if not lists_match(py, scanned):
                 mismatches.append(py.pattern_po)
             children = []

@@ -18,7 +18,6 @@ from phuimine.pulist import (
     build_initial_pulists,
     compute_processing_order,
     construct,
-    reorder_database,
 )
 
 from helpers import (
@@ -151,7 +150,7 @@ def test_c2_intermediate_values():
         order = compute_processing_order(table, rtwu)
         assert order.ordered_items == (A, D, B, E, C)
 
-        lists = build_initial_pulists(reorder_database(db, table, order), order)
+        lists = build_initial_pulists(db, table, order)
         c_entries = entries_of(lists[C])
         expected_c = [(2, 0.75, 0.0, -2.0, 0.0), (3, 0.70, 0.0, -4.0, 0.0),
                       (4, 0.90, 0.0, -2.0, 0.0), (5, 0.95, 0.0, -8.0, 0.0)]

@@ -105,6 +105,18 @@ class TestMineCommand:
             err = capsys.readouterr().err
             assert "p.ptable:1" in err and "utility must be finite" in err
 
+    def test_overflowing_utility_exit_code(self, tmp_path, capsys):
+        # each number is finite, their product is not
+        db = tmp_path / "big.db"
+        db.write_text("1:10000000000:0.5 2:1:0.5\n")
+        ptable = tmp_path / "big.ptable"
+        ptable.write_text("1:1e300 2:1\n")
+        code = run(["mine", "--db", str(db), "--ptable", str(ptable),
+                    "--min-util", "1", "--min-pro", "0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "not finite" in captured.err and "inf" not in captured.out
+
     def test_missing_file(self, tmp_path, capsys):
         code = run(["mine", "--db", str(tmp_path / "nope.db"),
                     "--ptable", str(tmp_path / "nope.ptable"),

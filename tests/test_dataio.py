@@ -165,13 +165,3 @@ class TestRoundTrip:
         again = dataio.parse_database(dataio.serialize_database(db))
         assert again == db
 
-
-class TestNameMap:
-    def test_round_trip(self):
-        mapping = {"beer": 1, "diapers": 2}
-        text = dataio.serialize_name_map(mapping)
-        assert dataio.parse_name_map(text) == mapping
-
-    def test_duplicate_name(self):
-        with pytest.raises(dataio.ParseError, match="duplicate name"):
-            dataio.parse_name_map("a 1\na 2")

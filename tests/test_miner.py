@@ -2,26 +2,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phuimine import dataio
+from phuimine import dataio, measures
 from phuimine.datagen import generate_small
 from phuimine.miner import (
     EUCS,
     MiningConfig,
     PRESETS,
-    build_eucs,
     initial_scan,
     mine,
     mine_preset,
 )
 from phuimine.model import (
     DatabaseValidationError,
+    Pattern,
     Thresholds,
     Transaction,
     TransactionEntry,
     UtilityTable,
     make_database,
 )
-from phuimine.pulist import compute_processing_order, reorder_database
+from phuimine.pulist import build_initial_pulists, compute_processing_order
 
 from helpers import A, B, C, D, E, EXAMPLE_PHUIS, rel_close, results_map
 
@@ -51,11 +51,18 @@ class TestInitialScan:
         assert set(survivors) == {A, B, C, D, E}
 
 
+def eucs_of(db, table, thresholds, *, apply_filter=True):
+    """The EUCS that the list-building walk fills, as mine() builds it."""
+    survivors, _ = initial_scan(db, table, thresholds, apply_filter=apply_filter)
+    order = compute_processing_order(table, {i: v[0] for i, v in survivors.items()})
+    pair_rtwu = {}
+    build_initial_pulists(db, table, order, pair_rtwu)
+    return EUCS(pair_rtwu)
+
+
 @pytest.fixture(scope="module")
 def ex_eucs(ex_db, ex_table):
-    survivors, _ = initial_scan(ex_db, ex_table, TH)
-    order = compute_processing_order(ex_table, {i: v[0] for i, v in survivors.items()})
-    return build_eucs(reorder_database(ex_db, ex_table, order))
+    return eucs_of(ex_db, ex_table, TH)
 
 
 class TestEucs:
@@ -67,6 +74,22 @@ class TestEucs:
     def test_absent_pair_is_zero(self, ex_eucs):
         assert ex_eucs.pair(A, 99) == 0
         assert EUCS().pair(A, B) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_pairs_are_pair_rtwu(self, seed):
+        # with every item surviving, a pair's value is its rtwu: the
+        # summed positive utility of the transactions holding both
+        db, table = generate_small(seed, negative_fraction=0.5, max_items=8,
+                                   max_transactions=12)
+        eucs = eucs_of(db, table, Thresholds(0.0, 0.0), apply_filter=False)
+        items = sorted(db.item_universe)
+        for i, a in enumerate(items):
+            for b in items[i + 1:]:
+                rtwu = measures.rtwu(Pattern.of([a, b]), db, table)
+                assert eucs.pair(a, b) == rtwu
+                if not any({a, b} <= tx.items() for tx in db.transactions):
+                    assert (a, b) not in eucs.pair_rtwu and eucs.pair(a, b) == 0
 
 
 class TestMine:

@@ -3,6 +3,7 @@ import pytest
 from phuimine import dataio
 from phuimine.model import (
     Pattern,
+    Thresholds,
     Transaction,
     TransactionEntry,
     UtilityTable,
@@ -58,6 +59,29 @@ def test_non_finite_utility_reported(utility):
     report = validate_database(make_database([tx]), UtilityTable({1: utility}))
     assert [(v.tid, v.item) for v in report.violations] == [(0, 1)]
     assert "not finite" in report.violations[0].message
+
+
+@pytest.mark.parametrize("quantity", [10_000_000_000, 10**400])
+def test_overflowing_occurrence_utility_reported(quantity):
+    # a finite unit utility times a large quantity is not a finite float
+    tx = make_transaction(1, [TransactionEntry(1, quantity, 0.5), TransactionEntry(2, 1, 0.5)])
+    report = validate_database(make_database([tx]), UtilityTable({1: 1e300, 2: 1.0}))
+    assert [(v.tid, v.item) for v in report.violations] == [(1, 1)]
+    assert "not finite" in report.violations[0].message
+
+
+@pytest.mark.parametrize("min_util, min_pro, match", [
+    (float("nan"), 0.1, "min_util must be finite"),
+    (float("inf"), 0.1, "min_util must be finite"),
+    (float("-inf"), 0.1, "min_util must be finite"),
+    (1.0, float("nan"), "min_pro"),
+    (1.0, -0.1, "min_pro"),
+    (1.0, 1.5, "min_pro"),
+    (1.0, float("inf"), "min_pro"),
+])
+def test_thresholds_reject_out_of_range(min_util, min_pro, match):
+    with pytest.raises(ValueError, match=match):
+        Thresholds(min_util, min_pro)
 
 
 def test_tids_must_be_consecutive():

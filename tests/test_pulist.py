@@ -11,7 +11,6 @@ from phuimine.pulist import (
     build_pulist_by_scan,
     compute_processing_order,
     construct,
-    reorder_database,
     PUList,
 )
 
@@ -31,13 +30,8 @@ def ex_order(ex_table):
 
 
 @pytest.fixture(scope="module")
-def ex_ordered_db(ex_db, ex_table, ex_order):
-    return reorder_database(ex_db, ex_table, ex_order)
-
-
-@pytest.fixture(scope="module")
-def ex_lists(ex_ordered_db, ex_order):
-    return build_initial_pulists(ex_ordered_db, ex_order)
+def ex_lists(ex_db, ex_table, ex_order):
+    return build_initial_pulists(ex_db, ex_table, ex_order)
 
 
 class TestProcessingOrder:
@@ -152,7 +146,7 @@ class TestConstruct:
         table = UtilityTable({1: 3.0, 2: 4.0})
         survivors, _ = initial_scan(db, table, Thresholds(0.0, 0.0), apply_filter=False)
         order = compute_processing_order(table, {i: v[0] for i, v in survivors.items()})
-        lists = build_initial_pulists(reorder_database(db, table, order), order)
+        lists = build_initial_pulists(db, table, order)
         joined = construct(lists[order.ordered_items[0]], lists[order.ordered_items[1]])
         assert joined.tids == []
         assert (joined.sum_pro, joined.sum_pu, joined.sum_nu, joined.sum_rpu) == (0.0,) * 4
@@ -179,12 +173,11 @@ def _all_reachable_lists(db, table):
     """Every non-empty list in the enumeration, by scan construction."""
     survivors, _ = initial_scan(db, table, Thresholds(0.0, 0.0), apply_filter=False)
     order = compute_processing_order(table, {i: rw for i, (rw, _) in survivors.items()})
-    ordered_db = reorder_database(db, table, order)
     from phuimine.oracle import enumerate_supported
 
     out = []
     for items in enumerate_supported(db, table):
-        out.append(build_pulist_by_scan(ordered_db, order, list(items)))
+        out.append(build_pulist_by_scan(db, table, order, list(items)))
     return out, order
 
 
@@ -227,9 +220,8 @@ def test_entry_field_signs(seed):
 
 
 def test_sum_iu_matches_reference_measures(ex_db, ex_table, ex_lists, ex_order):
-    ordered_db = reorder_database(ex_db, ex_table, ex_order)
     for items in [(A,), (C,), (A, C), (B, C, E), (D, E)]:
-        scan = build_pulist_by_scan(ordered_db, ex_order, list(items))
+        scan = build_pulist_by_scan(ex_db, ex_table, ex_order, list(items))
         pattern = Pattern.of(items)
         utility = scan.sum_pu + scan.sum_nu
         assert rel_close(utility, measures.pattern_utility(pattern, ex_db, ex_table))
