@@ -240,6 +240,9 @@ def cmd_bench(args) -> int:
     )
     plan.validate()
     full_db, table = _load_inputs(plan.db_path, plan.ptable_path)
+    for bad in (n for n in plan.prefix_sizes if not 1 <= n <= full_db.size):
+        raise _UsageError(f"prefix size {bad} outside 1..{full_db.size}, "
+                          "the number of transactions")
 
     rows: list[tuple[str, str, MiningStats]] = []
     csv_lines = []

@@ -11,8 +11,8 @@ Six pruning strategies sit behind independent toggles. All of them are
 sound: every configuration produces the same result set and differs
 only in visited-node counts and runtime.
 
-  s1  abandon a list join once the left operand's unmatched remainder
-      puts the thresholds out of reach
+  s1  abandon a join when the matched part of Py cannot reach the
+      thresholds
   s2  drop items failing the single-item rtwu/probability bounds in the
       initial scan
   s3  do not extend a node whose summed probability is below the bound

@@ -19,12 +19,13 @@ The list of Pyz is built from the lists of Py and Pz alone (the
 HUI-Miner join, with negative utilities split off as in FHN): Py's
 entry is extended by z's own utility and probability, which Pz carries
 in its iu and ip columns, so no lookup in the list of P and no division
-is needed. Matching tids are found by binary search, and the join can
-be abandoned early once the unmatched remainder of Py can no longer
-reach the thresholds.
+is needed. The join is one two-pointer merge over the tid columns of
+Py and Pz. With s1 on, it also sums Py's probability and pu + rpu over
+the matched entries; if some Py entry went unmatched and either sum is
+below its threshold, the join is abandoned: Pyz and every extension of
+it are then out of reach.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -159,7 +160,7 @@ def build_initial_pulists(
     return lists
 
 
-ABANDONED = None  # construct() result when the early-abandon test fires
+ABANDONED = None  # construct() result when the s1 test fires
 
 
 def construct(
@@ -172,40 +173,58 @@ def construct(
 ) -> PUList | None:
     """Join the lists of Py = P + y and Pz = P + z into the list of Pyz.
 
-    For a tid in both lists, Py's entry ey is extended by z alone, whose
-    utility iu and probability ip Pz's entry ez carries:
+    One merge walks both tid columns in ascending order and stops when
+    Pz runs out. For a tid in both lists, Py's entry ey is extended by
+    z alone, whose utility iu and probability ip Pz's entry ez carries:
       pro = ey.pro * ez.ip
       pu  = ey.pu + ez.iu if ez.iu >= 0, else ey.pu
       nu  = ey.nu + ez.iu if ez.iu < 0, else ey.nu
       rpu = ez.rpu,  iu = ez.iu,  ip = ez.ip
     This multiplies and adds in processing order, as a direct scan does.
 
-    With la_prune enabled, a running probability budget (sum of Py.pro)
-    and utility budget (sum of Py.pu + Py.rpu) lose each unmatched Py
-    entry's contribution; once either drops below its threshold no
-    extension of Py by z (or any superset) can qualify, and the join
-    returns ABANDONED (None).
+    The same walk sums, over the matched Py entries in tid order,
+    m_pro = sum of ey.pro and m_util = sum of ey.pu + ey.rpu. With
+    la_prune (s1) on, the join returns ABANDONED (None) iff at least one
+    Py entry went unmatched and m_pro < pro_bound or m_util < min_util:
+    no extension of Py by z, nor any superset of it, can then qualify.
+    For probability the test is sound in floats too: each ey.pro is at
+    least its Pyz entry ey.pro * ez.ip (ip <= 1), and rounded addition
+    is monotone, so m_pro bounds Pyz's sum_pro from above. A fully
+    matched Py is never abandoned; its Pyz is returned as built.
     """
     out = PUList(py.pattern_po + (pz.pattern_po[-1],))
     o_tids, o_pro, o_pu, o_nu = out.tids, out.pro, out.pu, out.nu
     o_rpu, o_iu, o_ip = out.rpu, out.iu, out.ip
     s_pro = s_pu = s_nu = s_rpu = 0.0
-
-    probability = py.sum_pro
-    utility = py.sum_pu + py.sum_rpu
+    m_pro = m_util = 0.0
 
     y_tids, y_pro, y_pu, y_nu, y_rpu = py.tids, py.pro, py.pu, py.nu, py.rpu
     z_tids, z_rpu, z_iu, z_ip = pz.tids, pz.rpu, pz.iu, pz.ip
     z_len = len(z_tids)
 
-    k = 0  # tids ascend, so each binary search can start past the last hit
-    for i, tid in enumerate(y_tids):
-        k = bisect_left(z_tids, tid, k)
-        if k < z_len and z_tids[k] == tid:
+    if z_len:
+        k = 0
+        z_tid = z_tids[0]
+        for i, tid in enumerate(y_tids):
+            if tid < z_tid:
+                continue
+            if tid > z_tid:
+                k += 1
+                while k < z_len and z_tids[k] < tid:
+                    k += 1
+                if k == z_len:
+                    break
+                z_tid = z_tids[k]
+                if tid < z_tid:
+                    continue
+            y_p = y_pro[i]
+            y_u = y_pu[i]
+            m_pro += y_p
+            m_util += y_u + y_rpu[i]
             u = z_iu[k]
             p = z_ip[k]
-            pro = y_pro[i] * p
-            pu = y_pu[i]
+            pro = y_p * p
+            pu = y_u
             nu = y_nu[i]
             if u >= 0.0:
                 pu += u
@@ -223,11 +242,13 @@ def construct(
             s_pu += pu
             s_nu += nu
             s_rpu += rpu
-        elif la_prune:
-            probability -= y_pro[i]
-            utility -= y_pu[i] + y_rpu[i]
-            if probability < pro_bound or utility < min_util:
-                return ABANDONED
+            k += 1
+            if k == z_len:
+                break
+            z_tid = z_tids[k]
+    if (la_prune and len(o_tids) < len(y_tids)
+            and (m_pro < pro_bound or m_util < min_util)):
+        return ABANDONED
     out.sum_pro = s_pro
     out.sum_pu = s_pu
     out.sum_nu = s_nu
@@ -246,6 +267,12 @@ def build_pulist_by_scan(
     Independent of the join and of build_initial_pulists: reads the
     transactions themselves, to cross-check construct(). The pattern is
     given in any order and normalized to processing order.
+
+    rpu adds the positive utilities of the following items one at a
+    time, from the last in processing order back to the first, starting
+    from 0.0: the order of build_initial_pulists' suffix scan, so both
+    round alike. An explicit loop, because builtin sum() of floats is
+    compensated from Python 3.12 on and would round differently.
     """
     rank = order.rank
     unit = table.unit_utility
@@ -276,7 +303,10 @@ def build_pulist_by_scan(
             for e in tx.entries
             if e.item in rank and rank[e.item] > last_rank
         )
-        rpu = sum(u for _rank, u in following if u > 0.0)
+        rpu = 0.0
+        for _rank, u in reversed(following):
+            if u > 0.0:
+                rpu += u
         out.append(tx.tid, pro, pu, nu, rpu)
         iu, ip = found[members[-1]]
         out.iu.append(iu)

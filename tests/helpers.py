@@ -63,33 +63,46 @@ def lists_match(a: PUList, b: PUList) -> bool:
     return all(getattr(a, name) == getattr(b, name) for name in PUList.__slots__)
 
 
-def join_equivalence_walk(db, table):
-    """Rebuild every reachable (non-empty) list twice: bottom-up joins
-    without early abandonment vs a direct scan. Returns mismatching
-    patterns (empty list = all equal)."""
+def _unpruned_roots(db, table):
+    """Processing order and single-item lists of the full enumeration:
+    no s2 filter, every occurring item kept."""
     survivors, _n = initial_scan(db, table, Thresholds(0.0, 0.0), apply_filter=False)
-    if not survivors:
-        return []
     order = compute_processing_order(table, {i: rw for i, (rw, _p) in survivors.items()})
     lists = build_initial_pulists(db, table, order)
-    mismatches = []
+    return order, [lists[i] for i in order.ordered_items if lists[i].tids]
+
+
+def attempted_joins(db, table):
+    """Every join of the full enumeration tree, depth-first: yields
+    (py, pz, pyz) with pyz = construct(py, pz) built without
+    abandonment; each non-empty pyz is extended in turn."""
+    _order, roots = _unpruned_roots(db, table)
 
     def rec(extensions):
         for i, py in enumerate(extensions):
-            scanned = build_pulist_by_scan(db, table, order, py.pattern_po)
-            if not lists_match(py, scanned):
-                mismatches.append(py.pattern_po)
             children = []
             for pz in extensions[i + 1:]:
                 pyz = construct(py, pz)
+                yield py, pz, pyz
                 if pyz.tids:
                     children.append(pyz)
             if children:
-                rec(children)
+                yield from rec(children)
 
-    roots = [lists[i] for i in order.ordered_items if lists[i].tids]
-    rec(roots)
-    return mismatches
+    yield from rec(roots)
+
+
+def join_equivalence_walk(db, table):
+    """Rebuild every reachable (non-empty) list twice: bottom-up joins
+    without s1 abandonment vs a direct scan. Returns mismatching
+    patterns (empty list = all equal)."""
+    order, roots = _unpruned_roots(db, table)
+    joined = [pyz for _py, _pz, pyz in attempted_joins(db, table) if pyz.tids]
+    return [
+        pul.pattern_po
+        for pul in roots + joined
+        if not lists_match(pul, build_pulist_by_scan(db, table, order, pul.pattern_po))
+    ]
 
 
 def results_map(results):

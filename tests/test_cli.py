@@ -249,6 +249,17 @@ class TestBenchCommand:
         assert lines[0].split(",")[3] == "prefix"
         assert [line.split(",")[3] for line in lines[1:]] == ["2", "4"]
 
+    @pytest.mark.parametrize("size", ["-3", "0", "6"])
+    def test_prefix_size_outside_database(self, data_files, tmp_path, capsys, size):
+        # the example database holds 5 transactions
+        db, ptable = data_files
+        out = tmp_path / "scale.csv"
+        assert run(["bench", "--db", db, "--ptable", ptable,
+                    "--min-util", "20", "--min-pro", "0.25", "--presets", "ALL",
+                    f"--prefix-sizes=2,{size}", "--out", str(out)]) == 2
+        assert f"prefix size {size} outside 1..5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_preset(self, data_files, capsys):
         db, ptable = data_files
         assert run(["bench", "--db", db, "--ptable", ptable,

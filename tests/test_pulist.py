@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,8 +7,16 @@ from hypothesis import strategies as st
 from phuimine import measures
 from phuimine.datagen import GenParams, generate, generate_small
 from phuimine.miner import initial_scan
-from phuimine.model import Pattern, Thresholds, UtilityTable
+from phuimine.model import (
+    Pattern,
+    Thresholds,
+    Transaction,
+    TransactionEntry,
+    UtilityTable,
+    make_database,
+)
 from phuimine.pulist import (
+    ABANDONED,
     build_initial_pulists,
     build_pulist_by_scan,
     compute_processing_order,
@@ -16,8 +26,10 @@ from phuimine.pulist import (
 
 from helpers import (
     A, B, C, D, E,
+    attempted_joins,
     entries_of,
     join_equivalence_walk,
+    lists_match,
     rel_close,
 )
 
@@ -119,7 +131,7 @@ class TestConstruct:
         assert rel_close(got[1][1], 0.60)
 
     def test_la_prune_abandons_ad(self, ex_lists):
-        # unmatched T3 and T4 drain the probability budget below 1.25
+        # T3 and T4 go unmatched; the matched T1 has probability 0.6 < 1.25
         result = construct(
             ex_lists[A], ex_lists[D],
             min_util=20.0, pro_bound=0.25 * 5, la_prune=True,
@@ -137,8 +149,6 @@ class TestConstruct:
         assert len(a_then_d) == 1
 
     def test_never_cooccurring_items_join_empty(self):
-        from phuimine.model import Transaction, TransactionEntry, make_database
-
         db = make_database([
             Transaction(1, (TransactionEntry(1, 1, 0.5),)),
             Transaction(2, (TransactionEntry(2, 1, 0.5),)),
@@ -152,9 +162,138 @@ class TestConstruct:
         assert (joined.sum_pro, joined.sum_pu, joined.sum_nu, joined.sum_rpu) == (0.0,) * 4
 
 
+def _hand_list(pattern_po, rows):
+    """A list from (tid, pro, pu, nu, rpu, iu, ip) rows."""
+    out = PUList(pattern_po)
+    for tid, pro, pu, nu, rpu, iu, ip in rows:
+        out.append(tid, pro, pu, nu, rpu)
+        out.iu.append(iu)
+        out.ip.append(ip)
+    return out
+
+
+# Py = (1, 2) at tids 3, 5, 7: pro 0.5 each, pu + rpu = 10 each.
+PY_ROWS = [(3, 0.5, 6.0, 0.0, 4.0, 6.0, 0.5),
+           (5, 0.5, 6.0, -1.0, 4.0, 6.0, 0.5),
+           (7, 0.5, 6.0, 0.0, 4.0, 6.0, 0.5)]
+
+
+def _pz(tids):
+    """Pz = (1, 3) at the given tids: z carries iu 2 (or -3 at tid 5), ip 0.5."""
+    return _hand_list((1, 3), [
+        (t, 0.25, 8.0, 0.0, 1.0, -3.0 if t == 5 else 2.0, 0.5) for t in tids
+    ])
+
+
+class TestMerge:
+    @pytest.mark.parametrize("z_tids", [[], [1, 2], [8, 9]],
+                             ids=["empty", "all-before", "all-after"])
+    def test_disjoint_pz_joins_empty(self, z_tids):
+        py = _hand_list((1, 2), PY_ROWS)
+        pyz = construct(py, _pz(z_tids))
+        assert pyz.pattern_po == (1, 2, 3)
+        assert [getattr(pyz, c) for c in ("tids", "pro", "pu", "nu", "rpu", "iu", "ip")] \
+            == [[]] * 7
+        assert (pyz.sum_pro, pyz.sum_pu, pyz.sum_nu, pyz.sum_rpu) == (0.0,) * 4
+        # nothing matched: any positive bound abandons, zero bounds do not
+        assert construct(py, _pz(z_tids), pro_bound=1e-9, la_prune=True) is ABANDONED
+        assert construct(py, _pz(z_tids), la_prune=True).tids == []
+
+    def test_interleaved_tids(self):
+        py = _hand_list((1, 2), PY_ROWS)
+        pyz = construct(py, _pz([1, 3, 4, 5, 6, 8]))
+        assert entries_of(pyz) == [
+            (3, 0.25, 8.0, 0.0, 1.0),
+            (5, 0.25, 6.0, -4.0, 1.0),
+        ]
+        assert (pyz.iu, pyz.ip) == ([2.0, -3.0], [0.5, 0.5])
+        assert (pyz.sum_pro, pyz.sum_pu, pyz.sum_nu, pyz.sum_rpu) == (0.5, 14.0, -4.0, 2.0)
+
+    def test_s1_bounds_on_matched_sums(self):
+        # tids 3 and 5 match: matched pro 1.0, matched pu + rpu 20.0
+        py = _hand_list((1, 2), PY_ROWS)
+        pz = _pz([3, 4, 5])
+        built = construct(py, pz, min_util=20.0, pro_bound=1.0, la_prune=True)
+        assert lists_match(built, construct(py, pz))
+        for bounds in ({"min_util": 20.5, "pro_bound": 1.0},
+                       {"min_util": 20.0, "pro_bound": 1.25}):
+            assert construct(py, pz, la_prune=True, **bounds) is ABANDONED
+            assert construct(py, pz, **bounds).tids == [3, 5]
+
+    def test_fully_matched_py_is_never_abandoned(self):
+        # every Py tid matches, and both matched sums (1.5 and 30) lie
+        # below their bounds; s1 only drops joins that lose Py entries
+        py = _hand_list((1, 2), PY_ROWS)
+        pz = _pz([2, 3, 5, 7, 9])
+        pyz = construct(py, pz, min_util=1e6, pro_bound=100.0, la_prune=True)
+        assert pyz is not ABANDONED
+        assert lists_match(pyz, construct(py, pz))
+        assert pyz.tids == [3, 5, 7]
+
+
+def _s1_reference(py, pz, min_util, pro_bound):
+    """Reference s1 rule, as (fires, m_pro, m_util): it fires when some
+    Py tid has no partner in Pz and Py's probability or pu + rpu,
+    summed in tid order over the matched entries, is below its bound."""
+    z_tids = set(pz.tids)
+    m_pro = m_util = 0.0
+    unmatched = False
+    for tid, pro, pu, rpu in zip(py.tids, py.pro, py.pu, py.rpu):
+        if tid in z_tids:
+            m_pro += pro
+            m_util += pu + rpu
+        else:
+            unmatched = True
+    return unmatched and (m_pro < pro_bound or m_util < min_util), m_pro, m_util
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       util_frac=st.floats(0.0, 0.5),
+       pro_frac=st.floats(0.0, 0.5))
+def test_s1_abandons_iff_matched_sums_fall_below_a_bound(seed, util_frac, pro_frac):
+    """Over every join of the full enumeration, at drawn thresholds and
+    at thresholds exactly on and just above the matched sums: s1
+    abandons iff the reference rule fires, and a join it keeps equals
+    the join without s1 bit for bit."""
+    dyadic = generate_small(seed, negative_fraction=0.5, max_items=7,
+                            max_transactions=10)
+    non_dyadic = generate(GenParams(n_transactions=20, n_items=7, avg_tx_len=4,
+                                    max_tx_len=6, seed=seed))
+    for db, table in (dyadic, non_dyadic):
+        total_rtu = sum(
+            max(table.unit_utility(e.item) * e.quantity, 0.0)
+            for tx in db.transactions for e in tx.entries
+        )
+        drawn = (util_frac * total_rtu, pro_frac * db.size)
+        for py, pz, pyz in attempted_joins(db, table):
+            _fires, m_pro, m_util = _s1_reference(py, pz, 0.0, 0.0)
+            for min_util, pro_bound in (
+                drawn,
+                (m_util, m_pro),
+                (math.nextafter(m_util, math.inf), m_pro),
+                (m_util, math.nextafter(m_pro, math.inf)),
+            ):
+                got = construct(py, pz, min_util=min_util, pro_bound=pro_bound,
+                                la_prune=True)
+                fires, _, _ = _s1_reference(py, pz, min_util, pro_bound)
+                assert (got is ABANDONED) == fires
+                if got is not ABANDONED:
+                    assert lists_match(got, pyz)
+
+
 class TestJoinScanEquivalence:
     def test_example_walk(self, ex_db, ex_table):
         assert join_equivalence_walk(ex_db, ex_table) == []
+
+    def test_decimal_utilities(self):
+        # rpu of 2-decimal utilities rounds differently when the scan
+        # adds them front to back instead of in the suffix scan's order
+        db = make_database([
+            Transaction(1, tuple(TransactionEntry(i, 1, 0.5) for i in range(1, 6))),
+        ])
+        table = UtilityTable({1: 2.38, 2: 5.44, 3: 3.7, 4: 6.04, 5: 6.25})
+        assert join_equivalence_walk(db, table) == []
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000))
