@@ -131,11 +131,14 @@ def _exact_decimal(x: float) -> str:
     """Shortest decimal form that parses back to the same float.
 
     Plain positional notation (never scientific) for diff-friendly
-    files; integral values print without a fractional part.
+    files; integral values print without a fractional part. `repr` is
+    already that form unless it has an exponent; only exponent forms
+    are expanded through `Decimal`.
     """
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
-    return format(Decimal(repr(x)), "f")
+    text = repr(x)
+    return text if "e" not in text else format(Decimal(text), "f")
 
 
 def _six_digits(x: float) -> str:

@@ -8,8 +8,6 @@ against it. Patterns with zero support are never emitted, even under
 degenerate thresholds.
 """
 
-from itertools import combinations
-
 from .model import (
     MinedPattern,
     Pattern,
@@ -30,34 +28,32 @@ def enumerate_supported(
 ) -> dict[tuple[int, ...], tuple[float, float]]:
     """Exact (utility, expected support) for every supported itemset.
 
-    Walks the subsets of each transaction (bounded by sum of 2^|T|,
-    far below 2^universe on sparse data) and accumulates per-pattern
-    totals in ascending tid order.
+    Lists the subsets of each transaction by extension: starting from
+    the empty set (utility 0.0, probability 1.0), each item in ascending
+    id order extends every subset listed so far, adding its utility and
+    multiplying its probability. A subset's measures are thus formed in
+    ascending item order, exactly as a per-combination loop would. The
+    list holds at most 2^|T| entries, as many as the transaction
+    contributes to the totals anyway, and the walk over all transactions
+    is bounded by the sum of 2^|T|, far below 2^universe on sparse data.
+    Per-pattern totals accumulate in ascending tid order.
     """
     if len(db.item_universe) > max_items:
         raise UniverseTooLargeError(
             f"item universe has {len(db.item_universe)} items, limit is {max_items}"
         )
-    totals: dict[tuple[int, ...], list[float]] = {}
+    totals: dict[tuple[int, ...], tuple[float, float]] = {}
     for tx in db.transactions:
-        entries = sorted(tx.entries, key=lambda e: e.item)
-        values = [(e.item, table.unit_utility(e.item) * e.quantity, e.probability)
-                  for e in entries]
-        for size in range(1, len(values) + 1):
-            for combo in combinations(values, size):
-                key = tuple(v[0] for v in combo)
-                u = 0.0
-                p = 1.0
-                for _item, iu, ip in combo:
-                    u += iu
-                    p *= ip
-                acc = totals.get(key)
-                if acc is None:
-                    totals[key] = [u, p]
-                else:
-                    acc[0] += u
-                    acc[1] += p
-    return {k: (v[0], v[1]) for k, v in totals.items()}
+        subsets: list[tuple[tuple[int, ...], float, float]] = [((), 0.0, 1.0)]
+        for e in sorted(tx.entries, key=lambda e: e.item):
+            item = e.item
+            iu = table.unit_utility(item) * e.quantity
+            ip = e.probability
+            subsets += [(key + (item,), u + iu, p * ip) for key, u, p in subsets]
+        for key, u, p in subsets[1:]:
+            acc = totals.get(key)
+            totals[key] = (u, p) if acc is None else (acc[0] + u, acc[1] + p)
+    return totals
 
 
 def qualifying_patterns(

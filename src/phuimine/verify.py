@@ -2,9 +2,10 @@
 
 Drives the miner under every preset against the brute-force reference
 on fixed inputs or on seeded fuzz instances, comparing result sets
-exactly on membership and utility and within a relative tolerance on
-expected support. Shared by the CLI `verify` command and the test
-suite.
+exactly on membership and utility and within a relative tolerance
+(`PRO_REL_TOL`) on expected support, and reporting the first
+divergence in (length, item ids) order. Shared by the CLI `verify`
+command and the test suite.
 """
 
 import random
@@ -50,23 +51,41 @@ def compare_results(
     label_b: str,
     results_b: list[MinedPattern],
 ) -> Divergence | None:
-    """None when the sets agree (utility exact, probability within
-    tolerance); otherwise the first divergent pattern."""
-    by_pattern_a = {m.pattern: m for m in results_a}
-    by_pattern_b = {m.pattern: m for m in results_b}
-    for pattern in sorted(set(by_pattern_a) | set(by_pattern_b),
-                          key=lambda p: (len(p.items), p.items)):
-        ma = by_pattern_a.get(pattern)
-        mb = by_pattern_b.get(pattern)
+    """None when the sets agree; otherwise the first divergent pattern.
+
+    Two sets agree when they hold the same patterns, each with the same
+    utility (exact float equality) and expected supports within
+    `PRO_REL_TOL` relative. The first divergence is the shortest, then
+    lowest-id, pattern that is missing from one side or differs in a
+    measure. Both sets are keyed on their item tuples, which hash and
+    compare in C; the ordered walk runs only when the sets differ.
+    """
+    by_items_a = {m.pattern.items: m for m in results_a}
+    by_items_b = {m.pattern.items: m for m in results_b}
+    if len(by_items_a) == len(by_items_b):
+        # equal supports are close; the call is made only for the rest
+        for items, ma in by_items_a.items():
+            mb = by_items_b.get(items)
+            if (mb is None or ma.utility != mb.utility
+                    or (ma.expected_support != mb.expected_support
+                        and not probabilities_close(ma.expected_support,
+                                                    mb.expected_support))):
+                break
+        else:
+            return None
+    for items in sorted(by_items_a.keys() | by_items_b.keys(),
+                        key=lambda k: (len(k), k)):
+        ma = by_items_a.get(items)
+        mb = by_items_b.get(items)
         if ma is None:
-            return Divergence(label_a, label_b, pattern, f"missing from {label_a}")
+            return Divergence(label_a, label_b, mb.pattern, f"missing from {label_a}")
         if mb is None:
-            return Divergence(label_a, label_b, pattern, f"missing from {label_b}")
+            return Divergence(label_a, label_b, ma.pattern, f"missing from {label_b}")
         if ma.utility != mb.utility:
-            return Divergence(label_a, label_b, pattern,
+            return Divergence(label_a, label_b, ma.pattern,
                               f"utility {ma.utility} != {mb.utility}")
         if not probabilities_close(ma.expected_support, mb.expected_support):
-            return Divergence(label_a, label_b, pattern,
+            return Divergence(label_a, label_b, ma.pattern,
                               f"expected support {ma.expected_support} != {mb.expected_support}")
     return None
 

@@ -1,4 +1,6 @@
 import json
+import random
+from decimal import Decimal
 
 import pytest
 
@@ -165,3 +167,23 @@ class TestRoundTrip:
         again = dataio.parse_database(dataio.serialize_database(db))
         assert again == db
 
+
+    def test_exact_decimal_matches_decimal_expansion(self):
+        # repr is used as is unless it has an exponent; the output must
+        # equal the full Decimal expansion of repr on every kind of value
+        def reference(x: float) -> str:
+            if x == int(x) and abs(x) < 1e16:
+                return str(int(x))
+            return format(Decimal(repr(x)), "f")
+
+        rng = random.Random(5)
+        values = [rng.random() for _ in range(2000)]
+        for exponent in range(-12, 21):
+            for sign in (1.0, -1.0):
+                values.append(sign * 10.0 ** exponent)
+                values.extend(sign * rng.uniform(1.0, 10.0) * 10.0 ** exponent
+                              for _ in range(20))
+        values += [5e-324, 1e16, 1e15 + 0.5]
+        for x in values:
+            assert dataio._exact_decimal(x) == reference(x), x
+            assert float(dataio._exact_decimal(x)) == x

@@ -1,9 +1,11 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phuimine import measures
-from phuimine.datagen import generate_small
+from phuimine.datagen import GenParams, generate, generate_small
 from phuimine.model import (
     Pattern,
     Thresholds,
@@ -82,3 +84,44 @@ def test_enumerate_supported_counts(ex_db, ex_table):
     assert (1, 4, 3) not in measures  # a,d,c never co-occur
     u, pro = measures[(4, 5)]
     assert u == 166.0 and rel_close(pro, 2.22)
+
+
+
+def _per_combination_measures(db, table):
+    """Reference: each combination of each transaction recomputed on its
+    own, utility added and probability multiplied in ascending item
+    order from 0.0 and 1.0, totals accumulated in tid order."""
+    totals = {}
+    for tx in db.transactions:
+        entries = sorted(tx.entries, key=lambda e: e.item)
+        for size in range(1, len(entries) + 1):
+            for combo in combinations(entries, size):
+                u = 0.0
+                p = 1.0
+                for e in combo:
+                    u += table.unit_utility(e.item) * e.quantity
+                    p *= e.probability
+                key = tuple(e.item for e in combo)
+                if key in totals:
+                    u += totals[key][0]
+                    p += totals[key][1]
+                totals[key] = (u, p)
+    return totals
+
+
+def _bits(measures):
+    return {k: (u.hex(), p.hex()) for k, (u, p) in measures.items()}
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_enumeration_bit_identical_to_per_combination_loop(seed):
+    # builtin sum() is compensated from Python 3.12 on, so measures.py
+    # cannot be the bit-level reference; the loop above is
+    dyadic = generate_small(seed, negative_fraction=0.5, max_items=8,
+                            max_transactions=12)
+    non_dyadic = generate(GenParams(n_transactions=30, n_items=8, avg_tx_len=4,
+                                    max_tx_len=7, seed=seed))
+    for db, table in (dyadic, non_dyadic):
+        assert _bits(enumerate_supported(db, table)) == _bits(
+            _per_combination_measures(db, table))
