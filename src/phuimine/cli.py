@@ -96,7 +96,13 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args, mine_fn=mine) -> int:
+    if args.fuzz < 0:
+        raise _UsageError(f"--fuzz {args.fuzz} must be at least 0")
     if args.fuzz:
+        if not 1 <= args.max_items <= oracle.MAX_ITEMS:
+            raise _UsageError(f"--max-items {args.max_items} outside 1..{oracle.MAX_ITEMS}")
+        if args.max_tx < 1:
+            raise _UsageError(f"--max-tx {args.max_tx} must be at least 1")
         diff = verify.run_fuzz(
             args.fuzz,
             seed=args.seed,
@@ -328,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="run the brute-force reference miner")
     _add_data_flags(p)
     _add_threshold_flags(p)
-    p.add_argument("--max-items", type=int, default=20,
+    p.add_argument("--max-items", type=int, default=oracle.MAX_ITEMS,
                    help="refuse item universes larger than this")
     p.add_argument("--out", help="results file (default stdout)")
     p.set_defaults(func=cmd_oracle)
@@ -339,8 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fuzz", type=int, default=0, metavar="N",
                    help="run N generated cases instead of a fixed dataset")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-items", type=int, default=12)
-    p.add_argument("--max-tx", type=int, default=30)
+    p.add_argument("--max-items", type=int, default=12,
+                   help=f"most items per fuzz case, 1..{oracle.MAX_ITEMS}")
+    p.add_argument("--max-tx", type=int, default=30,
+                   help="most transactions per fuzz case")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="generate a synthetic database")

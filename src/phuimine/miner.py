@@ -1,7 +1,7 @@
 """One-phase depth-first miner over the set-enumeration tree.
 
 The miner scans the database once for per-item bounds and once more to
-build the initial vertical lists (and, for s6, the item-pair map) in the
+build the initial vertical lists (and, for s6, the item-pair matrix) in the
 same walk, then explores extensions recursively.
 Each candidate's exact utility and expected support come straight from
 its list's column sums, so qualifying patterns are emitted without a
@@ -19,12 +19,13 @@ only in visited-node counts and runtime.
   s4  do not extend a node whose pu + rpu sum is below min_util
   s5  do not keep a joined list whose summed probability is below the
       bound
-  s6  skip extensions whose item-pair rtwu (from the co-occurrence map)
+  s6  skip extensions whose item-pair rtwu (from the co-occurrence matrix)
       is below min_util
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Mapping
 
 from .model import (
     DatabaseValidationError,
@@ -36,6 +37,7 @@ from .model import (
     validate_database,
 )
 from .pulist import (
+    ProcessingOrder,
     PUList,
     build_initial_pulists,
     compute_processing_order,
@@ -105,17 +107,27 @@ class MiningStats:
 
 @dataclass(frozen=True)
 class EUCS:
-    """Pair rtwu co-occurrence map; keys are (lower id, higher id).
+    """Pair rtwu co-occurrence matrix over the processing order.
 
-    Filled by build_initial_pulists, so each transaction adds its
-    positive utility over the surviving items only (a tighter, still
-    sound bound than over all of its items)."""
+    A lower-triangular matrix indexed by rank, as in FHM: row r holds
+    one float per lower rank, so the pair of ranks q < r sits at
+    rows[r][q]. Filled by build_initial_pulists, so each transaction
+    adds its positive utility over the surviving items only (a tighter,
+    still sound bound than over all of its items); a pair that never
+    co-occurs reads 0.0."""
 
-    pair_rtwu: dict[tuple[Item, Item], float] = field(default_factory=dict)
+    rank: Mapping[Item, int]
+    rows: list[list[float]]
+
+    @classmethod
+    def zeros(cls, order: ProcessingOrder) -> "EUCS":
+        return cls(order.rank, [[0.0] * r for r in range(len(order.ordered_items))])
 
     def pair(self, a: Item, b: Item) -> float:
-        key = (a, b) if a < b else (b, a)
-        return self.pair_rtwu.get(key, 0.0)
+        """The rtwu of two distinct items of the processing order."""
+        ra = self.rank[a]
+        rb = self.rank[b]
+        return self.rows[rb][ra] if ra < rb else self.rows[ra][rb]
 
 
 def initial_scan(
@@ -160,7 +172,7 @@ def search(
     thresholds: Thresholds,
     pro_bound: float,
     config: MiningConfig,
-    eucs: EUCS,
+    eucs: EUCS | None,
     stats: MiningStats,
     out: list[MinedPattern],
 ) -> None:
@@ -171,7 +183,8 @@ def search(
     emitted when both of its exact measures reach their bounds; it is
     extended unless s3/s4 rule the whole subtree out. Joined child
     lists with no supporting transaction are always discarded (they
-    cannot describe a pattern of the database).
+    cannot describe a pattern of the database). eucs is read only with
+    s6 on; mine() passes None otherwise.
     """
     min_util = thresholds.min_util
     for idx, py in enumerate(extensions):
@@ -244,9 +257,8 @@ def mine(
     out: list[MinedPattern] = []
     if survivors:
         order = compute_processing_order(table, {i: v[0] for i, v in survivors.items()})
-        pair_rtwu = {} if config.s6_eucp else None
-        lists = build_initial_pulists(db, table, order, pair_rtwu)
-        eucs = EUCS(pair_rtwu or {})
+        eucs = EUCS.zeros(order) if config.s6_eucp else None
+        lists = build_initial_pulists(db, table, order, eucs.rows if eucs else None)
         extensions = [lists[i] for i in order.ordered_items if lists[i].tids]
         search(extensions, thresholds, pro_bound, config, eucs, stats, out)
 

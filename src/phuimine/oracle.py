@@ -17,6 +17,10 @@ from .model import (
 )
 
 
+# Largest item universe the oracle enumerates unless told otherwise.
+MAX_ITEMS = 20
+
+
 class UniverseTooLargeError(ValueError):
     pass
 
@@ -24,7 +28,7 @@ class UniverseTooLargeError(ValueError):
 def enumerate_supported(
     db: UncertainDatabase,
     table: UtilityTable,
-    max_items: int = 20,
+    max_items: int = MAX_ITEMS,
 ) -> dict[tuple[int, ...], tuple[float, float]]:
     """Exact (utility, expected support) for every supported itemset.
 
@@ -76,7 +80,7 @@ def brute_force_mine(
     db: UncertainDatabase,
     table: UtilityTable,
     thresholds: Thresholds,
-    max_items: int = 20,
+    max_items: int = MAX_ITEMS,
 ) -> list[MinedPattern]:
     """All qualifying patterns, sorted by (length, item ids)."""
     return qualifying_patterns(

@@ -14,7 +14,8 @@ seven tid-sorted parallel columns:
 
 The single-item lists come from the miner's second database scan, one
 walk over the transactions that projects each onto the surviving items
-in processing order and, for s6, also fills the item-pair map (EUCS).
+in processing order, appends to the item columns directly and, for s6,
+also fills the rank-indexed item-pair matrix (EUCS).
 The list of Pyz is built from the lists of Py and Pz alone (the
 HUI-Miner join, with negative utilities split off as in FHN): Py's
 entry is extended by z's own utility and probability, which Pz carries
@@ -104,60 +105,82 @@ def build_initial_pulists(
     db: UncertainDatabase,
     table: UtilityTable,
     order: ProcessingOrder,
-    pair_rtwu: dict[tuple[Item, Item], float] | None = None,
+    pair_rtwu: list[list[float]] | None = None,
 ) -> dict[Item, PUList]:
     """One list per surviving item, from one walk over the transactions.
 
-    Each transaction is projected onto the surviving items and sorted
-    by processing rank. A single positive-group item has nu = 0 per
-    entry, a negative-group item has pu = 0; rpu sums the positive
-    utilities that follow the item in the projected transaction (one
-    reverse suffix scan per transaction). Given a pair_rtwu dict, the
-    same walk adds the transaction's positive utility over the
-    surviving items to every co-occurring pair (lower id, higher id):
-    the EUCS that s6 consults.
+    Each transaction is projected onto (rank, utility, probability)
+    tuples of its surviving items and sorted; ranks are unique within a
+    transaction, so the tuples sort by rank alone. One reverse pass
+    appends each entry to its item's columns and carries the suffix of
+    positive utilities: rpu sums the positive utilities that follow the
+    item in the projected transaction. A positive-group item has nu = 0
+    per entry, a negative-group item has pu = 0. The column sums are
+    added once per list after the walk, in tid order from 0.0: the
+    order in which PUList.append and construct accumulate theirs.
+
+    Given pair_rtwu, a lower-triangular matrix (row r holds r floats,
+    one per lower rank; see miner.EUCS), the same walk adds the
+    transaction's positive utility over the surviving items to the cell
+    of every co-occurring pair: the EUCS that s6 consults. A pair that
+    never co-occurs keeps its 0.0.
     """
-    rank = order.rank
-    unit = table.unit_utility
-    lists = {item: PUList((item,)) for item in order.ordered_items}
+    rank_of = order.rank.get
+    unit_of_rank = [table.unit_utility(item) for item in order.ordered_items]
+    lists = [PUList((item,)) for item in order.ordered_items]
+    appends = [(lst.tids.append, lst.pro.append, lst.pu.append, lst.nu.append,
+                lst.rpu.append) for lst in lists]
     for tx in db.transactions:
         entries = [
-            (e.item, unit(e.item) * e.quantity, e.probability)
+            (r, unit_of_rank[r] * e.quantity, e.probability)
             for e in tx.entries
-            if e.item in rank
+            if (r := rank_of(e.item)) is not None
         ]
         if not entries:
             continue
-        entries.sort(key=lambda t: rank[t[0]])
-        n = len(entries)
-        suffix = [0.0] * (n + 1)
-        for j in range(n - 1, -1, -1):
-            u = entries[j][1]
-            suffix[j] = suffix[j + 1] + (u if u > 0.0 else 0.0)
+        entries.sort()
         tid = tx.tid
-        for j, (item, u, p) in enumerate(entries):
+        suffix = 0.0
+        for r, u, p in reversed(entries):
+            add_tid, add_pro, add_pu, add_nu, add_rpu = appends[r]
+            add_tid(tid)
+            add_pro(p)
+            add_rpu(suffix)
             if u >= 0.0:
-                lists[item].append(tid, p, u, 0.0, suffix[j + 1])
+                add_pu(u)
+                add_nu(0.0)
+                if u > 0.0:  # adding a zero would leave suffix as it is
+                    suffix += u
             else:
-                lists[item].append(tid, p, 0.0, u, suffix[j + 1])
+                add_pu(0.0)
+                add_nu(u)
         if pair_rtwu is not None:
-            rtu = suffix[0]
-            for i in range(n):
-                a = entries[i][0]
-                for j in range(i + 1, n):
-                    b = entries[j][0]
-                    key = (a, b) if a < b else (b, a)
-                    if key in pair_rtwu:
-                        pair_rtwu[key] += rtu
-                    else:
-                        pair_rtwu[key] = rtu
-    for lst in lists.values():
+            lower = []
+            for r, _u, _p in entries:
+                row = pair_rtwu[r]
+                for q in lower:
+                    row[q] += suffix
+                lower.append(r)
+    for lst in lists:
+        lst.sum_pro = _front_to_back(lst.pro)
+        lst.sum_pu = _front_to_back(lst.pu)
+        lst.sum_nu = _front_to_back(lst.nu)
+        lst.sum_rpu = _front_to_back(lst.rpu)
         # A single-item list's last item is the pattern itself, so its
         # item columns are its own pro and signed utility columns (a
         # negative-group item has u < 0, hence nu < 0, in every entry).
         lst.ip = lst.pro
         lst.iu = lst.nu if lst.sum_nu < 0.0 else lst.pu
-    return lists
+    return {lst.pattern_po[0]: lst for lst in lists}
+
+
+def _front_to_back(column: list[float]) -> float:
+    """The column's sum, added in order from 0.0: builtin sum() of floats
+    is compensated from Python 3.12 on and would round differently."""
+    total = 0.0
+    for x in column:
+        total += x
+    return total
 
 
 ABANDONED = None  # construct() result when the s1 test fires

@@ -101,6 +101,19 @@ def check_instance(
     or None. `mine_fn` is swappable so the harness can be self-tested
     against a deliberately broken miner."""
     reference = oracle.brute_force_mine(db, table, thresholds)
+    return check_against(reference, db, table, thresholds, presets, mine_fn)
+
+
+def check_against(
+    reference: list[MinedPattern],
+    db: UncertainDatabase,
+    table: UtilityTable,
+    thresholds: Thresholds,
+    presets: list[str] | None = None,
+    mine_fn=mine,
+) -> Divergence | None:
+    """Run every preset on one instance and compare each with the given
+    oracle result; first divergence or None."""
     for preset in presets or PRESET_SEQUENCE:
         found, _stats = mine_fn(db, table, thresholds, MiningConfig.from_preset(preset))
         diff = compare_results("oracle", reference, preset, found)
@@ -171,13 +184,19 @@ def run_fuzz(
     presets: list[str] | None = None,
     mine_fn=mine,
 ) -> Divergence | None:
-    """Fuzz sweep; None when every case agrees under every preset."""
+    """Fuzz sweep; None when every case agrees under every preset.
+
+    Each case's subsets are enumerated once, by make_fuzz_case; the
+    oracle result for each threshold pair is filtered from those
+    measures."""
     for index in range(n_cases):
         case = make_fuzz_case(
             seed + index, max_items=max_items, max_transactions=max_transactions
         )
         for thresholds in case.thresholds_list:
-            diff = check_instance(case.db, case.table, thresholds, presets, mine_fn)
+            reference = oracle.qualifying_patterns(case.measures, thresholds, case.db.size)
+            diff = check_against(reference, case.db, case.table, thresholds,
+                                 presets, mine_fn)
             if diff is not None:
                 return diff
     return None
@@ -189,6 +208,7 @@ __all__ = [
     "NEGATIVE_FRACTIONS",
     "PRESET_SEQUENCE",
     "PRO_REL_TOL",
+    "check_against",
     "check_instance",
     "compare_results",
     "make_fuzz_case",

@@ -174,6 +174,18 @@ class TestVerifyCommand:
     def test_verify_requires_inputs(self, capsys):
         assert run(["verify"]) == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--fuzz", "-3"], "--fuzz -3 must be at least 0"),
+        (["--fuzz", "2", "--max-items", "0"], "--max-items 0 outside 1..20"),
+        (["--fuzz", "2", "--max-tx", "0"], "--max-tx 0 must be at least 1"),
+        (["--fuzz", "2", "--max-items", "40"], "--max-items 40 outside 1..20"),
+    ], ids=["negative-fuzz", "zero-items", "zero-tx", "items-above-oracle-limit"])
+    def test_bad_fuzz_flags(self, flags, message, capsys):
+        assert run(["verify", *flags]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "verify: OK" not in captured.out
+
 
 class TestGenCommand:
     def test_deterministic(self, tmp_path):

@@ -55,9 +55,9 @@ def eucs_of(db, table, thresholds, *, apply_filter=True):
     """The EUCS that the list-building walk fills, as mine() builds it."""
     survivors, _ = initial_scan(db, table, thresholds, apply_filter=apply_filter)
     order = compute_processing_order(table, {i: v[0] for i, v in survivors.items()})
-    pair_rtwu = {}
-    build_initial_pulists(db, table, order, pair_rtwu)
-    return EUCS(pair_rtwu)
+    eucs = EUCS.zeros(order)
+    build_initial_pulists(db, table, order, eucs.rows)
+    return eucs
 
 
 @pytest.fixture(scope="module")
@@ -65,15 +65,27 @@ def ex_eucs(ex_db, ex_table):
     return eucs_of(ex_db, ex_table, TH)
 
 
+ZERO = (0.0).hex()
+
+
 class TestEucs:
     def test_pair_values(self, ex_eucs):
         assert ex_eucs.pair(A, B) == 161  # rtu(T1) + rtu(T3)
         assert ex_eucs.pair(A, E) == 161
-        assert ex_eucs.pair(B, A) == 161  # key normalization
+        assert ex_eucs.pair(B, A) == 161  # either argument order
 
-    def test_absent_pair_is_zero(self, ex_eucs):
-        assert ex_eucs.pair(A, 99) == 0
-        assert EUCS().pair(A, B) == 0
+    def test_absent_pair_is_zero(self):
+        # items 1 and 3 never share a transaction; 2 shares one with each
+        db = make_database([
+            Transaction(1, (TransactionEntry(1, 1, 0.5), TransactionEntry(2, 2, 0.5))),
+            Transaction(2, (TransactionEntry(2, 1, 0.5), TransactionEntry(3, 1, 0.5))),
+        ])
+        table = UtilityTable({1: 3.0, 2: 4.0, 3: 5.0})
+        eucs = eucs_of(db, table, Thresholds(0.0, 0.0), apply_filter=False)
+        assert eucs.pair(1, 3).hex() == eucs.pair(3, 1).hex() == ZERO
+        assert (eucs.pair(1, 2), eucs.pair(2, 3)) == (11.0, 9.0)
+        # lower-triangular over the processing order: row r has r cells
+        assert [len(row) for row in eucs.rows] == [0, 1, 2]
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -87,9 +99,9 @@ class TestEucs:
         for i, a in enumerate(items):
             for b in items[i + 1:]:
                 rtwu = measures.rtwu(Pattern.of([a, b]), db, table)
-                assert eucs.pair(a, b) == rtwu
+                assert eucs.pair(a, b) == eucs.pair(b, a) == rtwu
                 if not any({a, b} <= tx.items() for tx in db.transactions):
-                    assert (a, b) not in eucs.pair_rtwu and eucs.pair(a, b) == 0
+                    assert eucs.pair(a, b).hex() == ZERO
 
 
 class TestMine:

@@ -282,6 +282,28 @@ def test_s1_abandons_iff_matched_sums_fall_below_a_bound(seed, util_frac, pro_fr
                     assert lists_match(got, pyz)
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_initial_sums_add_columns_front_to_back(seed):
+    """Each initial list's sums equal, bit for bit, its columns added
+    one at a time in tid order from 0.0 (not builtin sum(), which is
+    compensated from Python 3.12 on)."""
+    dyadic = generate_small(seed, negative_fraction=0.5, max_items=8,
+                            max_transactions=12)
+    non_dyadic = generate(GenParams(n_transactions=30, n_items=8, avg_tx_len=4,
+                                    max_tx_len=7, seed=seed))
+    for db, table in (dyadic, non_dyadic):
+        survivors, _ = initial_scan(db, table, Thresholds(0.0, 0.0), apply_filter=False)
+        order = compute_processing_order(table, {i: v[0] for i, v in survivors.items()})
+        for lst in build_initial_pulists(db, table, order).values():
+            for column, total in ((lst.pro, lst.sum_pro), (lst.pu, lst.sum_pu),
+                                  (lst.nu, lst.sum_nu), (lst.rpu, lst.sum_rpu)):
+                expected = 0.0
+                for x in column:
+                    expected += x
+                assert total.hex() == expected.hex()
+
+
 class TestJoinScanEquivalence:
     def test_example_walk(self, ex_db, ex_table):
         assert join_equivalence_walk(ex_db, ex_table) == []

@@ -1,5 +1,9 @@
+import pytest
+
+from phuimine import oracle
+from phuimine.miner import mine
 from phuimine.model import MinedPattern, Pattern
-from phuimine.verify import PRO_REL_TOL, Divergence, compare_results
+from phuimine.verify import PRO_REL_TOL, Divergence, compare_results, run_fuzz
 
 
 def mp(items, utility, expected_support):
@@ -62,3 +66,39 @@ class TestCompareResults:
         other = [BASE[0], BASE[1], mp((1, 3), 14.0, 0.5)]
         assert compare_results("a", BASE, "b", other) == Divergence(
             "a", "b", Pattern((1, 2)), "missing from b")
+
+
+def _drop_last(results):
+    return results[:-1]
+
+
+def _bump_last_utility(results):
+    *rest, last = results
+    return rest + [MinedPattern(last.pattern, last.utility + 1.0, last.expected_support)]
+
+
+class TestRunFuzz:
+    def test_enumerates_each_case_once(self, monkeypatch):
+        calls = []
+        enumerate_supported = oracle.enumerate_supported
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return enumerate_supported(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "enumerate_supported", counted)
+        assert run_fuzz(6, seed=3) is None
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("breakage, detail", [
+        (_drop_last, "missing from NONE"),
+        (_bump_last_utility, "utility "),
+    ], ids=["dropped-pattern", "wrong-utility"])
+    def test_broken_miner_is_caught(self, breakage, detail):
+        def broken_mine(db, table, thresholds, config=None):
+            results, stats = mine(db, table, thresholds, config)
+            return (breakage(results) if results else results), stats
+
+        diff = run_fuzz(5, mine_fn=broken_mine)
+        assert diff is not None and diff.label_b == "NONE"
+        assert diff.detail.startswith(detail)
