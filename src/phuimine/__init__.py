@@ -10,7 +10,6 @@ from .model import (
     TransactionEntry,
     UncertainDatabase,
     UtilityTable,
-    validate_database,
 )
 from .oracle import brute_force_mine
 
@@ -29,5 +28,4 @@ __all__ = [
     "brute_force_mine",
     "mine",
     "mine_preset",
-    "validate_database",
 ]

@@ -36,23 +36,16 @@ class _DataError(Exception):
 
 
 def _load_inputs(db_path: str, ptable_path: str) -> tuple[UncertainDatabase, UtilityTable]:
+    return _load(db_path, dataio.parse_database), _load(ptable_path, dataio.parse_ptable)
+
+
+def _load(path: str, parse):
     try:
-        db_text = Path(db_path).read_text()
+        return parse(Path(path).read_text())
     except OSError as exc:
-        raise _DataError(f"{db_path}: {exc.strerror}") from None
-    try:
-        db = dataio.parse_database(db_text)
+        raise _DataError(f"{path}: {exc.strerror}") from None
     except dataio.ParseError as exc:
-        raise _DataError(f"{db_path}:{exc.line}: {exc}") from None
-    try:
-        ptable_text = Path(ptable_path).read_text()
-    except OSError as exc:
-        raise _DataError(f"{ptable_path}: {exc.strerror}") from None
-    try:
-        table = dataio.parse_ptable(ptable_text)
-    except dataio.ParseError as exc:
-        raise _DataError(f"{ptable_path}:{exc.line}: {exc}") from None
-    return db, table
+        raise _DataError(f"{path}:{exc.line}: {exc}") from None
 
 
 def _thresholds_from(args) -> Thresholds:
@@ -88,6 +81,8 @@ def cmd_mine(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.max_items < 1:
+        raise _UsageError(f"--max-items {args.max_items} must be at least 1")
     thresholds = _thresholds_from(args)
     db, table = _load_inputs(args.db, args.ptable)
     results = oracle.brute_force_mine(db, table, thresholds, max_items=args.max_items)
@@ -397,10 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
-    except (DatabaseValidationError, oracle.UniverseTooLargeError) as exc:
+    except (_DataError, DatabaseValidationError, oracle.UniverseTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
     except ValueError as exc:

@@ -19,7 +19,6 @@ that parse(serialize(x)) == x.
 import csv
 import io
 import json
-import math
 from dataclasses import asdict, dataclass
 from decimal import Decimal
 from typing import Iterable, Sequence
@@ -64,67 +63,87 @@ def _tokens(content: str) -> Iterable[tuple[int, str]]:
         col += len(token)
 
 
+# Per kind of token: its shape, then each field's name and type.
+_DB_TOKEN = ("item:quantity:probability", ("item id", int), ("quantity", int),
+             ("probability", float))
+_PTABLE_TOKEN = ("item:utility", ("item id", int), ("utility", float))
+
+
+def _token_error(token: str, kind: tuple, exc: ValueError) -> str:
+    """Why a token failed to become a value, looked up only then: its
+    shape, the first field that does not convert, else the model's rule."""
+    shape, *fields = kind
+    parts = token.split(":")
+    if len(parts) != len(fields):
+        return f"expected {shape}, got {token!r}"
+    for text, (name, convert) in zip(parts, fields):
+        try:
+            convert(text)
+        except ValueError:
+            return f"{name} must be {'an integer' if convert is int else 'a number'}, got {text!r}"
+    return str(exc)
+
+
 def parse_database(text: str) -> UncertainDatabase:
-    """Parse a database file; raises ParseError at the offending token."""
+    """Parse a database file; raises ParseError at the offending token.
+
+    The model types check the values; a ValueError they raise becomes a
+    ParseError at the token that broke the rule.
+    """
     transactions = []
-    tid = 0
-    for line_no, content in _content_lines(text):
-        tid += 1
+    for tid, (line_no, content) in enumerate(_content_lines(text), start=1):
         entries: list[TransactionEntry] = []
-        seen: set[int] = set()
         for col, token in _tokens(content):
-            parts = token.split(":")
-            if len(parts) != 3:
-                raise ParseError(line_no, col, f"expected item:quantity:probability, got {token!r}")
             try:
-                item = int(parts[0])
-            except ValueError:
-                raise ParseError(line_no, col, f"item id must be an integer, got {parts[0]!r}") from None
-            if item < 0:
-                raise ParseError(line_no, col, f"item id must be >= 0, got {item}")
-            try:
-                quantity = int(parts[1])
-            except ValueError:
-                raise ParseError(line_no, col, f"quantity must be an integer, got {parts[1]!r}") from None
-            if quantity < 1:
-                raise ParseError(line_no, col, f"quantity must be >= 1, got {quantity}")
-            try:
-                probability = float(parts[2])
-            except ValueError:
-                raise ParseError(line_no, col, f"probability must be a number, got {parts[2]!r}") from None
-            if not 0.0 < probability <= 1.0:
-                raise ParseError(line_no, col, f"probability must be in (0, 1], got {parts[2]}")
-            if item in seen:
-                raise ParseError(line_no, col, f"duplicate item {item} in transaction")
-            seen.add(item)
-            entries.append(TransactionEntry(item, quantity, probability))
-        entries.sort(key=lambda e: e.item)
-        transactions.append(Transaction(tid, tuple(entries)))
+                item, quantity, probability = token.split(":")
+                entries.append(TransactionEntry(int(item), int(quantity), float(probability)))
+            except ValueError as exc:
+                raise ParseError(line_no, col, _token_error(token, _DB_TOKEN, exc)) from None
+        try:
+            transactions.append(Transaction(tid, tuple(sorted(entries, key=lambda e: e.item))))
+        except ValueError:
+            # Sorted, a line fails only by repeating an item: the token at
+            # fault ends the shortest prefix of the line that fails too.
+            for k, (col, _) in enumerate(_tokens(content), start=1):
+                try:
+                    Transaction(tid, tuple(sorted(entries[:k], key=lambda e: e.item)))
+                except ValueError as exc:
+                    raise ParseError(line_no, col, str(exc)) from None
+            raise
     return make_database(transactions)
 
 
 def parse_ptable(text: str) -> UtilityTable:
-    """Parse a utility table file (`item:utility` lines)."""
-    entries: dict[int, float] = {}
+    """Parse a utility table file (`item:utility` lines).
+
+    UtilityTable checks the values. When it refuses them, or an item
+    repeats, the ParseError points at the first token at fault.
+    """
+    pairs: list[tuple[int, float]] = []
     for line_no, content in _content_lines(text):
         for col, token in _tokens(content):
-            parts = token.split(":")
-            if len(parts) != 2:
-                raise ParseError(line_no, col, f"expected item:utility, got {token!r}")
             try:
-                item = int(parts[0])
-            except ValueError:
-                raise ParseError(line_no, col, f"item id must be an integer, got {parts[0]!r}") from None
-            try:
-                utility = float(parts[1])
-            except ValueError:
-                raise ParseError(line_no, col, f"utility must be a number, got {parts[1]!r}") from None
-            if not math.isfinite(utility):
-                raise ParseError(line_no, col, f"utility must be finite, got {parts[1]!r}")
-            if item in entries:
-                raise ParseError(line_no, col, f"duplicate item {item} in utility table")
-            entries[item] = utility
-    return UtilityTable(entries)
+                item, utility = token.split(":")
+                pairs.append((int(item), float(utility)))
+            except ValueError as exc:
+                raise ParseError(line_no, col, _token_error(token, _PTABLE_TOKEN, exc)) from None
+    entries = dict(pairs)
+    try:
+        if len(entries) == len(pairs):
+            return UtilityTable(entries)
+    except ValueError:
+        pass
+    seen: set[int] = set()
+    positions = ((n, col) for n, content in _content_lines(text) for col, _ in _tokens(content))
+    for (line_no, col), (item, utility) in zip(positions, pairs):
+        try:
+            UtilityTable({item: utility})
+        except ValueError as exc:
+            raise ParseError(line_no, col, str(exc)) from None
+        if item in seen:
+            raise ParseError(line_no, col, f"duplicate item {item} in utility table")
+        seen.add(item)
+    raise AssertionError("some token is at fault")
 
 
 def _exact_decimal(x: float) -> str:

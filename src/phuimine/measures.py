@@ -30,7 +30,7 @@ class PatternNotInTransactionError(ValueError):
 
 def item_utility(item: Item, tx: Transaction, table: UtilityTable) -> float:
     """Utility of one item in one transaction: unit utility x quantity."""
-    entry = tx.entry_for(item)
+    entry = next((e for e in tx.entries if e.item == item), None)
     if entry is None:
         raise ItemNotInTransactionError(f"item {item} not in transaction {tx.tid}")
     return table.unit_utility(item) * entry.quantity
@@ -38,7 +38,7 @@ def item_utility(item: Item, tx: Transaction, table: UtilityTable) -> float:
 
 def pattern_utility_in_tx(pattern: Pattern, tx: Transaction, table: UtilityTable) -> float:
     """Sum of member-item utilities; the pattern must be contained in tx."""
-    present = tx.items()
+    present = {e.item for e in tx.entries}
     if not set(pattern.items) <= present:
         raise PatternNotInTransactionError(
             f"pattern {pattern.items} not contained in transaction {tx.tid}"
@@ -51,7 +51,7 @@ def pattern_utility(pattern: Pattern, db: UncertainDatabase, table: UtilityTable
     want = set(pattern.items)
     total = 0.0
     for tx in db.transactions:
-        if want <= tx.items():
+        if want <= {e.item for e in tx.entries}:
             total += pattern_utility_in_tx(pattern, tx, table)
     return total
 
@@ -74,7 +74,7 @@ def expected_support(pattern: Pattern, db: UncertainDatabase) -> float:
     want = set(pattern.items)
     total = 0.0
     for tx in db.transactions:
-        if want <= tx.items():
+        if want <= {e.item for e in tx.entries}:
             total += pattern_probability_in_tx(pattern, tx)
     return total
 
@@ -104,7 +104,7 @@ def rtwu(pattern: Pattern, db: UncertainDatabase, table: UtilityTable) -> float:
     want = set(pattern.items)
     total = 0.0
     for tx in db.transactions:
-        if want <= tx.items():
+        if want <= {e.item for e in tx.entries}:
             total += redefined_transaction_utility(tx, table)
     return total
 

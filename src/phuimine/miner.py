@@ -28,13 +28,12 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .model import (
-    DatabaseValidationError,
     Item,
     MinedPattern,
     Thresholds,
     UncertainDatabase,
     UtilityTable,
-    validate_database,
+    check_utilities,
 )
 from .pulist import (
     ProcessingOrder,
@@ -235,13 +234,12 @@ def mine(
 
     Returns the patterns (each with exact utility and expected support)
     in depth-first discovery order, plus the per-run stats. The config
-    only changes counters and runtime, never the result set.
+    only changes counters and runtime, never the result set. Raises
+    DatabaseValidationError as check_utilities does.
     """
+    check_utilities(db, table)
     if config is None:
         config = MiningConfig.from_preset("ALL")
-    report = validate_database(db, table)
-    if not report.ok:
-        raise DatabaseValidationError(report)
 
     stats = MiningStats(
         preset=config.preset or "custom",

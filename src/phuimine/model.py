@@ -2,9 +2,16 @@
 
 An uncertain database is an ordered sequence of transactions. Each
 transaction entry carries an item id, a purchase quantity and an
-existence probability in (0, 1]. Unit utilities (signed, e.g. profit
-per unit) live in a separate utility table. Every other module works
-purely in terms of these types.
+existence probability. Unit utilities (signed, e.g. profit per unit)
+live in a separate utility table. Every other module works purely in
+terms of these types.
+
+Each type checks its own rules once, when it is built, and raises
+ValueError: an entry's item >= 0, quantity >= 1 and probability in
+(0, 1]; a transaction's non-empty, strictly ascending items; a
+database's tids 1..n; a table's ids >= 0 and finite utilities; the
+thresholds' ranges. check_utilities, which mine() and the oracle call
+first, checks a database against its table.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -20,33 +27,45 @@ Item = int  # non-negative integer identifier
 
 @dataclass(frozen=True)
 class TransactionEntry:
-    """One item occurrence: quantity >= 1, probability in (0, 1]."""
+    """One item occurrence: item >= 0, quantity >= 1, probability in (0, 1]."""
 
     item: Item
     quantity: int
     probability: float
 
+    def __post_init__(self) -> None:
+        if self.item < 0:
+            raise ValueError(f"item id must be >= 0, got {self.item}")
+        if self.quantity < 1:
+            raise ValueError(f"quantity must be >= 1, got {self.quantity}")
+        if not 0.0 < self.probability <= 1.0:
+            raise ValueError(f"probability must be in (0, 1], got {self.probability}")
+
 
 @dataclass(frozen=True)
 class Transaction:
-    """A tid (1-based position) plus its entries, sorted by item id."""
+    """A tid (1-based position) plus its entries, which must be non-empty
+    and in strictly ascending item order."""
 
     tid: int
     entries: tuple[TransactionEntry, ...]
 
-    def items(self) -> frozenset[Item]:
-        return frozenset(e.item for e in self.entries)
-
-    def entry_for(self, item: Item) -> TransactionEntry | None:
+    def __post_init__(self) -> None:
+        if not self.entries:
+            raise ValueError(f"transaction {self.tid} is empty")
+        prev = -1
         for e in self.entries:
-            if e.item == item:
-                return e
-        return None
+            if e.item <= prev:
+                raise ValueError(f"duplicate item {e.item} in transaction" if e.item == prev
+                                 else f"items must ascend, got {e.item} after {prev}")
+            prev = e.item
 
 
 @dataclass(frozen=True)
 class UncertainDatabase:
-    """Ordered transactions plus the set of items that occur in them.
+    """Ordered transactions, whose tids must run 1..n, plus each
+    occurring item's total quantity, derived from them (so equality and
+    hashing look at the transactions alone).
 
     The size (number of transactions) is fixed at load time and is the
     |D| used in the probability bound, even if later processing drops
@@ -54,7 +73,21 @@ class UncertainDatabase:
     """
 
     transactions: tuple[Transaction, ...]
-    item_universe: frozenset[Item]
+    item_quantity: dict[Item, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        totals: dict[Item, int] = {}
+        for pos, tx in enumerate(self.transactions, start=1):
+            if tx.tid != pos:
+                raise ValueError(f"tid {tx.tid} at position {pos}; tids must be 1..n")
+            for e in tx.entries:
+                totals[e.item] = totals.get(e.item, 0) + e.quantity
+        object.__setattr__(self, "item_quantity", totals)
+
+    @property
+    def item_universe(self) -> frozenset[Item]:
+        """The items that occur in the transactions."""
+        return frozenset(self.item_quantity)
 
     @property
     def size(self) -> int:
@@ -63,9 +96,17 @@ class UncertainDatabase:
 
 @dataclass(frozen=True)
 class UtilityTable:
-    """Signed unit utility per item (may be negative, zero or positive)."""
+    """Signed unit utility per item (may be negative, zero or positive);
+    item ids must be >= 0 and every utility finite."""
 
     entries: Mapping[Item, float]
+
+    def __post_init__(self) -> None:
+        for item, u in self.entries.items():
+            if item < 0:
+                raise ValueError(f"item id must be >= 0, got {item}")
+            if not math.isfinite(u):
+                raise ValueError(f"utility must be finite, got {u} for item {item}")
 
     def unit_utility(self, item: Item) -> float:
         return self.entries[item]
@@ -120,88 +161,37 @@ class MinedPattern:
     expected_support: float
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One validation finding; tid 0 means a database-level problem."""
-
-    tid: int
-    item: Item | None
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...] = field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 class DatabaseValidationError(ValueError):
-    """Raised by consumers that require a valid database."""
-
-    def __init__(self, report: ValidationReport):
-        self.report = report
-        lines = "; ".join(
-            f"T{v.tid}" + (f" item {v.item}" if v.item is not None else "") + f": {v.message}"
-            for v in report.violations[:5]
-        )
-        more = "" if len(report.violations) <= 5 else f" (+{len(report.violations) - 5} more)"
-        super().__init__(f"invalid database: {lines}{more}")
+    """Raised by check_utilities for a database its table cannot mine."""
 
 
-def validate_database(db: UncertainDatabase, table: UtilityTable) -> ValidationReport:
-    """Check a database against its utility table.
+def check_utilities(db: UncertainDatabase, table: UtilityTable) -> None:
+    """Check a database against its utility table, in O(items): every
+    occurring item needs a unit utility, and S, the sum over items of
+    |u| x (total quantity), must be at most half the largest float.
 
-    Returns a report rather than raising; an empty report means success.
-    Checks: duplicate items within a transaction, probability outside
-    (0, 1], quantity < 1, items without a utility-table entry, a
-    non-finite unit utility, an occurrence whose utility (unit utility
-    times quantity) is not a finite float, empty transactions and
-    non-consecutive tids.
+    That bound is enough: each utility sum the miner or the oracle forms
+    (a pattern's utility, pu, nu and rpu, a transaction's rtu, an item's
+    rtwu, an EUCS cell, s1's m_util, the oracle's totals) counts every
+    occurrence's u x quantity at most once, so it is at most S in
+    magnitude; the factor of two leaves room for rounding.
+
+    Raises DatabaseValidationError.
     """
-    violations: list[Violation] = [
-        Violation(0, item, f"utility {u} is not finite")
-        for item, u in sorted(table.entries.items())
-        if not math.isfinite(u)
-    ]
-    # Only a quantity above its item's bound can make unit * quantity
-    # overflow (or be too large to become a float); the exact test runs
-    # on those alone.
-    quantity_bound = {
-        item: sys.float_info.max / 2 / max(abs(u), 1.0) if math.isfinite(u) else math.inf
-        for item, u in table.entries.items()
-    }
-    for pos, tx in enumerate(db.transactions, start=1):
-        if tx.tid != pos:
-            violations.append(Violation(tx.tid, None, f"tid {tx.tid} at position {pos}; tids must be 1..n"))
-        if not tx.entries:
-            violations.append(Violation(tx.tid, None, "empty transaction"))
-        seen: set[Item] = set()
-        for e in tx.entries:
-            if e.item in seen:
-                violations.append(Violation(tx.tid, e.item, "duplicate item"))
-            seen.add(e.item)
-            if not (0.0 < e.probability <= 1.0):
-                violations.append(Violation(tx.tid, e.item, f"probability {e.probability} out of range (0, 1]"))
-            if e.quantity < 1:
-                violations.append(Violation(tx.tid, e.item, f"quantity {e.quantity} must be >= 1"))
-            bound = quantity_bound.get(e.item)
-            if bound is None:
-                violations.append(Violation(tx.tid, e.item, "item missing from utility table"))
-            elif e.quantity > bound and not _finite_product(table.entries[e.item], e.quantity):
-                violations.append(Violation(
-                    tx.tid, e.item,
-                    f"utility {table.entries[e.item]} x quantity {e.quantity} is not finite"))
-    return ValidationReport(tuple(violations))
-
-
-def _finite_product(unit: float, quantity: int) -> bool:
+    units = table.entries
+    missing = sorted(i for i in db.item_quantity if i not in units)
+    if missing:
+        raise DatabaseValidationError(f"invalid database: {len(missing)} item(s) missing "
+                                      f"from utility table, first {missing[:5]}")
+    limit = sys.float_info.max / 2
     try:
-        return math.isfinite(unit * quantity)
+        total = sum(abs(units[i]) * q for i, q in db.item_quantity.items())
     except OverflowError:  # a quantity too large to become a float
-        return False
+        total = math.inf
+    if not total <= limit:
+        raise DatabaseValidationError(
+            f"invalid database: summed |utility| x quantity, {total}, is not finite "
+            f"or above {limit} (half the largest float)")
 
 
 def make_transaction(tid: int, entries: Iterable[TransactionEntry]) -> Transaction:
@@ -210,6 +200,4 @@ def make_transaction(tid: int, entries: Iterable[TransactionEntry]) -> Transacti
 
 
 def make_database(transactions: Iterable[Transaction]) -> UncertainDatabase:
-    txs = tuple(transactions)
-    universe = frozenset(e.item for tx in txs for e in tx.entries)
-    return UncertainDatabase(txs, universe)
+    return UncertainDatabase(tuple(transactions))

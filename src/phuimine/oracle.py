@@ -14,6 +14,7 @@ from .model import (
     Thresholds,
     UncertainDatabase,
     UtilityTable,
+    check_utilities,
 )
 
 
@@ -40,8 +41,10 @@ def enumerate_supported(
     list holds at most 2^|T| entries, as many as the transaction
     contributes to the totals anyway, and the walk over all transactions
     is bounded by the sum of 2^|T|, far below 2^universe on sparse data.
-    Per-pattern totals accumulate in ascending tid order.
+    Per-pattern totals accumulate in ascending tid order. Raises
+    DatabaseValidationError as mine() does, and UniverseTooLargeError.
     """
+    check_utilities(db, table)
     if len(db.item_universe) > max_items:
         raise UniverseTooLargeError(
             f"item universe has {len(db.item_universe)} items, limit is {max_items}"
@@ -49,7 +52,7 @@ def enumerate_supported(
     totals: dict[tuple[int, ...], tuple[float, float]] = {}
     for tx in db.transactions:
         subsets: list[tuple[tuple[int, ...], float, float]] = [((), 0.0, 1.0)]
-        for e in sorted(tx.entries, key=lambda e: e.item):
+        for e in tx.entries:
             item = e.item
             iu = table.unit_utility(item) * e.quantity
             ip = e.probability

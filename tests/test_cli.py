@@ -135,6 +135,16 @@ class TestOracleCommand:
         assert code == 0
         assert mined.read_text() == brute.read_text()
 
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_max_items_below_one_is_usage_error(self, data_files, capsys, limit):
+        db, ptable = data_files
+        code = run(["oracle", "--db", db, "--ptable", ptable, "--min-util", "1",
+                    "--min-pro", "0", "--max-items", limit])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"--max-items {limit} must be at least 1" in captured.err
+        assert captured.out == ""
+
     def test_universe_guard(self, tmp_path):
         db = tmp_path / "wide.db"
         db.write_text(" ".join(f"{i}:1:0.5" for i in range(1, 25)) + "\n")
@@ -143,6 +153,28 @@ class TestOracleCommand:
         code = run(["oracle", "--db", str(db), "--ptable", str(ptable),
                     "--min-util", "1", "--min-pro", "0", "--max-items", "10"])
         assert code == 1
+
+
+@pytest.mark.parametrize("command", ["mine", "oracle"])
+@pytest.mark.parametrize("db_text, ptable_text", [
+    # every occurrence is finite, their sum is not
+    ("1:1:0.5 2:1:0.5\n", "1:1e308 2:1e308\n"),
+    # one occurrence is not finite
+    ("1:10000000000:0.5 2:1:0.5\n", "1:1e300 2:1\n"),
+    # item 9 has no unit utility
+    ("9:1:0.5\n", EXAMPLE_PTABLE_TEXT),
+], ids=["summed-overflow", "occurrence-overflow", "item-missing-from-table"])
+def test_table_that_cannot_mine_database_is_data_error(tmp_path, capsys, command,
+                                                       db_text, ptable_text):
+    db, ptable = tmp_path / "x.db", tmp_path / "x.ptable"
+    db.write_text(db_text)
+    ptable.write_text(ptable_text)
+    code = run([command, "--db", str(db), "--ptable", str(ptable),
+                "--min-util", "0", "--min-pro", "0"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid database")
+    assert captured.out == ""
 
 
 class TestVerifyCommand:

@@ -1,7 +1,7 @@
 import pytest
 
 from phuimine.datagen import GenParams, generate, generate_small, _SMALL_PROBS
-from phuimine.model import validate_database
+from phuimine.model import check_utilities
 
 
 def test_same_seed_same_output():
@@ -31,7 +31,7 @@ def test_negative_item_count_pinned_for_seed_42():
 def test_output_validates():
     db, table = generate(GenParams(n_transactions=300, n_items=25,
                                    negative_fraction=0.3, seed=11))
-    assert validate_database(db, table).ok
+    check_utilities(db, table)
 
 
 def test_value_ranges():
@@ -84,7 +84,7 @@ def test_param_validation():
 def test_small_generator_validates_and_uses_palette():
     for seed in range(25):
         db, table = generate_small(seed, negative_fraction=0.5)
-        assert validate_database(db, table).ok
+        check_utilities(db, table)
         assert db.size <= 30 and len(db.item_universe) <= 12
         for tx in db.transactions:
             assert len(tx.entries) <= 10

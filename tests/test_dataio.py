@@ -46,6 +46,16 @@ class TestParseDatabase:
             dataio.parse_database("3:1:0.5 3:2:0.5")
         assert err.value.column == 9
 
+    def test_first_repeat_in_line_order_is_reported(self):
+        with pytest.raises(dataio.ParseError, match="duplicate item 5") as err:
+            dataio.parse_database("1:1:0.5\n5:1:0.5 3:1:0.5 5:1:0.5 3:1:0.5")
+        assert err.value.line == 2 and err.value.column == 17
+
+    def test_negative_item_rejected(self):
+        with pytest.raises(dataio.ParseError, match="item id must be >= 0") as err:
+            dataio.parse_database("1:1:0.5 -2:1:0.5")
+        assert err.value.line == 1 and err.value.column == 9
+
     def test_malformed_token(self):
         with pytest.raises(dataio.ParseError, match="expected item:quantity:probability"):
             dataio.parse_database("1:2")
@@ -76,6 +86,16 @@ class TestParsePtable:
         with pytest.raises(dataio.ParseError, match="utility must be finite") as err:
             dataio.parse_ptable(f"1:8\n2:5 1:{token}")
         assert err.value.line == 2 and err.value.column == 5
+
+    def test_negative_item_rejected(self):
+        with pytest.raises(dataio.ParseError, match="item id must be >= 0") as err:
+            dataio.parse_ptable("1:8\n2:5 -1:5")
+        assert err.value.line == 2 and err.value.column == 5
+
+    def test_bad_value_reported_before_a_later_repeat(self):
+        with pytest.raises(dataio.ParseError, match="utility must be finite") as err:
+            dataio.parse_ptable("1:8 2:nan\n2:5")
+        assert err.value.line == 1 and err.value.column == 5
 
     def test_one_entry_per_line_also_works(self):
         table = dataio.parse_ptable("1:8\n2:5\n")

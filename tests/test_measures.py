@@ -102,7 +102,7 @@ def _positive_negative_parts(pattern, db, table):
     pu = nu = 0.0
     want = set(pattern.items)
     for t in db.transactions:
-        if want <= t.items():
+        if want <= {e.item for e in t.entries}:
             for i in pattern.items:
                 u = measures.item_utility(i, t, table)
                 if u >= 0:

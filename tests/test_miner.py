@@ -100,7 +100,7 @@ class TestEucs:
             for b in items[i + 1:]:
                 rtwu = measures.rtwu(Pattern.of([a, b]), db, table)
                 assert eucs.pair(a, b) == eucs.pair(b, a) == rtwu
-                if not any({a, b} <= tx.items() for tx in db.transactions):
+                if not any({a, b} <= {e.item for e in tx.entries} for tx in db.transactions):
                     assert eucs.pair(a, b).hex() == ZERO
 
 
@@ -168,10 +168,14 @@ class TestMine:
         with pytest.raises(ValueError, match="min_util must be finite"):
             mine(ex_db, ex_table, Thresholds(min_util, 0.25))
 
-    def test_invalid_database_raises(self, ex_table):
-        bad = make_database([Transaction(1, (TransactionEntry(1, 0, 0.5),))])
-        with pytest.raises(DatabaseValidationError):
-            mine(bad, UtilityTable({1: 1.0}), TH)
+    def test_invalid_database_raises(self, ex_db):
+        # a bad occurrence is refused when it is built, before mine()
+        with pytest.raises(ValueError, match="quantity must be >= 1"):
+            make_database([Transaction(1, (TransactionEntry(1, 0, 0.5),))])
+        with pytest.raises(DatabaseValidationError, match="missing from utility table"):
+            mine(ex_db, UtilityTable({1: 1.0}), TH)
+        with pytest.raises(DatabaseValidationError, match="not finite"):
+            mine(ex_db, UtilityTable({1: 1e308, 2: 1e308, 3: 1.0, 4: 1.0, 5: 1.0}), TH)
 
     def test_negative_min_util_includes_loss_patterns(self, ex_db, ex_table):
         got = results_map(mine(ex_db, ex_table, Thresholds(-100, 0.25))[0])

@@ -2,72 +2,97 @@ import pytest
 
 from phuimine import dataio
 from phuimine.model import (
+    DatabaseValidationError,
     Pattern,
     Thresholds,
     Transaction,
     TransactionEntry,
     UtilityTable,
+    check_utilities,
     make_database,
     make_transaction,
-    validate_database,
 )
 
 from helpers import EXAMPLE_DB_TEXT, example_db
 
 
 def test_example_database_validates(ex_db, ex_table):
-    assert validate_database(ex_db, ex_table).ok
+    check_utilities(ex_db, ex_table)
 
 
 def test_duplicate_item_is_reported():
-    tx = Transaction(1, (
-        TransactionEntry(1, 2, 0.5),
-        TransactionEntry(1, 3, 0.5),
-    ))
-    report = validate_database(make_database([tx]), UtilityTable({1: 4.0}))
-    assert any("duplicate item" in v.message for v in report.violations)
+    with pytest.raises(ValueError, match="duplicate item 1"):
+        Transaction(1, (
+            TransactionEntry(1, 2, 0.5),
+            TransactionEntry(1, 3, 0.5),
+        ))
 
 
 def test_probability_out_of_range_is_reported():
-    tx = make_transaction(1, [TransactionEntry(1, 2, 1.3)])
-    report = validate_database(make_database([tx]), UtilityTable({1: 4.0}))
-    assert any("probability" in v.message and "out of range" in v.message
-               for v in report.violations)
+    with pytest.raises(ValueError, match=r"probability must be in \(0, 1\]"):
+        TransactionEntry(1, 2, 1.3)
 
 
 def test_zero_probability_rejected():
-    tx = make_transaction(1, [TransactionEntry(1, 2, 0.0)])
-    report = validate_database(make_database([tx]), UtilityTable({1: 4.0}))
-    assert not report.ok
+    with pytest.raises(ValueError, match="probability"):
+        TransactionEntry(1, 2, 0.0)
 
 
 def test_quantity_below_one_reported():
-    tx = make_transaction(1, [TransactionEntry(1, 0, 0.5)])
-    report = validate_database(make_database([tx]), UtilityTable({1: 4.0}))
-    assert any("quantity" in v.message for v in report.violations)
+    with pytest.raises(ValueError, match="quantity must be >= 1"):
+        TransactionEntry(1, 0, 0.5)
 
 
 def test_missing_utility_entry_reported():
-    tx = make_transaction(1, [TransactionEntry(7, 1, 0.5)])
-    report = validate_database(make_database([tx]), UtilityTable({1: 4.0}))
-    assert any("missing from utility table" in v.message for v in report.violations)
+    db = make_database([make_transaction(1, [TransactionEntry(7, 1, 0.5)])])
+    with pytest.raises(DatabaseValidationError, match=r"1 item\(s\) missing from utility table, first \[7\]"):
+        check_utilities(db, UtilityTable({1: 4.0}))
 
 
 @pytest.mark.parametrize("utility", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_utility_reported(utility):
-    tx = make_transaction(1, [TransactionEntry(1, 1, 0.5)])
-    report = validate_database(make_database([tx]), UtilityTable({1: utility}))
-    assert [(v.tid, v.item) for v in report.violations] == [(0, 1)]
-    assert "not finite" in report.violations[0].message
+    with pytest.raises(ValueError, match="utility must be finite"):
+        UtilityTable({1: utility})
 
 
 @pytest.mark.parametrize("quantity", [10_000_000_000, 10**400])
 def test_overflowing_occurrence_utility_reported(quantity):
     # a finite unit utility times a large quantity is not a finite float
     tx = make_transaction(1, [TransactionEntry(1, quantity, 0.5), TransactionEntry(2, 1, 0.5)])
-    report = validate_database(make_database([tx]), UtilityTable({1: 1e300, 2: 1.0}))
-    assert [(v.tid, v.item) for v in report.violations] == [(1, 1)]
-    assert "not finite" in report.violations[0].message
+    with pytest.raises(DatabaseValidationError, match="not finite"):
+        check_utilities(make_database([tx]), UtilityTable({1: 1e300, 2: 1.0}))
+
+
+def test_overflowing_utility_sum_reported():
+    # every occurrence is finite, their sum is not
+    tx = make_transaction(1, [TransactionEntry(1, 1, 0.5), TransactionEntry(2, 1, 0.5)])
+    with pytest.raises(DatabaseValidationError, match="not finite"):
+        check_utilities(make_database([tx]), UtilityTable({1: 1e308, 2: 1e308}))
+    check_utilities(make_database([tx]), UtilityTable({1: 1e307, 2: -1e307}))
+
+
+def _entry(item=1, quantity=1, probability=0.5):
+    return TransactionEntry(item, quantity, probability)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: _entry(item=-1), "item id must be >= 0"),
+    (lambda: _entry(quantity=0), "quantity must be >= 1"),
+    (lambda: _entry(probability=0.0), "probability must be in"),
+    (lambda: _entry(probability=1.3), "probability must be in"),
+    (lambda: Transaction(1, ()), "empty"),
+    (lambda: Transaction(1, (_entry(2), _entry(2))), "duplicate item 2"),
+    (lambda: Transaction(1, (_entry(5), _entry(2))), "items must ascend"),
+    (lambda: make_database([Transaction(1, (_entry(),)), Transaction(3, (_entry(),))]),
+     "tids must be 1..n"),
+    (lambda: UtilityTable({1: 2.0, 2: float("nan")}), "utility must be finite"),
+    (lambda: UtilityTable({-1: 5.0}), "item id must be >= 0"),
+], ids=["negative-item", "zero-quantity", "zero-probability", "probability-above-one",
+        "empty-transaction", "duplicate-item", "descending-items", "tid-gap",
+        "non-finite-utility", "negative-table-id"])
+def test_invalid_value_raises_when_built(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 @pytest.mark.parametrize("min_util, min_pro, match", [
@@ -86,8 +111,8 @@ def test_thresholds_reject_out_of_range(min_util, min_pro, match):
 
 def test_tids_must_be_consecutive():
     tx = make_transaction(3, [TransactionEntry(1, 1, 0.5)])
-    report = validate_database(make_database([tx]), UtilityTable({1: 4.0}))
-    assert any("tids must be 1..n" in v.message for v in report.violations)
+    with pytest.raises(ValueError, match="tids must be 1..n"):
+        make_database([tx])
 
 
 def test_round_trip_identity(ex_db, ex_table):
@@ -111,3 +136,13 @@ def test_make_transaction_sorts_entries():
 
 def test_item_universe_from_occurrences(ex_db):
     assert ex_db.item_universe == frozenset({1, 2, 3, 4, 5})
+
+
+def test_item_quantity_totals(ex_db):
+    assert ex_db.item_quantity == {1: 12, 2: 8, 3: 8, 4: 8, 5: 11}
+
+
+def test_database_equality_and_hash_ignore_derived_totals(ex_db):
+    again = example_db()
+    assert again == ex_db and hash(again) == hash(ex_db)
+    assert {again: 1}[ex_db] == 1
