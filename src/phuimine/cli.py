@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 parse/validation error, 2 bad flags,
 """
 
 import argparse
-import math
 import statistics
 import sys
 from dataclasses import dataclass
@@ -48,14 +47,6 @@ def _load(path: str, parse):
         raise _DataError(f"{path}:{exc.line}: {exc}") from None
 
 
-def _thresholds_from(args) -> Thresholds:
-    if not 0.0 <= args.min_pro <= 1.0:
-        raise _UsageError("min-pro must be in [0,1]")
-    if not math.isfinite(args.min_util):
-        raise _UsageError("min-util must be finite")
-    return Thresholds(args.min_util, args.min_pro)
-
-
 def _config_from(args) -> MiningConfig:
     if getattr(args, "strategies", None):
         return MiningConfig.from_strategies(args.strategies.split(","))
@@ -70,7 +61,7 @@ def _write_or_print(text: str, path: str | None) -> None:
 
 
 def cmd_mine(args) -> int:
-    thresholds = _thresholds_from(args)
+    thresholds = Thresholds(args.min_util, args.min_pro)
     config = _config_from(args)
     db, table = _load_inputs(args.db, args.ptable)
     results, stats = mine(db, table, thresholds, config)
@@ -83,7 +74,7 @@ def cmd_mine(args) -> int:
 def cmd_oracle(args) -> int:
     if args.max_items < 1:
         raise _UsageError(f"--max-items {args.max_items} must be at least 1")
-    thresholds = _thresholds_from(args)
+    thresholds = Thresholds(args.min_util, args.min_pro)
     db, table = _load_inputs(args.db, args.ptable)
     results = oracle.brute_force_mine(db, table, thresholds, max_items=args.max_items)
     _write_or_print(dataio.serialize_results(results), args.out)
@@ -108,7 +99,7 @@ def cmd_verify(args, mine_fn=mine) -> int:
     else:
         if not (args.db and args.ptable):
             raise _UsageError("verify needs --db/--ptable or --fuzz N")
-        thresholds = _thresholds_from(args)
+        thresholds = Thresholds(args.min_util, args.min_pro)
         db, table = _load_inputs(args.db, args.ptable)
         diff = verify.check_instance(db, table, thresholds, mine_fn=mine_fn)
     if diff is None:
@@ -155,15 +146,16 @@ class BenchPlan:
     assert_monotone: bool = False
 
     def validate(self) -> None:
+        """Builds every threshold pair and preset before any file is read."""
         if not self.min_util_values or not self.min_pro_values or not self.presets:
             raise _UsageError("bench needs at least one min-util, min-pro and preset")
         if self.repeats < 1:
             raise _UsageError("repeats must be >= 1")
-        for p in self.presets:
-            if p.upper() not in PRESETS:
-                raise _UsageError(f"unknown preset {p!r}")
-        for bad in (v for v in self.min_pro_values if not 0.0 <= v <= 1.0):
-            raise _UsageError(f"min-pro must be in [0,1], got {bad}")
+        for min_util in self.min_util_values:
+            for min_pro in self.min_pro_values:
+                Thresholds(min_util, min_pro)
+        for preset in self.presets:
+            MiningConfig.from_preset(preset)
 
 
 def _run_cell(db, table, thresholds, preset, repeats) -> MiningStats:
@@ -286,12 +278,16 @@ def cmd_bench(args) -> int:
 
 
 def _parse_size(text: str) -> int:
-    text = text.strip().lower()
-    if text.endswith("k"):
-        return int(float(text[:-1]) * 1000)
-    if text.endswith("m"):
-        return int(float(text[:-1]) * 1_000_000)
-    return int(text)
+    """A prefix size such as 300, 20k or 1.5m."""
+    size = text.strip().lower()
+    try:
+        if size.endswith("k"):
+            return int(float(size[:-1]) * 1000)
+        if size.endswith("m"):
+            return int(float(size[:-1]) * 1_000_000)
+        return int(size)
+    except (ValueError, OverflowError):
+        raise _UsageError(f"--prefix-sizes: {text!r} is not a number of transactions") from None
 
 
 def _add_data_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
@@ -395,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     except (_DataError, DatabaseValidationError, oracle.UniverseTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
-    except ValueError as exc:
+    except ValueError as exc:  # a flag value the model refuses, e.g. Thresholds'
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

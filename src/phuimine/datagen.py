@@ -18,13 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .model import (
-    Transaction,
-    TransactionEntry,
-    UncertainDatabase,
-    UtilityTable,
-    make_database,
-)
+from .model import Transaction, UncertainDatabase, UtilityTable, make_database
 
 
 @dataclass(frozen=True)
@@ -124,15 +118,12 @@ def generate(params: GenParams) -> tuple[UncertainDatabase, UtilityTable]:
     transactions = []
     for tid, length in enumerate(lengths, start=1):
         chosen = sorted(rng.sample(items, length))
-        entries = []
-        for item in chosen:
-            quantity = rng.randint(q_lo, q_hi)
-            if item_probability is not None:
-                probability = item_probability[item]
-            else:
-                probability = _open_unit(rng)
-            entries.append(TransactionEntry(item, quantity, probability))
-        transactions.append(Transaction(tid, tuple(entries)))
+        # per item: its quantity, then its probability, drawn in that order
+        transactions.append(Transaction(tid, [
+            (item, rng.randint(q_lo, q_hi),
+             item_probability[item] if item_probability is not None else _open_unit(rng))
+            for item in chosen
+        ]))
 
     return make_database(transactions), UtilityTable(table_entries)
 
@@ -176,10 +167,8 @@ def generate_small(
     for tid in range(1, n_tx + 1):
         length = rng.randint(1, len_cap)
         chosen = sorted(rng.sample(items, length))
-        entries = tuple(
-            TransactionEntry(item, rng.randint(1, max_quantity), rng.choice(_SMALL_PROBS))
-            for item in chosen
-        )
-        transactions.append(Transaction(tid, entries))
+        transactions.append(Transaction(tid, [
+            (item, rng.randint(1, max_quantity), rng.choice(_SMALL_PROBS)) for item in chosen
+        ]))
 
     return make_database(transactions), UtilityTable(table_entries)

@@ -87,26 +87,29 @@ def _token_error(token: str, kind: tuple, exc: ValueError) -> str:
 def parse_database(text: str) -> UncertainDatabase:
     """Parse a database file; raises ParseError at the offending token.
 
-    The model types check the values; a ValueError they raise becomes a
-    ParseError at the token that broke the rule.
+    A line is converted in bulk into the sorted rows of a Transaction,
+    which checks them; only a line that fails is walked token by token.
     """
     transactions = []
     for tid, (line_no, content) in enumerate(_content_lines(text), start=1):
-        entries: list[TransactionEntry] = []
-        for col, token in _tokens(content):
-            try:
-                item, quantity, probability = token.split(":")
-                entries.append(TransactionEntry(int(item), int(quantity), float(probability)))
-            except ValueError as exc:
-                raise ParseError(line_no, col, _token_error(token, _DB_TOKEN, exc)) from None
         try:
-            transactions.append(Transaction(tid, tuple(sorted(entries, key=lambda e: e.item))))
+            items, quantities, probabilities = zip(
+                *(token.split(":") for token in content.split(" ") if token), strict=True)
+            transactions.append(Transaction(tid, sorted(zip(
+                map(int, items), map(int, quantities), map(float, probabilities)))))
         except ValueError:
-            # Sorted, a line fails only by repeating an item: the token at
+            rows = []
+            for col, token in _tokens(content):
+                try:
+                    item, quantity, probability = token.split(":")
+                    rows.append(TransactionEntry(int(item), int(quantity), float(probability)))
+                except ValueError as exc:
+                    raise ParseError(line_no, col, _token_error(token, _DB_TOKEN, exc)) from None
+            # Sorted, the rows fail only by repeating an item: the token at
             # fault ends the shortest prefix of the line that fails too.
             for k, (col, _) in enumerate(_tokens(content), start=1):
                 try:
-                    Transaction(tid, tuple(sorted(entries[:k], key=lambda e: e.item)))
+                    Transaction(tid, sorted(rows[:k]))
                 except ValueError as exc:
                     raise ParseError(line_no, col, str(exc)) from None
             raise
@@ -170,7 +173,8 @@ def serialize_database(db: UncertainDatabase) -> str:
     lines = []
     for tx in db.transactions:
         lines.append(" ".join(
-            f"{e.item}:{e.quantity}:{_exact_decimal(e.probability)}" for e in tx.entries
+            f"{item}:{quantity}:{_exact_decimal(probability)}"
+            for item, quantity, probability in tx.rows
         ))
     return "\n".join(lines) + ("\n" if lines else "")
 

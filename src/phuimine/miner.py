@@ -145,14 +145,14 @@ def initial_scan(
     acc: dict[Item, list[float]] = {i: [0.0, 0.0] for i in sorted(db.item_universe)}
     for tx in db.transactions:
         rtu = 0.0
-        for e in tx.entries:
-            u = table.unit_utility(e.item) * e.quantity
+        for item, quantity, _probability in tx.rows:
+            u = table.unit_utility(item) * quantity
             if u > 0.0:
                 rtu += u
-        for e in tx.entries:
-            a = acc[e.item]
+        for item, _quantity, probability in tx.rows:
+            a = acc[item]
             a[0] += rtu
-            a[1] += e.probability
+            a[1] += probability
     n = db.size
     if apply_filter:
         bound = thresholds.probability_bound(n)

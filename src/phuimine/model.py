@@ -1,17 +1,16 @@
 """Domain types for uncertain quantitative transaction databases.
 
-An uncertain database is an ordered sequence of transactions. Each
-transaction entry carries an item id, a purchase quantity and an
-existence probability. Unit utilities (signed, e.g. profit per unit)
-live in a separate utility table. Every other module works purely in
-terms of these types.
+A database is an ordered sequence of transactions; each holds its
+occurrences as rows of plain (item, quantity, probability) tuples, and
+Transaction.entries views them as TransactionEntry, with named fields.
+Unit utilities (signed, e.g. profit per unit) live in a utility table.
 
 Each type checks its own rules once, when it is built, and raises
-ValueError: an entry's item >= 0, quantity >= 1 and probability in
-(0, 1]; a transaction's non-empty, strictly ascending items; a
-database's tids 1..n; a table's ids >= 0 and finite utilities; the
-thresholds' ranges. check_utilities, which mine() and the oracle call
-first, checks a database against its table.
+ValueError: _check_rows holds the occurrence rules for Transaction and
+TransactionEntry; a transaction is non-empty; a database's tids run
+1..n; a table's ids are >= 0 and its utilities finite; thresholds have
+their ranges. check_utilities, which mine() and the oracle call first,
+checks a database against its table.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -19,46 +18,69 @@ threads.
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import ge, itemgetter, lt
 from typing import Iterable, Mapping
 
 Item = int  # non-negative integer identifier
 
 
-@dataclass(frozen=True)
-class TransactionEntry:
-    """One item occurrence: item >= 0, quantity >= 1, probability in (0, 1]."""
+class TransactionEntry(namedtuple("TransactionEntry", "item quantity probability")):
+    """One occurrence, equal to its plain row; checked when built, not
+    when Transaction.entries views a checked row (_make)."""
 
-    item: Item
-    quantity: int
-    probability: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.item < 0:
-            raise ValueError(f"item id must be >= 0, got {self.item}")
-        if self.quantity < 1:
-            raise ValueError(f"quantity must be >= 1, got {self.quantity}")
-        if not 0.0 < self.probability <= 1.0:
-            raise ValueError(f"probability must be in (0, 1], got {self.probability}")
+    def __new__(cls, item: Item, quantity: int, probability: float) -> "TransactionEntry":
+        _check_rows(((item, quantity, probability),))
+        return tuple.__new__(cls, (item, quantity, probability))
 
 
-@dataclass(frozen=True)
+def _check_rows(rows: tuple[tuple[Item, int, float], ...]) -> None:
+    """Raise ValueError unless every (item, quantity, probability) row has
+    item >= 0, quantity >= 1, probability in (0, 1] and the items ascend
+    strictly. C-level calls check the columns (NaN fails them); only a
+    failure walks the rows, every row's values before the order."""
+    items, quantities, probabilities = zip(*rows, strict=True)
+    if (items[0] >= 0 and min(quantities) >= 1
+            and all(map(lt, repeat(0.0), probabilities))
+            and all(map(ge, repeat(1.0), probabilities))
+            and all(map(lt, items, items[1:]))):
+        return
+    for item, quantity, probability in rows:
+        if item < 0:
+            raise ValueError(f"item id must be >= 0, got {item}")
+        if quantity < 1:
+            raise ValueError(f"quantity must be >= 1, got {quantity}")
+        if not 0.0 < probability <= 1.0:
+            raise ValueError(f"probability must be in (0, 1], got {probability}")
+    for prev, item in zip(items, items[1:]):
+        if item <= prev:
+            raise ValueError(f"duplicate item {item} in transaction" if item == prev
+                             else f"items must ascend, got {item} after {prev}")
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class Transaction:
-    """A tid (1-based position) plus its entries, which must be non-empty
-    and in strictly ascending item order."""
+    """A tid (1-based position) plus its rows, one exact (item, quantity,
+    probability) tuple per occurrence, from any iterable of triples."""
 
     tid: int
-    entries: tuple[TransactionEntry, ...]
+    rows: tuple[tuple[Item, int, float], ...]
 
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError(f"transaction {self.tid} is empty")
-        prev = -1
-        for e in self.entries:
-            if e.item <= prev:
-                raise ValueError(f"duplicate item {e.item} in transaction" if e.item == prev
-                                 else f"items must ascend, got {e.item} after {prev}")
-            prev = e.item
+    def __init__(self, tid: int, entries: Iterable[tuple[Item, int, float]]) -> None:
+        rows = tuple(map(tuple, entries))
+        if not rows:
+            raise ValueError(f"transaction {tid} is empty")
+        _check_rows(rows)
+        object.__setattr__(self, "tid", tid)
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def entries(self) -> tuple[TransactionEntry, ...]:
+        return tuple(map(TransactionEntry._make, self.rows))
 
 
 @dataclass(frozen=True)
@@ -80,8 +102,8 @@ class UncertainDatabase:
         for pos, tx in enumerate(self.transactions, start=1):
             if tx.tid != pos:
                 raise ValueError(f"tid {tx.tid} at position {pos}; tids must be 1..n")
-            for e in tx.entries:
-                totals[e.item] = totals.get(e.item, 0) + e.quantity
+            for item, quantity, _probability in tx.rows:
+                totals[item] = totals.get(item, 0) + quantity
         object.__setattr__(self, "item_quantity", totals)
 
     @property
@@ -194,9 +216,9 @@ def check_utilities(db: UncertainDatabase, table: UtilityTable) -> None:
             f"or above {limit} (half the largest float)")
 
 
-def make_transaction(tid: int, entries: Iterable[TransactionEntry]) -> Transaction:
+def make_transaction(tid: int, entries: Iterable[tuple[Item, int, float]]) -> Transaction:
     """Build a transaction with entries normalized to ascending item id."""
-    return Transaction(tid, tuple(sorted(entries, key=lambda e: e.item)))
+    return Transaction(tid, sorted(entries, key=itemgetter(0)))
 
 
 def make_database(transactions: Iterable[Transaction]) -> UncertainDatabase:

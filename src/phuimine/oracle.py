@@ -52,10 +52,8 @@ def enumerate_supported(
     totals: dict[tuple[int, ...], tuple[float, float]] = {}
     for tx in db.transactions:
         subsets: list[tuple[tuple[int, ...], float, float]] = [((), 0.0, 1.0)]
-        for e in tx.entries:
-            item = e.item
-            iu = table.unit_utility(item) * e.quantity
-            ip = e.probability
+        for item, quantity, ip in tx.rows:
+            iu = table.unit_utility(item) * quantity
             subsets += [(key + (item,), u + iu, p * ip) for key, u, p in subsets]
         for key, u, p in subsets[1:]:
             acc = totals.get(key)

@@ -132,9 +132,9 @@ def build_initial_pulists(
                 lst.rpu.append) for lst in lists]
     for tx in db.transactions:
         entries = [
-            (r, unit_of_rank[r] * e.quantity, e.probability)
-            for e in tx.entries
-            if (r := rank_of(e.item)) is not None
+            (r, unit_of_rank[r] * quantity, probability)
+            for item, quantity, probability in tx.rows
+            if (r := rank_of(item)) is not None
         ]
         if not entries:
             continue
@@ -305,9 +305,9 @@ def build_pulist_by_scan(
     out = PUList(tuple(members))
     for tx in db.transactions:
         found = {
-            e.item: (unit(e.item) * e.quantity, e.probability)
-            for e in tx.entries
-            if e.item in member_set
+            item: (unit(item) * quantity, probability)
+            for item, quantity, probability in tx.rows
+            if item in member_set
         }
         if len(found) != len(member_set):
             continue
@@ -322,9 +322,9 @@ def build_pulist_by_scan(
             else:
                 nu += u
         following = sorted(
-            (rank[e.item], unit(e.item) * e.quantity)
-            for e in tx.entries
-            if e.item in rank and rank[e.item] > last_rank
+            (rank[item], unit(item) * quantity)
+            for item, quantity, _probability in tx.rows
+            if item in rank and rank[item] > last_rank
         )
         rpu = 0.0
         for _rank, u in reversed(following):

@@ -2,15 +2,15 @@
 
 These are the slow-but-obvious definitions of utility, expected
 support, (redefined) transaction utility and the pattern acceptance
-predicate. The brute-force oracle and the test suite use them as
-ground truth against the list-based miner; none of them are on the
-mining hot path.
+predicate. The test suite uses them as ground truth against the
+list-based miner and the oracle; they read transactions through the
+TransactionEntry view, tx.entries.
 
 All database-wide sums accumulate in ascending tid order so results
 are bit-deterministic.
 """
 
-from .model import (
+from phuimine.model import (
     Item,
     Pattern,
     Thresholds,

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from phuimine import dataio, measures, verify
+from phuimine import dataio, verify
 from phuimine.datagen import GenParams, generate
 from phuimine.miner import initial_scan, mine, mine_preset
 from phuimine.model import Pattern, Thresholds, make_database
@@ -20,6 +20,7 @@ from phuimine.pulist import (
     construct,
 )
 
+import measures
 from helpers import (
     A, B, C, D, E,
     EXAMPLE_PHUIS,

@@ -52,12 +52,12 @@ class TestMineCommand:
         code = run(["mine", "--db", db, "--ptable", ptable,
                     "--min-util", "20", "--min-pro", "1.5"])
         assert code == 2
-        assert "min-pro must be in [0,1]" in capsys.readouterr().err
+        assert "min_pro must be in [0, 1], got 1.5" in capsys.readouterr().err
         for bad in ("nan", "inf", "1e400"):
             code = run(["mine", "--db", db, "--ptable", ptable,
                         "--min-util", bad, "--min-pro", "0.25"])
             assert code == 2
-            assert "min-util must be finite" in capsys.readouterr().err
+            assert "min_util must be finite" in capsys.readouterr().err
 
     def test_preset_none_identical(self, data_files, tmp_path):
         db, ptable = data_files
@@ -310,6 +310,29 @@ class TestBenchCommand:
                     "--min-util", "20", "--min-pro", "0.25",
                     "--presets", "P9"]) == 2
 
+    @pytest.mark.parametrize("size", ["infk", "1e400k", "infm", "nank", "12x"])
+    def test_prefix_size_not_a_number(self, data_files, tmp_path, capsys, size):
+        db, ptable = data_files
+        out = tmp_path / "scale.csv"
+        assert run(["bench", "--db", db, "--ptable", ptable,
+                    "--min-util", "20", "--min-pro", "0.25", "--presets", "ALL",
+                    f"--prefix-sizes=2,{size}", "--out", str(out)]) == 2
+        assert f"--prefix-sizes: '{size}' is not a number of transactions" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--min-util", "20,nan", "--min-pro", "0.25"], "min_util must be finite, got nan"),
+        (["--min-util", "20", "--min-pro", "0.25,1.5"], "min_pro must be in [0, 1], got 1.5"),
+        (["--min-util", "20", "--min-pro", "0.25", "--presets", "ALL,P9"],
+         "unknown preset 'P9'"),
+    ], ids=["nan-min-util", "min-pro-above-one", "unknown-preset"])
+    def test_plan_refused_before_any_file_is_read(self, tmp_path, capsys, flags, message):
+        # the files do not exist: reading them would be a data error (exit 1)
+        missing = str(tmp_path / "missing")
+        assert run(["bench", "--db", missing, "--ptable", missing] + flags) == 2
+        assert message in capsys.readouterr().err
+
 
 def test_unknown_command_is_usage_error():
     assert run(["frobnicate"]) == 2
@@ -319,3 +342,5 @@ def test_parse_size():
     assert cli._parse_size("20k") == 20_000
     assert cli._parse_size("1.5m") == 1_500_000
     assert cli._parse_size("300") == 300
+    with pytest.raises(cli._UsageError, match="--prefix-sizes"):
+        cli._parse_size("infk")

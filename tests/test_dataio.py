@@ -3,9 +3,11 @@ import random
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phuimine import dataio
-from phuimine.datagen import GenParams, generate
+from phuimine.datagen import GenParams, generate, generate_small
 from phuimine.miner import MiningStats
 from phuimine.model import MinedPattern, Pattern
 
@@ -67,6 +69,121 @@ class TestParseDatabase:
     def test_entries_normalized_ascending(self):
         db = dataio.parse_database("5:1:0.5 1:1:0.5")
         assert [e.item for e in db.transactions[0].entries] == [1, 5]
+
+
+def _messy_lines(db, rng: random.Random) -> tuple[list[str], list[list[tuple[int, list]]]]:
+    """db written with its tokens shuffled within each line, runs of
+    spaces, trailing comments, and blank, blank-looking and comment lines
+    between; also, per transaction, its line number and its tokens as
+    [column, item, quantity, probability text] in line order."""
+    lines: list[str] = []
+    layout = []
+    for tx in db.transactions:
+        while rng.random() < 0.3:
+            lines.append(rng.choice(["", "   ", "# a comment", "  # 1:1:0.5 commented out"]))
+        rows = list(tx.rows)
+        rng.shuffle(rows)
+        line = " " * rng.randint(0, 2)
+        tokens = []
+        for item, quantity, probability in rows:
+            tokens.append([len(line) + 1, item, quantity, repr(probability)])
+            line += f"{item}:{quantity}:{probability!r}" + " " * rng.randint(1, 3)
+        if rng.random() < 0.3:
+            line += "# trailing"
+        lines.append(line)
+        layout.append((len(lines), tokens))
+    return lines, layout
+
+
+def _write(tokens: list) -> str:
+    line = ""
+    for col, item, quantity, probability in tokens:
+        line += " " * (col - 1 - len(line)) + f"{item}:{quantity}:{probability} "
+    return line
+
+
+def _databases(seed: int):
+    yield generate_small(seed)[0]
+    yield generate(GenParams(n_transactions=30, n_items=8, avg_tx_len=4, max_tx_len=7,
+                             seed=seed))[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_messy_layout_parses_to_the_same_database(seed):
+    rng = random.Random(seed)
+    for db in _databases(seed):
+        lines, _layout = _messy_lines(db, rng)
+        assert dataio.parse_database("\n".join(lines)) == db
+
+
+# Each mutation rewrites one token [column, item, quantity, probability
+# text] of a line, given the line's earlier tokens, and returns the
+# message the ParseError must carry.
+def _field_count(tok, _earlier):
+    tok[3] += ":1"
+    return f"expected item:quantity:probability, got '{tok[1]}:{tok[2]}:{tok[3]}'"
+
+
+def _non_integer(tok, _earlier):
+    tok[2] = "2.5"
+    return "quantity must be an integer, got '2.5'"
+
+
+def _zero_quantity(tok, _earlier):
+    tok[2] = 0
+    return "quantity must be >= 1, got 0"
+
+
+def _probability(text, shown):
+    def mutate(tok, _earlier):
+        tok[3] = text
+        return f"probability must be in (0, 1], got {shown}"
+    return mutate
+
+
+def _negative_item(tok, _earlier):
+    tok[1] = -tok[1] - 1
+    return f"item id must be >= 0, got {tok[1]}"
+
+
+def _duplicate_item(tok, earlier):
+    tok[1] = earlier[-1][1]
+    return f"duplicate item {tok[1]} in transaction"
+
+
+MUTATIONS = {
+    "field-count": _field_count,
+    "non-integer": _non_integer,
+    "zero-quantity": _zero_quantity,
+    "zero-probability": _probability("0", "0.0"),
+    "probability-above-one": _probability("1.5", "1.5"),
+    "nan-probability": _probability("nan", "nan"),
+    "negative-item": _negative_item,
+    "duplicate-item": _duplicate_item,
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS.values(), ids=MUTATIONS.keys())
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_one_bad_token_is_reported_where_it_stands(mutation, seed):
+    rng = random.Random(seed)
+    for db in _databases(seed):
+        lines, layout = _messy_lines(db, rng)
+        # a duplicate needs an earlier token on the same line
+        candidates = [(n, tokens) for n, tokens in layout
+                      if mutation is not _duplicate_item or len(tokens) > 1]
+        if not candidates:
+            continue
+        line_no, tokens = rng.choice(candidates)
+        k = rng.randrange(1 if mutation is _duplicate_item else 0, len(tokens))
+        message = mutation(tokens[k], tokens[:k])
+        lines[line_no - 1] = _write(tokens)
+        with pytest.raises(dataio.ParseError) as err:
+            dataio.parse_database("\n".join(lines))
+        assert (err.value.line, err.value.column, err.value.message) == (
+            line_no, tokens[k][0], message)
 
 
 class TestParsePtable:

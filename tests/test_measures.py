@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phuimine import measures
 from phuimine.datagen import generate_small
 from phuimine.model import Pattern, Thresholds
 
+import measures
 from helpers import A, B, C, D, E, rel_close
 
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phuimine import dataio, measures
+from phuimine import dataio
 from phuimine.datagen import generate_small
 from phuimine.miner import (
     EUCS,
@@ -23,6 +23,7 @@ from phuimine.model import (
 )
 from phuimine.pulist import build_initial_pulists, compute_processing_order
 
+import measures
 from helpers import A, B, C, D, E, EXAMPLE_PHUIS, rel_close, results_map
 
 TH = Thresholds(20, 0.25)

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from phuimine import dataio
@@ -146,3 +148,41 @@ def test_database_equality_and_hash_ignore_derived_totals(ex_db):
     again = example_db()
     assert again == ex_db and hash(again) == hash(ex_db)
     assert {again: 1}[ex_db] == 1
+
+
+class TestTransactionRows:
+    def test_rebuilt_from_entries_is_equal(self, ex_db):
+        for tx in ex_db.transactions:
+            again = Transaction(tx.tid, tx.entries)
+            assert again == tx and hash(again) == hash(tx)
+
+    def test_pickle_round_trip(self, ex_db):
+        again = pickle.loads(pickle.dumps(ex_db))
+        assert again == ex_db and again.item_quantity == ex_db.item_quantity
+        tx = ex_db.transactions[0]
+        assert pickle.loads(pickle.dumps(tx)) == tx
+
+    def test_rows_are_exact_tuples(self):
+        tx = Transaction(1, [TransactionEntry(1, 2, 0.5), [3, 1, 0.25], (4, 1, 1.0)])
+        assert tx.rows == ((1, 2, 0.5), (3, 1, 0.25), (4, 1, 1.0))
+        assert all(type(row) is tuple for row in tx.rows)
+
+    def test_entries_are_named_views(self, ex_db):
+        tx = ex_db.transactions[0]
+        assert all(type(e) is TransactionEntry for e in tx.entries)
+        assert [(e.item, e.quantity, e.probability) for e in tx.entries] == list(tx.rows)
+
+    def test_frozen(self, ex_db):
+        with pytest.raises(AttributeError):
+            ex_db.transactions[0].rows = ()
+
+    @pytest.mark.parametrize("rows, match", [
+        ([(1, 1, 0.5), (2, 1, float("nan"))], "probability must be in"),
+        ([(1, 1, 0.5), (2, 0, 0.5)], "quantity must be >= 1"),
+        ([(-1, 1, 0.5)], "item id must be >= 0"),
+        # the value rules of every row come before the order rule
+        ([(5, 1, 0.5), (2, 1, 0.5), (7, 1, 2.0)], "probability must be in"),
+    ], ids=["nan-probability", "zero-quantity", "negative-item", "values-before-order"])
+    def test_plain_rows_are_checked(self, rows, match):
+        with pytest.raises(ValueError, match=match):
+            Transaction(1, rows)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phuimine import measures
 from phuimine.datagen import GenParams, generate, generate_small
 from phuimine.model import (
     Pattern,
@@ -16,6 +15,7 @@ from phuimine.model import (
 )
 from phuimine.oracle import UniverseTooLargeError, brute_force_mine, enumerate_supported
 
+import measures
 from helpers import EXAMPLE_PHUIS, rel_close, results_map
 
 

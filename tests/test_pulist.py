@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phuimine import measures
 from phuimine.datagen import GenParams, generate, generate_small
 from phuimine.miner import initial_scan
 from phuimine.model import (
@@ -24,6 +23,7 @@ from phuimine.pulist import (
     PUList,
 )
 
+import measures
 from helpers import (
     A, B, C, D, E,
     attempted_joins,
