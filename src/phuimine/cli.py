@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 parse/validation error, 2 bad flags,
 import argparse
 import statistics
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import dataio, datagen, oracle, verify
@@ -116,7 +115,7 @@ def cmd_gen(args) -> int:
         avg_tx_len=args.avg_len,
         max_tx_len=args.max_len,
         utility_range=(args.utility_lo, args.utility_hi),
-        quantity_range=(1, args.max_quantity),
+        max_quantity=args.max_quantity,
         negative_fraction=args.negative_fraction,
         seed=args.seed,
         per_item_probability=args.per_item_probability,
@@ -131,31 +130,6 @@ def cmd_gen(args) -> int:
     print(f"gen: {db.size} transactions, {len(table.entries)} items "
           f"({negatives} negative), seed {args.seed}")
     return EXIT_OK
-
-
-@dataclass(frozen=True)
-class BenchPlan:
-    db_path: str
-    ptable_path: str
-    min_util_values: tuple[float, ...]
-    min_pro_values: tuple[float, ...]
-    presets: tuple[str, ...]
-    repeats: int
-    out_path: str | None
-    prefix_sizes: tuple[int, ...] = ()
-    assert_monotone: bool = False
-
-    def validate(self) -> None:
-        """Builds every threshold pair and preset before any file is read."""
-        if not self.min_util_values or not self.min_pro_values or not self.presets:
-            raise _UsageError("bench needs at least one min-util, min-pro and preset")
-        if self.repeats < 1:
-            raise _UsageError("repeats must be >= 1")
-        for min_util in self.min_util_values:
-            for min_pro in self.min_pro_values:
-                Thresholds(min_util, min_pro)
-        for preset in self.presets:
-            MiningConfig.from_preset(preset)
 
 
 def _run_cell(db, table, thresholds, preset, repeats) -> MiningStats:
@@ -198,7 +172,7 @@ def _pivot_markdown(rows: list[tuple[str, str, MiningStats]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_PRESET_ORDER = ["P12", "P123", "P1234", "ALL"]
+_PRESET_ORDER = [p for p in PRESETS if p != "NONE"]
 
 
 def _check_monotone(rows: list[tuple[str, str, MiningStats]]) -> str | None:
@@ -219,62 +193,63 @@ def _check_monotone(rows: list[tuple[str, str, MiningStats]]) -> str | None:
 
 
 def cmd_bench(args) -> int:
-    plan = BenchPlan(
-        db_path=args.db,
-        ptable_path=args.ptable,
-        min_util_values=tuple(float(v) for v in args.min_util.split(",")),
-        min_pro_values=tuple(float(v) for v in args.min_pro.split(",")),
-        presets=tuple(args.presets.split(",")),
-        repeats=args.repeats,
-        out_path=args.out,
-        prefix_sizes=tuple(_parse_size(v) for v in args.prefix_sizes.split(","))
-        if args.prefix_sizes else (),
-        assert_monotone=args.assert_monotone,
-    )
-    plan.validate()
-    full_db, table = _load_inputs(plan.db_path, plan.ptable_path)
-    for bad in (n for n in plan.prefix_sizes if not 1 <= n <= full_db.size):
+    # every threshold pair and preset is built before any file is read
+    min_utils = _parse_floats("--min-util", args.min_util)
+    min_pros = _parse_floats("--min-pro", args.min_pro)
+    presets = args.presets.split(",")
+    prefix_sizes = ([_parse_size(v) for v in args.prefix_sizes.split(",")]
+                    if args.prefix_sizes else [])
+    if args.repeats < 1:
+        raise _UsageError("repeats must be >= 1")
+    pairs = [Thresholds(min_util, min_pro) for min_util in min_utils for min_pro in min_pros]
+    for preset in presets:
+        MiningConfig.from_preset(preset)
+    full_db, table = _load_inputs(args.db, args.ptable)
+    for bad in (n for n in prefix_sizes if not 1 <= n <= full_db.size):
         raise _UsageError(f"prefix size {bad} outside 1..{full_db.size}, "
                           "the number of transactions")
 
     rows: list[tuple[str, str, MiningStats]] = []
     csv_lines = []
-    scalability = bool(plan.prefix_sizes)
+    scalability = bool(prefix_sizes)
     header = list(dataio.STATS_CSV_FIELDS)
     if scalability:
         header.insert(3, "prefix")
     csv_lines.append(",".join(header))
 
-    prefixes = plan.prefix_sizes or (full_db.size,)
-    for prefix in prefixes:
+    for prefix in prefix_sizes or [full_db.size]:
         db = make_database(full_db.transactions[:prefix]) if scalability else full_db
-        for min_util in plan.min_util_values:
-            for min_pro in plan.min_pro_values:
-                thresholds = Thresholds(min_util, min_pro)
-                combo = f"u={dataio._six_digits(min_util)},p={dataio._six_digits(min_pro)}"
+        for thresholds in pairs:
+            combo = (f"u={dataio._six_digits(thresholds.min_util)},"
+                     f"p={dataio._six_digits(thresholds.min_pro)}")
+            if scalability:
+                combo += f",n={prefix}"
+            for preset in presets:
+                stats = _run_cell(db, table, thresholds, preset, args.repeats)
+                row = dataio.stats_csv_row(stats)
                 if scalability:
-                    combo += f",n={prefix}"
-                for preset in plan.presets:
-                    stats = _run_cell(db, table, thresholds, preset, plan.repeats)
-                    row = dataio.stats_csv_row(stats)
-                    if scalability:
-                        row.insert(3, str(prefix))
-                    csv_lines.append(",".join(row))
-                    rows.append((preset.upper(), combo, stats))
+                    row.insert(3, str(prefix))
+                csv_lines.append(",".join(row))
+                rows.append((preset.upper(), combo, stats))
 
     csv_text = "\n".join(csv_lines) + "\n"
-    if plan.out_path:
-        Path(plan.out_path).write_text(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write_or_print(csv_text, args.out)
     sys.stdout.write(_pivot_markdown(rows))
 
-    if plan.assert_monotone:
+    if args.assert_monotone:
         problem = _check_monotone(rows)
         if problem:
             print(f"bench: monotonicity violated: {problem}", file=sys.stderr)
             return EXIT_DIVERGENCE
     return EXIT_OK
+
+
+def _parse_floats(flag: str, text: str) -> list[float]:
+    """A comma-separated list of numbers such as 20,100."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise _UsageError(f"{flag}: {text!r} is not a comma-separated list of numbers") from None
 
 
 def _parse_size(text: str) -> int:

@@ -23,14 +23,15 @@ from .model import Transaction, UncertainDatabase, UtilityTable, make_database
 
 @dataclass(frozen=True)
 class GenParams:
+    """Sizes, value ranges and seed of one dataset for generate(), which
+    validates them; quantities are drawn from 1..max_quantity."""
+
     n_transactions: int
     n_items: int
     avg_tx_len: float = 5.0
     max_tx_len: int = 12
     utility_range: tuple[float, float] = (-1000.0, 1000.0)
-    lognormal_mu: float = 5.0
-    lognormal_sigma: float = 1.0
-    quantity_range: tuple[int, int] = (1, 5)
+    max_quantity: int = 5
     negative_fraction: float = 0.2
     seed: int = 0
     per_item_probability: bool = False
@@ -49,9 +50,8 @@ class GenParams:
             raise ValueError("utility_range upper bound must be positive")
         if self.avg_tx_len < 1 or self.max_tx_len < 1:
             raise ValueError("transaction lengths must be >= 1")
-        q_lo, q_hi = self.quantity_range
-        if q_lo != 1 or q_hi < 1:
-            raise ValueError("quantity_range must be [1, qmax] with qmax >= 1")
+        if self.max_quantity < 1:
+            raise ValueError("max_quantity must be >= 1")
 
 
 def _poisson(rng: random.Random, lam: float) -> int:
@@ -78,10 +78,10 @@ def _open_unit(rng: random.Random) -> float:
 def generate(params: GenParams) -> tuple[UncertainDatabase, UtilityTable]:
     """Deterministic (database, utility table) pair for the given params.
 
-    Unit utilities are integers: magnitude = round(lognormal) clamped to
-    [1, hi] (or [1, -lo] for the negative_fraction share of items that
-    get a flipped sign). Quantities are uniform in quantity_range and
-    probabilities uniform in the open interval (0, 1).
+    Unit utilities are integers: magnitude = round(lognormal(mu=5,
+    sigma=1)) clamped to [1, hi] (or [1, -lo] for the negative_fraction
+    share of items that get a flipped sign). Quantities are uniform in
+    1..max_quantity and probabilities uniform in the open interval (0, 1).
     """
     params.validate()
     rng = random.Random(params.seed)
@@ -91,7 +91,7 @@ def generate(params: GenParams) -> tuple[UncertainDatabase, UtilityTable]:
     # then optional per-item probabilities).
     items = list(range(1, params.n_items + 1))
     magnitudes = [
-        round(rng.lognormvariate(params.lognormal_mu, params.lognormal_sigma))
+        round(rng.lognormvariate(5.0, 1.0))
         for _ in items
     ]
     n_negative = round(params.negative_fraction * params.n_items)
@@ -114,13 +114,12 @@ def generate(params: GenParams) -> tuple[UncertainDatabase, UtilityTable]:
     ]
 
     # Phase 3: transaction contents.
-    q_lo, q_hi = params.quantity_range
     transactions = []
     for tid, length in enumerate(lengths, start=1):
         chosen = sorted(rng.sample(items, length))
         # per item: its quantity, then its probability, drawn in that order
         transactions.append(Transaction(tid, [
-            (item, rng.randint(q_lo, q_hi),
+            (item, rng.randint(1, params.max_quantity),
              item_probability[item] if item_probability is not None else _open_unit(rng))
             for item in chosen
         ]))
@@ -141,14 +140,12 @@ def generate_small(
     max_items: int = 12,
     max_transactions: int = 30,
     negative_fraction: float = 0.2,
-    max_unit_utility: int = 20,
-    max_quantity: int = 5,
 ) -> tuple[UncertainDatabase, UtilityTable]:
     """Small random instance for oracle-equivalence fuzzing.
 
-    Integer unit utilities and eighth-grid probabilities keep all
-    measure arithmetic exact (see module docstring). Transaction
-    lengths are capped at 10 to preserve that exactness.
+    Integer unit utilities (|u| in 1..20), quantities in 1..5 and
+    eighth-grid probabilities keep all measure arithmetic exact (see the
+    module docstring); transaction lengths are capped at 10 to keep it so.
     """
     rng = random.Random(seed)
     n_items = rng.randint(1, max_items)
@@ -159,7 +156,7 @@ def generate_small(
     negative_items = set(rng.sample(items, n_negative)) if n_negative else set()
     table_entries = {}
     for item in items:
-        mag = float(rng.randint(1, max_unit_utility))
+        mag = float(rng.randint(1, 20))
         table_entries[item] = -mag if item in negative_items else mag
 
     len_cap = min(10, n_items)
@@ -168,7 +165,7 @@ def generate_small(
         length = rng.randint(1, len_cap)
         chosen = sorted(rng.sample(items, length))
         transactions.append(Transaction(tid, [
-            (item, rng.randint(1, max_quantity), rng.choice(_SMALL_PROBS)) for item in chosen
+            (item, rng.randint(1, 5), rng.choice(_SMALL_PROBS)) for item in chosen
         ]))
 
     return make_database(transactions), UtilityTable(table_entries)

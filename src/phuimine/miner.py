@@ -1,8 +1,8 @@
 """One-phase depth-first miner over the set-enumeration tree.
 
 The miner scans the database once for per-item bounds and once more to
-build the initial vertical lists (and, for s6, the item-pair matrix) in the
-same walk, then explores extensions recursively.
+build the single-item lists (and, for s6, the item-pair matrix) in the
+same walk; those lists are the roots of a recursive search.
 Each candidate's exact utility and expected support come straight from
 its list's column sums, so qualifying patterns are emitted without a
 verification pass.
@@ -135,12 +135,12 @@ def initial_scan(
     thresholds: Thresholds,
     *,
     apply_filter: bool = True,
-) -> tuple[dict[Item, tuple[float, float]], int]:
-    """First database pass: per-item rtwu and expected support.
+) -> dict[Item, float]:
+    """First database pass: {item: rtwu} for the surviving items.
 
-    Returns ({item: (rtwu, pro)}, |D|) for the surviving items. With the
-    filter on, an item survives only if both pro >= min_pro * |D| and
-    rtwu >= min_util; with it off every occurring item survives.
+    With the filter on (s2), an item survives only if its expected
+    support reaches min_pro * |D| and its rtwu reaches min_util; with it
+    off every occurring item survives.
     """
     acc: dict[Item, list[float]] = {i: [0.0, 0.0] for i in sorted(db.item_universe)}
     for tx in db.transactions:
@@ -153,17 +153,14 @@ def initial_scan(
             a = acc[item]
             a[0] += rtu
             a[1] += probability
-    n = db.size
-    if apply_filter:
-        bound = thresholds.probability_bound(n)
-        survivors = {
-            i: (v[0], v[1])
-            for i, v in acc.items()
-            if v[1] >= bound and v[0] >= thresholds.min_util
-        }
-    else:
-        survivors = {i: (v[0], v[1]) for i, v in acc.items()}
-    return survivors, n
+    if not apply_filter:
+        return {i: rtwu for i, (rtwu, _pro) in acc.items()}
+    bound = thresholds.probability_bound(db.size)
+    return {
+        i: rtwu
+        for i, (rtwu, pro) in acc.items()
+        if pro >= bound and rtwu >= thresholds.min_util
+    }
 
 
 def search(
@@ -248,17 +245,14 @@ def mine(
     )
     started = time.perf_counter()
 
-    survivors, n = initial_scan(
-        db, table, thresholds, apply_filter=config.s2_initial_filter
-    )
-    pro_bound = thresholds.probability_bound(n)
+    rtwu = initial_scan(db, table, thresholds, apply_filter=config.s2_initial_filter)
+    pro_bound = thresholds.probability_bound(db.size)
     out: list[MinedPattern] = []
-    if survivors:
-        order = compute_processing_order(table, {i: v[0] for i, v in survivors.items()})
+    if rtwu:
+        order = compute_processing_order(table, rtwu)
         eucs = EUCS.zeros(order) if config.s6_eucp else None
-        lists = build_initial_pulists(db, table, order, eucs.rows if eucs else None)
-        extensions = [lists[i] for i in order.ordered_items if lists[i].tids]
-        search(extensions, thresholds, pro_bound, config, eucs, stats, out)
+        roots = build_initial_pulists(db, table, order, eucs.rows if eucs else None)
+        search(roots, thresholds, pro_bound, config, eucs, stats, out)
 
     stats.elapsed = time.perf_counter() - started
     return out, stats

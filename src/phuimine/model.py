@@ -21,21 +21,26 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import ge, itemgetter, lt
+from operator import ge, lt
 from typing import Iterable, Mapping
 
 Item = int  # non-negative integer identifier
 
 
 class TransactionEntry(namedtuple("TransactionEntry", "item quantity probability")):
-    """One occurrence, equal to its plain row; checked when built, not
-    when Transaction.entries views a checked row (_make)."""
+    """One occurrence, equal to its plain row; checked when built or
+    by _replace. _make stays unchecked: Transaction.entries uses it to
+    view rows that Transaction has already checked."""
 
     __slots__ = ()
 
     def __new__(cls, item: Item, quantity: int, probability: float) -> "TransactionEntry":
         _check_rows(((item, quantity, probability),))
         return tuple.__new__(cls, (item, quantity, probability))
+
+    def _replace(self, **changes) -> "TransactionEntry":
+        """A copy with the named fields changed, checked as when built."""
+        return TransactionEntry(*super()._replace(**changes))
 
 
 def _check_rows(rows: tuple[tuple[Item, int, float], ...]) -> None:
@@ -170,9 +175,6 @@ class Pattern:
     def of(cls, items: Iterable[Item]) -> "Pattern":
         return cls(tuple(sorted(items)))
 
-    def __len__(self) -> int:
-        return len(self.items)
-
 
 @dataclass(frozen=True)
 class MinedPattern:
@@ -214,11 +216,6 @@ def check_utilities(db: UncertainDatabase, table: UtilityTable) -> None:
         raise DatabaseValidationError(
             f"invalid database: summed |utility| x quantity, {total}, is not finite "
             f"or above {limit} (half the largest float)")
-
-
-def make_transaction(tid: int, entries: Iterable[tuple[Item, int, float]]) -> Transaction:
-    """Build a transaction with entries normalized to ascending item id."""
-    return Transaction(tid, sorted(entries, key=itemgetter(0)))
 
 
 def make_database(transactions: Iterable[Transaction]) -> UncertainDatabase:

@@ -106,8 +106,9 @@ def build_initial_pulists(
     table: UtilityTable,
     order: ProcessingOrder,
     pair_rtwu: list[list[float]] | None = None,
-) -> dict[Item, PUList]:
-    """One list per surviving item, from one walk over the transactions.
+) -> list[PUList]:
+    """The roots of the search: one list per surviving item, in processing
+    order, none empty (every item initial_scan keeps occurs somewhere).
 
     Each transaction is projected onto (rank, utility, probability)
     tuples of its surviving items and sorted; ranks are unique within a
@@ -171,7 +172,7 @@ def build_initial_pulists(
         # negative-group item has u < 0, hence nu < 0, in every entry).
         lst.ip = lst.pro
         lst.iu = lst.nu if lst.sum_nu < 0.0 else lst.pu
-    return {lst.pattern_po[0]: lst for lst in lists}
+    return lists
 
 
 def _front_to_back(column: list[float]) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .datagen import generate_small
-from .miner import MiningConfig, mine
+from .miner import PRESETS, MiningConfig, mine
 from .model import (
     MinedPattern,
     Pattern,
@@ -24,11 +24,11 @@ from .model import (
 
 PRO_REL_TOL = 1e-9
 
-PRESET_SEQUENCE = ["NONE", "P12", "P123", "P1234", "ALL"]
+PRESET_SEQUENCE = list(PRESETS)
 
 
-def probabilities_close(a: float, b: float, rel_tol: float = PRO_REL_TOL) -> bool:
-    return abs(a - b) <= rel_tol * max(abs(a), abs(b))
+def probabilities_close(a: float, b: float) -> bool:
+    return abs(a - b) <= PRO_REL_TOL * max(abs(a), abs(b))
 
 
 @dataclass(frozen=True)
@@ -94,14 +94,13 @@ def check_instance(
     db: UncertainDatabase,
     table: UtilityTable,
     thresholds: Thresholds,
-    presets: list[str] | None = None,
     mine_fn=mine,
 ) -> Divergence | None:
-    """Run every preset plus the oracle on one instance; first divergence
-    or None. `mine_fn` is swappable so the harness can be self-tested
-    against a deliberately broken miner."""
+    """Run the oracle and every preset of PRESET_SEQUENCE on one instance;
+    first divergence or None. `mine_fn` is swappable so the harness can
+    be self-tested against a deliberately broken miner."""
     reference = oracle.brute_force_mine(db, table, thresholds)
-    return check_against(reference, db, table, thresholds, presets, mine_fn)
+    return check_against(reference, db, table, thresholds, mine_fn)
 
 
 def check_against(
@@ -109,12 +108,11 @@ def check_against(
     db: UncertainDatabase,
     table: UtilityTable,
     thresholds: Thresholds,
-    presets: list[str] | None = None,
     mine_fn=mine,
 ) -> Divergence | None:
     """Run every preset on one instance and compare each with the given
     oracle result; first divergence or None."""
-    for preset in presets or PRESET_SEQUENCE:
+    for preset in PRESET_SEQUENCE:
         found, _stats = mine_fn(db, table, thresholds, MiningConfig.from_preset(preset))
         diff = compare_results("oracle", reference, preset, found)
         if diff is not None:
@@ -181,7 +179,6 @@ def run_fuzz(
     *,
     max_items: int = 12,
     max_transactions: int = 30,
-    presets: list[str] | None = None,
     mine_fn=mine,
 ) -> Divergence | None:
     """Fuzz sweep; None when every case agrees under every preset.
@@ -195,8 +192,7 @@ def run_fuzz(
         )
         for thresholds in case.thresholds_list:
             reference = oracle.qualifying_patterns(case.measures, thresholds, case.db.size)
-            diff = check_against(reference, case.db, case.table, thresholds,
-                                 presets, mine_fn)
+            diff = check_against(reference, case.db, case.table, thresholds, mine_fn)
             if diff is not None:
                 return diff
     return None

@@ -66,10 +66,9 @@ def lists_match(a: PUList, b: PUList) -> bool:
 def _unpruned_roots(db, table):
     """Processing order and single-item lists of the full enumeration:
     no s2 filter, every occurring item kept."""
-    survivors, _n = initial_scan(db, table, Thresholds(0.0, 0.0), apply_filter=False)
-    order = compute_processing_order(table, {i: rw for i, (rw, _p) in survivors.items()})
-    lists = build_initial_pulists(db, table, order)
-    return order, [lists[i] for i in order.ordered_items if lists[i].tids]
+    order = compute_processing_order(
+        table, initial_scan(db, table, Thresholds(0.0, 0.0), apply_filter=False))
+    return order, build_initial_pulists(db, table, order)
 
 
 def attempted_joins(db, table):

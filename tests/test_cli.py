@@ -239,6 +239,12 @@ class TestGenCommand:
         assert db.read_text() == ""
         assert len(ptable.read_text().splitlines()) == 10
 
+    def test_max_quantity_below_one_is_usage_error(self, tmp_path, capsys):
+        assert run(["gen", "--transactions", "10", "--items", "8", "--max-quantity", "0",
+                    "--out-db", str(tmp_path / "q.db"),
+                    "--out-ptable", str(tmp_path / "q.ptable")]) == 2
+        assert "max_quantity must be >= 1" in capsys.readouterr().err
+
     def test_all_negative(self, tmp_path):
         ptable = tmp_path / "neg.ptable"
         assert run(["gen", "--transactions", "10", "--items", "8", "--seed", "3",
@@ -326,7 +332,12 @@ class TestBenchCommand:
         (["--min-util", "20", "--min-pro", "0.25,1.5"], "min_pro must be in [0, 1], got 1.5"),
         (["--min-util", "20", "--min-pro", "0.25", "--presets", "ALL,P9"],
          "unknown preset 'P9'"),
-    ], ids=["nan-min-util", "min-pro-above-one", "unknown-preset"])
+        (["--min-util", "abc", "--min-pro", "0.25"],
+         "--min-util: 'abc' is not a comma-separated list of numbers"),
+        (["--min-util", "20", "--min-pro", "0.1,x"],
+         "--min-pro: '0.1,x' is not a comma-separated list of numbers"),
+    ], ids=["nan-min-util", "min-pro-above-one", "unknown-preset", "min-util-not-a-number",
+            "min-pro-not-a-number"])
     def test_plan_refused_before_any_file_is_read(self, tmp_path, capsys, flags, message):
         # the files do not exist: reading them would be a data error (exit 1)
         missing = str(tmp_path / "missing")

@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from phuimine import dataio
 from phuimine.datagen import GenParams, generate, generate_small, _SMALL_PROBS
 from phuimine.model import check_utilities
 
@@ -78,7 +81,7 @@ def test_param_validation():
         generate(GenParams(n_transactions=10, n_items=5, negative_fraction=0.5,
                            utility_range=(10.0, 100.0)))
     with pytest.raises(ValueError):
-        generate(GenParams(n_transactions=10, n_items=5, quantity_range=(2, 5)))
+        generate(GenParams(n_transactions=10, n_items=5, max_quantity=0))
 
 
 def test_small_generator_validates_and_uses_palette():
@@ -94,3 +97,42 @@ def test_small_generator_validates_and_uses_palette():
 
 def test_small_generator_deterministic():
     assert generate_small(123) == generate_small(123)
+
+
+def _digest(db, table) -> str:
+    h = hashlib.sha256(dataio.serialize_database(db).encode())
+    h.update(b"\0")
+    h.update(dataio.serialize_ptable(table).encode())
+    return h.hexdigest()
+
+
+# sha256 of the serialized database and table: the generators' output
+# is part of every benchmark dataset, so it must not drift.
+@pytest.mark.parametrize("params, digest", [
+    # the C7 family, at 20k transactions
+    (GenParams(n_transactions=20_000, n_items=100, avg_tx_len=5.0, max_tx_len=10,
+               negative_fraction=0.2, seed=20260810),
+     "82fb517cd9a68aa9cef8913957fb54f34470e5d7da604537553a4cc63568cca8"),
+    (GenParams(n_transactions=500, n_items=24, avg_tx_len=12.0, max_tx_len=20,
+               negative_fraction=0.2, seed=7),
+     "29957dd66f0421b926cad8aa1fd6bc9db34c9b3f61f08c9f4e25b7b4da2c369b"),
+    (GenParams(n_transactions=200, n_items=30, seed=5, per_item_probability=True,
+               utility_range=(-50.0, 300.0)),
+     "e18f7e0ce934fcb64f7dbf945455b2480b59ecf94d9deca237eb2fabc8641969"),
+    (GenParams(n_transactions=100, n_items=15, seed=11, negative_fraction=0.0),
+     "8276f6454ba1fc3bf06bb56233aba05c379f9b9ef24bca111155eb9ac0233138"),
+], ids=["c7-20k", "dense", "per-item-probability", "all-positive"])
+def test_generate_output_pinned(params, digest):
+    assert _digest(*generate(params)) == digest
+
+
+@pytest.mark.parametrize("seed, kwargs, digest", [
+    (0, {}, "8f5738bc44003d20cc668dda41bd9043f0f419c3c494d9a2e41930889b7b69cf"),
+    (1, {}, "add9e0b4067bbbfa43f091e7bb9602242534c23815d6cf1175417e5449118905"),
+    (7, {}, "7c9bdbfe2b1a695d267b2da384980c9ab3ef2e1f34c9810272956e414bf4a073"),
+    (123, {}, "7d4c5546814a3f5af77e806f8b91b428ae25ceb437d7d41e9ee72f0bfff5269c"),
+    (42, dict(negative_fraction=0.5, max_items=8, max_transactions=12),
+     "1f6a12f22b16fd909200fa2cd8616cc78e50209d68574b7b735771e851eb2f37"),
+])
+def test_generate_small_output_pinned(seed, kwargs, digest):
+    assert _digest(*generate_small(seed, **kwargs)) == digest

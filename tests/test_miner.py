@@ -31,31 +31,29 @@ TH = Thresholds(20, 0.25)
 
 class TestInitialScan:
     def test_example_all_items_survive(self, ex_db, ex_table):
-        survivors, n = initial_scan(ex_db, ex_table, TH)
-        assert n == 5
-        assert set(survivors) == {A, B, C, D, E}
-        rtwu = {i: v[0] for i, v in survivors.items()}
-        assert rtwu == {A: 185, B: 259, C: 202, D: 231, E: 285}
-        assert rel_close(survivors[A][1], 2.5)
+        assert initial_scan(ex_db, ex_table, TH) == {A: 185, B: 259, C: 202, D: 231, E: 285}
 
     def test_high_min_util_keeps_b_and_e(self, ex_db, ex_table):
-        survivors, _ = initial_scan(ex_db, ex_table, Thresholds(250, 0.25))
-        assert set(survivors) == {B, E}
+        assert set(initial_scan(ex_db, ex_table, Thresholds(250, 0.25))) == {B, E}
+
+    def test_drops_an_item_on_expected_support_alone(self, ex_db, ex_table):
+        # bound 0.5 * 5 = 2.5: D's expected support is 2.4, while A and B
+        # sit exactly on the bound (2.5); every rtwu passes min_util 0
+        survivors = initial_scan(ex_db, ex_table, Thresholds(0, 0.5))
+        assert set(survivors) == {A, B, C, E}
 
     def test_empty_database(self, ex_table):
-        survivors, n = initial_scan(make_database([]), ex_table, TH)
-        assert survivors == {} and n == 0
+        assert initial_scan(make_database([]), ex_table, TH) == {}
 
     def test_filter_off_keeps_everything(self, ex_db, ex_table):
-        survivors, _ = initial_scan(ex_db, ex_table, Thresholds(1e9, 1.0),
-                                    apply_filter=False)
+        survivors = initial_scan(ex_db, ex_table, Thresholds(1e9, 1.0), apply_filter=False)
         assert set(survivors) == {A, B, C, D, E}
 
 
 def eucs_of(db, table, thresholds, *, apply_filter=True):
     """The EUCS that the list-building walk fills, as mine() builds it."""
-    survivors, _ = initial_scan(db, table, thresholds, apply_filter=apply_filter)
-    order = compute_processing_order(table, {i: v[0] for i, v in survivors.items()})
+    order = compute_processing_order(
+        table, initial_scan(db, table, thresholds, apply_filter=apply_filter))
     eucs = EUCS.zeros(order)
     build_initial_pulists(db, table, order, eucs.rows)
     return eucs

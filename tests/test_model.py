@@ -12,7 +12,6 @@ from phuimine.model import (
     UtilityTable,
     check_utilities,
     make_database,
-    make_transaction,
 )
 
 from helpers import EXAMPLE_DB_TEXT, example_db
@@ -46,7 +45,7 @@ def test_quantity_below_one_reported():
 
 
 def test_missing_utility_entry_reported():
-    db = make_database([make_transaction(1, [TransactionEntry(7, 1, 0.5)])])
+    db = make_database([Transaction(1, [TransactionEntry(7, 1, 0.5)])])
     with pytest.raises(DatabaseValidationError, match=r"1 item\(s\) missing from utility table, first \[7\]"):
         check_utilities(db, UtilityTable({1: 4.0}))
 
@@ -60,14 +59,14 @@ def test_non_finite_utility_reported(utility):
 @pytest.mark.parametrize("quantity", [10_000_000_000, 10**400])
 def test_overflowing_occurrence_utility_reported(quantity):
     # a finite unit utility times a large quantity is not a finite float
-    tx = make_transaction(1, [TransactionEntry(1, quantity, 0.5), TransactionEntry(2, 1, 0.5)])
+    tx = Transaction(1, [TransactionEntry(1, quantity, 0.5), TransactionEntry(2, 1, 0.5)])
     with pytest.raises(DatabaseValidationError, match="not finite"):
         check_utilities(make_database([tx]), UtilityTable({1: 1e300, 2: 1.0}))
 
 
 def test_overflowing_utility_sum_reported():
     # every occurrence is finite, their sum is not
-    tx = make_transaction(1, [TransactionEntry(1, 1, 0.5), TransactionEntry(2, 1, 0.5)])
+    tx = Transaction(1, [TransactionEntry(1, 1, 0.5), TransactionEntry(2, 1, 0.5)])
     with pytest.raises(DatabaseValidationError, match="not finite"):
         check_utilities(make_database([tx]), UtilityTable({1: 1e308, 2: 1e308}))
     check_utilities(make_database([tx]), UtilityTable({1: 1e307, 2: -1e307}))
@@ -112,7 +111,7 @@ def test_thresholds_reject_out_of_range(min_util, min_pro, match):
 
 
 def test_tids_must_be_consecutive():
-    tx = make_transaction(3, [TransactionEntry(1, 1, 0.5)])
+    tx = Transaction(3, [TransactionEntry(1, 1, 0.5)])
     with pytest.raises(ValueError, match="tids must be 1..n"):
         make_database([tx])
 
@@ -129,11 +128,6 @@ def test_size_counts_source_lines():
 
 def test_pattern_is_canonically_sorted():
     assert Pattern.of([5, 2, 3]).items == (2, 3, 5)
-
-
-def test_make_transaction_sorts_entries():
-    tx = make_transaction(1, [TransactionEntry(5, 1, 0.5), TransactionEntry(2, 1, 0.5)])
-    assert [e.item for e in tx.entries] == [2, 5]
 
 
 def test_item_universe_from_occurrences(ex_db):
@@ -171,6 +165,19 @@ class TestTransactionRows:
         tx = ex_db.transactions[0]
         assert all(type(e) is TransactionEntry for e in tx.entries)
         assert [(e.item, e.quantity, e.probability) for e in tx.entries] == list(tx.rows)
+
+    @pytest.mark.parametrize("changes, match", [
+        ({"quantity": 0}, "quantity must be >= 1"),
+        ({"probability": 1.5}, "probability must be in"),
+        ({"item": -1}, "item id must be >= 0"),
+    ], ids=["zero-quantity", "probability-above-one", "negative-item"])
+    def test_replace_checks_the_new_entry(self, changes, match):
+        with pytest.raises(ValueError, match=match):
+            TransactionEntry(1, 1, 0.5)._replace(**changes)
+
+    def test_replace_keeps_a_valid_entry(self):
+        again = TransactionEntry(1, 1, 0.5)._replace(quantity=3)
+        assert type(again) is TransactionEntry and again == (1, 3, 0.5)
 
     def test_frozen(self, ex_db):
         with pytest.raises(AttributeError):

@@ -43,7 +43,7 @@ def ex_order(ex_table):
 
 @pytest.fixture(scope="module")
 def ex_lists(ex_db, ex_table, ex_order):
-    return build_initial_pulists(ex_db, ex_table, ex_order)
+    return dict(zip(ex_order.ordered_items, build_initial_pulists(ex_db, ex_table, ex_order)))
 
 
 class TestProcessingOrder:
@@ -154,10 +154,10 @@ class TestConstruct:
             Transaction(2, (TransactionEntry(2, 1, 0.5),)),
         ])
         table = UtilityTable({1: 3.0, 2: 4.0})
-        survivors, _ = initial_scan(db, table, Thresholds(0.0, 0.0), apply_filter=False)
-        order = compute_processing_order(table, {i: v[0] for i, v in survivors.items()})
-        lists = build_initial_pulists(db, table, order)
-        joined = construct(lists[order.ordered_items[0]], lists[order.ordered_items[1]])
+        order = compute_processing_order(
+            table, initial_scan(db, table, Thresholds(0.0, 0.0), apply_filter=False))
+        first, second = build_initial_pulists(db, table, order)
+        joined = construct(first, second)
         assert joined.tids == []
         assert (joined.sum_pro, joined.sum_pu, joined.sum_nu, joined.sum_rpu) == (0.0,) * 4
 
@@ -293,15 +293,41 @@ def test_initial_sums_add_columns_front_to_back(seed):
     non_dyadic = generate(GenParams(n_transactions=30, n_items=8, avg_tx_len=4,
                                     max_tx_len=7, seed=seed))
     for db, table in (dyadic, non_dyadic):
-        survivors, _ = initial_scan(db, table, Thresholds(0.0, 0.0), apply_filter=False)
-        order = compute_processing_order(table, {i: v[0] for i, v in survivors.items()})
-        for lst in build_initial_pulists(db, table, order).values():
+        order = compute_processing_order(
+            table, initial_scan(db, table, Thresholds(0.0, 0.0), apply_filter=False))
+        for lst in build_initial_pulists(db, table, order):
             for column, total in ((lst.pro, lst.sum_pro), (lst.pu, lst.sum_pu),
                                   (lst.nu, lst.sum_nu), (lst.rpu, lst.sum_rpu)):
                 expected = 0.0
                 for x in column:
                     expected += x
                 assert total.hex() == expected.hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), apply_filter=st.booleans(),
+       util_frac=st.floats(0.0, 0.5), min_pro=st.floats(0.0, 0.5))
+def test_initial_lists_are_the_roots(seed, apply_filter, util_frac, min_pro):
+    """One non-empty list per item that initial_scan keeps, with the s2
+    filter on or off, in processing order; each list's sum_pro is its
+    item's expected support, bit for bit."""
+    dyadic = generate_small(seed, negative_fraction=0.5, max_items=8,
+                            max_transactions=12)
+    non_dyadic = generate(GenParams(n_transactions=30, n_items=8, avg_tx_len=4,
+                                    max_tx_len=7, seed=seed))
+    for db, table in (dyadic, non_dyadic):
+        total_rtu = sum(measures.redefined_transaction_utility(tx, table)
+                        for tx in db.transactions)
+        thresholds = Thresholds(util_frac * total_rtu, min_pro)
+        order = compute_processing_order(
+            table, initial_scan(db, table, thresholds, apply_filter=apply_filter))
+        roots = build_initial_pulists(db, table, order)
+        assert tuple(lst.pattern_po for lst in roots) == tuple(
+            (item,) for item in order.ordered_items)
+        for lst in roots:
+            assert lst.tids
+            expected = measures.expected_support(lst.pattern, db)
+            assert lst.sum_pro.hex() == expected.hex()
 
 
 class TestJoinScanEquivalence:
@@ -332,8 +358,8 @@ class TestJoinScanEquivalence:
 
 def _all_reachable_lists(db, table):
     """Every non-empty list in the enumeration, by scan construction."""
-    survivors, _ = initial_scan(db, table, Thresholds(0.0, 0.0), apply_filter=False)
-    order = compute_processing_order(table, {i: rw for i, (rw, _) in survivors.items()})
+    order = compute_processing_order(
+        table, initial_scan(db, table, Thresholds(0.0, 0.0), apply_filter=False))
     from phuimine.oracle import enumerate_supported
 
     out = []
