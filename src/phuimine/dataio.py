@@ -21,7 +21,7 @@ import io
 import json
 from dataclasses import asdict, dataclass
 from decimal import Decimal
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .miner import MiningStats
 from .model import (
@@ -211,18 +211,14 @@ def stats_csv_row(stats: MiningStats) -> list[str]:
     ]
 
 
-def serialize_stats(runs: MiningStats | Sequence[MiningStats], fmt: str = "csv") -> str:
-    """One row per run in csv (single header), or a json array."""
-    stats_list = [runs] if isinstance(runs, MiningStats) else list(runs)
+def serialize_stats(stats: MiningStats, fmt: str) -> str:
+    """One run's record: a csv header and row, or a one-element json array."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(STATS_CSV_FIELDS)
-        for s in stats_list:
-            writer.writerow(stats_csv_row(s))
+        writer.writerow(stats_csv_row(stats))
         return buf.getvalue()
     if fmt == "json":
-        payload = [_stats_record(s) for s in stats_list]
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps([_stats_record(stats)], indent=2) + "\n"
     raise ValueError(f"unknown stats format {fmt!r}; expected 'csv' or 'json'")
-

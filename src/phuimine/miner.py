@@ -36,6 +36,7 @@ from .model import (
     check_utilities,
 )
 from .pulist import (
+    NARROW_MIN_LEN,
     ProcessingOrder,
     PUList,
     build_initial_pulists,
@@ -197,16 +198,23 @@ def search(
             continue
 
         y = py.pattern_po[-1]
+        # Py's tid set, built at Py's first join of two long lists and
+        # shared by the rest; construct narrows long sparse joins with
+        # it (see pulist.NARROW_MIN_LEN)
+        long_py = len(py.tids) >= NARROW_MIN_LEN
+        py_tids = None
         children: list[PUList] = []
         for pz in extensions[idx + 1:]:
             if config.s6_eucp and eucs.pair(y, pz.pattern_po[-1]) < min_util:
                 stats.eucs_skips += 1
                 continue
             stats.joins_attempted += 1
+            if long_py and py_tids is None and len(pz.tids) >= NARROW_MIN_LEN:
+                py_tids = set(py.tids)
             pyz = construct(
                 py, pz,
                 min_util=min_util, pro_bound=pro_bound,
-                la_prune=config.s1_pu_prune,
+                la_prune=config.s1_pu_prune, py_tids=py_tids,
             )
             if pyz is None:
                 stats.joins_abandoned += 1

@@ -250,18 +250,12 @@ class TestSerializeResults:
 class TestSerializeStats:
     def test_csv_header_and_zero_row(self):
         stats = MiningStats(preset="ALL", min_util=20, min_pro=0.25)
-        text = dataio.serialize_stats(stats)
+        text = dataio.serialize_stats(stats, "csv")
         lines = text.splitlines()
         assert lines[0] == ("preset,min_util,min_pro,visited_nodes,joins_attempted,"
                             "joins_abandoned,eucs_skips,s3_cuts,s4_cuts,s5_skips,"
                             "phuis_found,elapsed_ms")
         assert lines[1] == "ALL,20,0.25,0,0,0,0,0,0,0,0,0"
-
-    def test_two_runs_one_header(self):
-        runs = [MiningStats(preset="P12"), MiningStats(preset="ALL")]
-        lines = dataio.serialize_stats(runs).splitlines()
-        assert len(lines) == 3
-        assert lines[1].startswith("P12") and lines[2].startswith("ALL")
 
     def test_json(self):
         stats = MiningStats(preset="ALL", min_util=20, min_pro=0.25,

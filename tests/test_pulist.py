@@ -16,6 +16,8 @@ from phuimine.model import (
 )
 from phuimine.pulist import (
     ABANDONED,
+    NARROW_MIN_LEN,
+    NARROW_PROBES,
     build_initial_pulists,
     build_pulist_by_scan,
     compute_processing_order,
@@ -26,6 +28,7 @@ from phuimine.pulist import (
 import measures
 from helpers import (
     A, B, C, D, E,
+    _unpruned_roots,
     attempted_joins,
     entries_of,
     join_equivalence_walk,
@@ -185,6 +188,49 @@ def _pz(tids):
     ])
 
 
+class CountingSet(set):
+    """Py's tid set, recording the length of every intersection asked of
+    it: construct probes with NARROW_PROBES tids of Pz and narrows with
+    all of them."""
+
+    def __init__(self, tids):
+        super().__init__(tids)
+        self.asked = []
+
+    def intersection(self, *others):
+        self.asked.extend(len(o) for o in others)
+        return super().intersection(*others)
+
+
+def _long_list(pattern_po, tids):
+    """A list at the given tids, with values off the binary grid that
+    vary by tid; iu is negative at every third tid."""
+    out = PUList(pattern_po)
+    for t in tids:
+        out.append(t, 0.1 + (t % 7) / 10, 1.1 * (t % 5), -0.3 * (t % 3), 0.7 * (t % 4))
+        out.iu.append(-0.9 if t % 3 == 0 else 1.3 + t % 2)
+        out.ip.append(0.15 + (t % 9) / 10)
+    return out
+
+
+def _joins_alike(py, pz, **bounds):
+    """construct with Py's set equal, bit for bit, to construct without
+    it; returns the CountingSet, so that a caller can see which path
+    the join took."""
+    py_tids = CountingSet(py.tids)
+    with_set = construct(py, pz, py_tids=py_tids, **bounds)
+    without = construct(py, pz, **bounds)
+    if without is ABANDONED:
+        assert with_set is ABANDONED
+    else:
+        assert with_set is not ABANDONED and lists_match(with_set, without)
+    return py_tids
+
+
+def _narrowed(py_tids, pz):
+    return py_tids.asked == [NARROW_PROBES, len(pz.tids)]
+
+
 class TestMerge:
     @pytest.mark.parametrize("z_tids", [[], [1, 2], [8, 9]],
                              ids=["empty", "all-before", "all-after"])
@@ -229,6 +275,77 @@ class TestMerge:
         assert pyz is not ABANDONED
         assert lists_match(pyz, construct(py, pz))
         assert pyz.tids == [3, 5, 7]
+
+    def test_disjoint_long_lists(self):
+        py = _long_list((1, 2), range(0, 4 * NARROW_MIN_LEN, 2))
+        pz = _long_list((1, 3), range(1, 4 * NARROW_MIN_LEN, 2))
+        assert _narrowed(_joins_alike(py, pz), pz)
+        pyz = construct(py, pz, py_tids=set(py.tids))
+        assert pyz.tids == [] and (pyz.sum_pro, pyz.sum_pu) == (0.0, 0.0)
+        # nothing matched: any positive bound abandons, zero bounds do not
+        assert construct(py, pz, py_tids=set(py.tids), pro_bound=1e-9,
+                         la_prune=True) is ABANDONED
+        assert _narrowed(_joins_alike(py, pz, la_prune=True), pz)
+
+    def test_py_inside_pz_is_never_abandoned(self):
+        # every Py tid is in Pz, which is 20 times longer: the probe
+        # judges the join sparse, and the fully matched Py stays
+        py = _long_list((1, 2), range(7, 20 * NARROW_MIN_LEN, 20))
+        pz = _long_list((1, 3), range(20 * NARROW_MIN_LEN))
+        bounds = {"min_util": 1e9, "pro_bound": 1e9, "la_prune": True}
+        assert _narrowed(_joins_alike(py, pz, **bounds), pz)
+        pyz = construct(py, pz, py_tids=set(py.tids), **bounds)
+        assert pyz is not ABANDONED and pyz.tids == py.tids
+
+    def test_pz_ends_before_py(self):
+        py = _long_list((1, 2), range(0, 4 * NARROW_MIN_LEN, 2))
+        pz = _long_list((1, 3), [10, 100] + list(range(101, 2 * NARROW_MIN_LEN + 101, 2)))
+        assert pz.tids[-1] < py.tids[-1]
+        assert _narrowed(_joins_alike(py, pz), pz)
+        assert construct(py, pz, py_tids=set(py.tids)).tids == [10, 100]
+
+    @pytest.mark.parametrize("length", [NARROW_MIN_LEN - 1, NARROW_MIN_LEN])
+    def test_length_threshold(self, length):
+        # Py of `length` tids, Pz of NARROW_MIN_LEN tids, sharing one tid
+        shorter = _long_list((1, 2), range(0, 2 * length, 2))
+        longer = _long_list((1, 3), [0] + list(range(1, 2 * NARROW_MIN_LEN - 1, 2)))
+        for py, pz in ((shorter, longer), (longer, shorter)):
+            py_tids = _joins_alike(py, pz)
+            assert _narrowed(py_tids, pz) == (length >= NARROW_MIN_LEN)
+            assert py_tids.asked in ([], [NARROW_PROBES, len(pz.tids)])
+            assert construct(py, pz, py_tids=set(py.tids)).tids == [0]
+
+    def test_probe_decides_the_path_not_the_result(self):
+        # Pz of 16 * 16 tids, sampled at every 16th position. Against
+        # the first Py only the sampled tids are shared: the probe finds
+        # all 16 and the join merges. Against the second only the
+        # others are: the probe finds none and the join narrows, to 240
+        # shared tids. Both equal the merge.
+        n = NARROW_PROBES * 16
+        pz = _long_list((1, 3), range(0, 2 * n, 2))
+        sampled = set(pz.tids[::16])
+        py_sampled = _long_list((1, 2), sorted(sampled | set(range(1, 2 * n, 2))))
+        py_others = _long_list((1, 2), sorted(set(pz.tids) - sampled))
+        assert _joins_alike(py_sampled, pz).asked == [NARROW_PROBES]
+        assert _narrowed(_joins_alike(py_others, pz), pz)
+        assert construct(py_others, pz, py_tids=set(py_others.tids)).tids == py_others.tids
+
+    def test_s1_counts_py_entries_outside_the_narrowed_columns(self):
+        # Py shares tids 10 and 100 with Pz; its other entries lie
+        # outside the narrowed columns, so Py went partly unmatched, and
+        # a bound just above a matched sum abandons the join
+        py = _long_list((1, 2), range(0, 4 * NARROW_MIN_LEN, 2))
+        pz = _long_list((1, 3), [10, 100] + list(range(101, 4 * NARROW_MIN_LEN, 2)))
+        m_pro = 0.0 + py.pro[5] + py.pro[50]
+        m_util = 0.0 + (py.pu[5] + py.rpu[5]) + (py.pu[50] + py.rpu[50])
+        for bounds in ({"pro_bound": math.nextafter(m_pro, math.inf)},
+                       {"min_util": math.nextafter(m_util, math.inf)}):
+            py_tids = CountingSet(py.tids)
+            assert construct(py, pz, py_tids=py_tids, la_prune=True, **bounds) is ABANDONED
+            assert _narrowed(py_tids, pz)
+        kept = construct(py, pz, py_tids=set(py.tids), min_util=m_util, pro_bound=m_pro,
+                         la_prune=True)
+        assert kept.tids == [10, 100]
 
 
 def _s1_reference(py, pz, min_util, pro_bound):
@@ -280,6 +397,42 @@ def test_s1_abandons_iff_matched_sums_fall_below_a_bound(seed, util_frac, pro_fr
                 assert (got is ABANDONED) == fires
                 if got is not ABANDONED:
                     assert lists_match(got, pyz)
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 10_000), util_frac=st.floats(0.0, 0.1),
+       pro_frac=st.floats(0.0, 0.1))
+def test_narrowed_joins_equal_the_scan_and_the_merge(seed, util_frac, pro_frac):
+    """Long, sparse lists: 3,000 transactions over 40 items, where every
+    single-item list holds a few hundred tids and most pairs share about
+    a tenth of them. Every join of two roots, built with Py's tid set,
+    equals the join without it bit for bit, and each one the probe
+    narrows equals the scan. With s1 on, at drawn thresholds and at
+    thresholds on and just above the matched sums, both abandon alike."""
+    db, table = generate(GenParams(n_transactions=3000, n_items=40, avg_tx_len=4,
+                                   max_tx_len=8, seed=seed))
+    order, roots = _unpruned_roots(db, table)
+    total_rtu = sum(measures.redefined_transaction_utility(tx, table)
+                    for tx in db.transactions)
+    drawn = (util_frac * total_rtu, pro_frac * db.size)
+    narrowed = 0
+    for i, py in enumerate(roots):
+        for pz in roots[i + 1:]:
+            py_tids = _joins_alike(py, pz)
+            if _narrowed(py_tids, pz):
+                narrowed += 1
+                scan = build_pulist_by_scan(db, table, order, py.pattern_po + pz.pattern_po[-1:])
+                assert lists_match(construct(py, pz, py_tids=set(py.tids)), scan)
+            _fires, m_pro, m_util = _s1_reference(py, pz, 0.0, 0.0)
+            for min_util, pro_bound in (
+                drawn,
+                (m_util, m_pro),
+                (math.nextafter(m_util, math.inf), m_pro),
+                (m_util, math.nextafter(m_pro, math.inf)),
+            ):
+                _joins_alike(py, pz, min_util=min_util, pro_bound=pro_bound,
+                             la_prune=True)
+    assert narrowed >= len(roots) * (len(roots) - 1) // 4
 
 
 @settings(max_examples=30, deadline=None)
