@@ -1,7 +1,7 @@
 """Potential high-utility itemset mining over uncertain databases
 with positive and negative unit utilities."""
 
-from .miner import MiningConfig, MiningStats, mine, mine_preset
+from .miner import MiningConfig, MiningStats, mine
 from .model import (
     MinedPattern,
     Pattern,
@@ -27,5 +27,4 @@ __all__ = [
     "UtilityTable",
     "brute_force_mine",
     "mine",
-    "mine_preset",
 ]

@@ -44,12 +44,17 @@ class GenParams:
             raise ValueError("cannot generate transactions without items")
         if not 0.0 <= self.negative_fraction <= 1.0:
             raise ValueError("negative_fraction must be in [0, 1]")
-        if self.negative_fraction > 0 and not lo < 0 < hi:
-            raise ValueError("utility_range must straddle zero when negative items are requested")
-        if self.negative_fraction == 0 and hi <= 0:
-            raise ValueError("utility_range upper bound must be positive")
-        if self.avg_tx_len < 1 or self.max_tx_len < 1:
-            raise ValueError("transaction lengths must be >= 1")
+        # magnitudes are integers >= 1 clamped to int(hi), or to int(-lo)
+        # for negative items, so a bound inside (-1, 1) leaves none
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("utility_range bounds must be finite")
+        if hi < 1:
+            raise ValueError("utility_range upper bound must be >= 1")
+        if self.negative_fraction > 0 and lo > -1:
+            raise ValueError("utility_range lower bound must be <= -1 "
+                             "when negative items are requested")
+        if not math.isfinite(self.avg_tx_len) or self.avg_tx_len < 1 or self.max_tx_len < 1:
+            raise ValueError("transaction lengths must be finite and >= 1")
         if self.max_quantity < 1:
             raise ValueError("max_quantity must be >= 1")
 

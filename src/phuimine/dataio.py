@@ -16,8 +16,6 @@ databases and tables uses shortest round-tripping decimal notation so
 that parse(serialize(x)) == x.
 """
 
-import csv
-import io
 import json
 from dataclasses import asdict, dataclass
 from decimal import Decimal
@@ -214,11 +212,7 @@ def stats_csv_row(stats: MiningStats) -> list[str]:
 def serialize_stats(stats: MiningStats, fmt: str) -> str:
     """One run's record: a csv header and row, or a one-element json array."""
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(STATS_CSV_FIELDS)
-        writer.writerow(stats_csv_row(stats))
-        return buf.getvalue()
+        return ",".join(STATS_CSV_FIELDS) + "\n" + ",".join(stats_csv_row(stats)) + "\n"
     if fmt == "json":
         return json.dumps([_stats_record(stats)], indent=2) + "\n"
     raise ValueError(f"unknown stats format {fmt!r}; expected 'csv' or 'json'")

@@ -25,7 +25,6 @@ only in visited-node counts and runtime.
 
 import time
 from dataclasses import dataclass
-from typing import Mapping
 
 from .model import (
     Item,
@@ -36,8 +35,8 @@ from .model import (
     check_utilities,
 )
 from .pulist import (
+    EUCS,
     NARROW_MIN_LEN,
-    ProcessingOrder,
     PUList,
     build_initial_pulists,
     compute_processing_order,
@@ -103,31 +102,6 @@ class MiningStats:
     s5_skips: int = 0
     phuis_found: int = 0
     elapsed: float = 0.0  # seconds
-
-
-@dataclass(frozen=True)
-class EUCS:
-    """Pair rtwu co-occurrence matrix over the processing order.
-
-    A lower-triangular matrix indexed by rank, as in FHM: row r holds
-    one float per lower rank, so the pair of ranks q < r sits at
-    rows[r][q]. Filled by build_initial_pulists, so each transaction
-    adds its positive utility over the surviving items only (a tighter,
-    still sound bound than over all of its items); a pair that never
-    co-occurs reads 0.0."""
-
-    rank: Mapping[Item, int]
-    rows: list[list[float]]
-
-    @classmethod
-    def zeros(cls, order: ProcessingOrder) -> "EUCS":
-        return cls(order.rank, [[0.0] * r for r in range(len(order.ordered_items))])
-
-    def pair(self, a: Item, b: Item) -> float:
-        """The rtwu of two distinct items of the processing order."""
-        ra = self.rank[a]
-        rb = self.rank[b]
-        return self.rows[rb][ra] if ra < rb else self.rows[ra][rb]
 
 
 def initial_scan(
@@ -259,29 +233,18 @@ def mine(
     if rtwu:
         order = compute_processing_order(table, rtwu)
         eucs = EUCS.zeros(order) if config.s6_eucp else None
-        roots = build_initial_pulists(db, table, order, eucs.rows if eucs else None)
+        roots = build_initial_pulists(db, table, order, eucs)
         search(roots, thresholds, pro_bound, config, eucs, stats, out)
 
     stats.elapsed = time.perf_counter() - started
     return out, stats
 
 
-def mine_preset(
-    db: UncertainDatabase,
-    table: UtilityTable,
-    thresholds: Thresholds,
-    preset: str,
-) -> tuple[list[MinedPattern], MiningStats]:
-    return mine(db, table, thresholds, MiningConfig.from_preset(preset))
-
-
 __all__ = [
-    "EUCS",
     "MiningConfig",
     "MiningStats",
     "PRESETS",
     "initial_scan",
     "mine",
-    "mine_preset",
     "search",
 ]

@@ -15,7 +15,8 @@ seven tid-sorted parallel columns:
 The single-item lists come from the miner's second database scan, one
 walk over the transactions that projects each onto the surviving items
 in processing order, appends to the item columns directly and, for s6,
-also fills the rank-indexed item-pair matrix (EUCS).
+also fills the item-pair matrix, EUCS, whose rank-indexed layout only
+this module reads and writes.
 The list of Pyz is built from the lists of Py and Pz alone (the
 HUI-Miner join, with negative utilities split off as in FHN): Py's
 entry is extended by z's own utility and probability, which Pz carries
@@ -28,13 +29,14 @@ the merge walks only the entries it keeps (see NARROW_MIN_LEN). With s1
 on, the join also sums Py's probability and pu + rpu over the matched
 entries; if some Py entry went unmatched and either sum is below its
 threshold, the join is abandoned: Pyz and every extension of it are
-then out of reach.
+then out of reach. The tests cross-check construct against lists built
+by a direct scan of the transactions (tests/scan_reference.py).
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .model import Item, Pattern, UncertainDatabase, UtilityTable
 
@@ -53,8 +55,8 @@ class PUList:
 
     `pattern_po` keeps the items in processing order (the order they
     were appended along the enumeration path); `pattern` exposes the
-    canonical ascending-id form. `append` fills the pattern columns and
-    their sums; whoever builds the list also fills `iu` and `ip`.
+    canonical ascending-id form. build_initial_pulists and construct
+    fill every column and set the four sums.
     """
 
     __slots__ = ("pattern_po", "tids", "pro", "pu", "nu", "rpu", "iu", "ip",
@@ -78,19 +80,33 @@ class PUList:
     def pattern(self) -> Pattern:
         return Pattern.of(self.pattern_po)
 
-    def append(self, tid: int, pro: float, pu: float, nu: float, rpu: float) -> None:
-        self.tids.append(tid)
-        self.pro.append(pro)
-        self.pu.append(pu)
-        self.nu.append(nu)
-        self.rpu.append(rpu)
-        self.sum_pro += pro
-        self.sum_pu += pu
-        self.sum_nu += nu
-        self.sum_rpu += rpu
-
     def __len__(self) -> int:
         return len(self.tids)
+
+
+@dataclass(frozen=True)
+class EUCS:
+    """Pair rtwu co-occurrence matrix over the processing order.
+
+    A lower-triangular matrix indexed by rank, as in FHM: row r holds
+    one float per lower rank, so the pair of ranks q < r sits at
+    rows[r][q]. Filled by build_initial_pulists, so each transaction
+    adds its positive utility over the surviving items only (a tighter,
+    still sound bound than over all of its items); a pair that never
+    co-occurs reads 0.0."""
+
+    rank: Mapping[Item, int]
+    rows: list[list[float]]
+
+    @classmethod
+    def zeros(cls, order: ProcessingOrder) -> "EUCS":
+        return cls(order.rank, [[0.0] * r for r in range(len(order.ordered_items))])
+
+    def pair(self, a: Item, b: Item) -> float:
+        """The rtwu of two distinct items of the processing order."""
+        ra = self.rank[a]
+        rb = self.rank[b]
+        return self.rows[rb][ra] if ra < rb else self.rows[ra][rb]
 
 
 def compute_processing_order(
@@ -111,7 +127,7 @@ def build_initial_pulists(
     db: UncertainDatabase,
     table: UtilityTable,
     order: ProcessingOrder,
-    pair_rtwu: list[list[float]] | None = None,
+    eucs: EUCS | None = None,
 ) -> list[PUList]:
     """The roots of the search: one list per surviving item, in processing
     order, none empty (every item initial_scan keeps occurs somewhere).
@@ -124,14 +140,14 @@ def build_initial_pulists(
     item in the projected transaction. A positive-group item has nu = 0
     per entry, a negative-group item has pu = 0. The column sums are
     added once per list after the walk, in tid order from 0.0: the
-    order in which PUList.append and construct accumulate theirs.
+    order in which construct accumulates its sums.
 
-    Given pair_rtwu, a lower-triangular matrix (row r holds r floats,
-    one per lower rank; see miner.EUCS), the same walk adds the
-    transaction's positive utility over the surviving items to the cell
-    of every co-occurring pair: the EUCS that s6 consults. A pair that
-    never co-occurs keeps its 0.0.
+    Given an EUCS over the same order (EUCS.zeros(order)), the same walk
+    adds the transaction's positive utility over the surviving items to
+    the cell of every co-occurring pair: the matrix that s6 consults. A
+    pair that never co-occurs keeps its 0.0.
     """
+    pair_rtwu = eucs.rows if eucs is not None else None
     rank_of = order.rank.get
     unit_of_rank = [table.unit_utility(item) for item in order.ordered_items]
     lists = [PUList((item,)) for item in order.ordered_items]
@@ -344,61 +360,3 @@ def _narrow(py: PUList, pz: PUList, py_tids: set[int]) -> tuple[list, ...] | Non
     return (shared,
             *([column[i] for i in yi] for column in (py.pro, py.pu, py.nu, py.rpu)),
             *([column[k] for k in zi] for column in (pz.rpu, pz.iu, pz.ip)))
-
-
-def build_pulist_by_scan(
-    db: UncertainDatabase,
-    table: UtilityTable,
-    order: ProcessingOrder,
-    pattern_items: Sequence[Item],
-) -> PUList:
-    """Direct scan construction of an arbitrary pattern's list.
-
-    Independent of the join and of build_initial_pulists: reads the
-    transactions themselves, to cross-check construct(). The pattern is
-    given in any order and normalized to processing order.
-
-    rpu adds the positive utilities of the following items one at a
-    time, from the last in processing order back to the first, starting
-    from 0.0: the order of build_initial_pulists' suffix scan, so both
-    round alike. An explicit loop, because builtin sum() of floats is
-    compensated from Python 3.12 on and would round differently.
-    """
-    rank = order.rank
-    unit = table.unit_utility
-    members = sorted(pattern_items, key=lambda i: rank[i])
-    member_set = set(members)
-    last_rank = rank[members[-1]]
-    out = PUList(tuple(members))
-    for tx in db.transactions:
-        found = {
-            item: (unit(item) * quantity, probability)
-            for item, quantity, probability in tx.rows
-            if item in member_set
-        }
-        if len(found) != len(member_set):
-            continue
-        pro = 1.0
-        pu = 0.0
-        nu = 0.0
-        for item in members:
-            u, p = found[item]
-            pro *= p
-            if u >= 0.0:
-                pu += u
-            else:
-                nu += u
-        following = sorted(
-            (rank[item], unit(item) * quantity)
-            for item, quantity, _probability in tx.rows
-            if item in rank and rank[item] > last_rank
-        )
-        rpu = 0.0
-        for _rank, u in reversed(following):
-            if u > 0.0:
-                rpu += u
-        out.append(tx.tid, pro, pu, nu, rpu)
-        iu, ip = found[members[-1]]
-        out.iu.append(iu)
-        out.ip.append(ip)
-    return out

@@ -6,11 +6,12 @@ from phuimine.model import Thresholds, UncertainDatabase, UtilityTable
 from phuimine.pulist import (
     PUList,
     build_initial_pulists,
-    build_pulist_by_scan,
     compute_processing_order,
     construct,
 )
 from phuimine import dataio
+
+from scan_reference import build_pulist_by_scan
 
 # Item ids for the worked example: a..e -> 1..5.
 A, B, C, D, E = 1, 2, 3, 4, 5

@@ -11,7 +11,7 @@ import pytest
 
 from phuimine import dataio, verify
 from phuimine.datagen import GenParams, generate
-from phuimine.miner import initial_scan, mine, mine_preset
+from phuimine.miner import MiningConfig, initial_scan, mine
 from phuimine.model import Pattern, Thresholds, make_database
 from phuimine.oracle import qualifying_patterns
 from phuimine.pulist import (
@@ -89,7 +89,7 @@ def sweep():
             reference = qualifying_patterns(case.measures, thresholds, db.size)
             stats_by_preset = {}
             for preset in verify.PRESET_SEQUENCE:
-                found, stats = mine_preset(db, table, thresholds, preset)
+                found, stats = mine(db, table, thresholds, MiningConfig.from_preset(preset))
                 stats_by_preset[preset] = stats
                 diff = verify.compare_results("oracle", reference, preset, found)
                 if diff is not None:
@@ -192,7 +192,7 @@ def test_c4_pruning_safety_and_counter_monotonicity(sweep, ten_k_dataset):
             outputs = set()
             chain = []
             for preset in COUNTER_PRESETS:
-                results, stats = mine_preset(db, table, thresholds, preset)
+                results, stats = mine(db, table, thresholds, MiningConfig.from_preset(preset))
                 outputs.add(dataio.serialize_results(results))
                 chain.append(stats.visited_nodes)
                 assert stats.visited_nodes >= stats.phuis_found
@@ -225,7 +225,7 @@ def test_c7_scalability_shape():
             series = []
             for prefix in prefixes:
                 head = make_database(db.transactions[:prefix])
-                _, stats = mine_preset(head, table, thresholds, preset)
+                _, stats = mine(head, table, thresholds, MiningConfig.from_preset(preset))
                 series.append(stats.elapsed)
             assert series == sorted(series), f"{preset}: not non-decreasing: {series}"
             elapsed[preset] = series

@@ -86,6 +86,22 @@ class TestMineCommand:
         assert lines[0].startswith("preset,min_util,min_pro,visited_nodes")
         assert lines[1].startswith("ALL,20,0.25,")
 
+    def test_stats_csv_matches_bench_row(self, data_files, tmp_path):
+        db, ptable = data_files
+        stats, bench = tmp_path / "stats.csv", tmp_path / "bench.csv"
+        run(["mine", "--db", db, "--ptable", ptable, "--min-util", "20",
+             "--min-pro", "0.25", "--out", str(tmp_path / "r.txt"),
+             "--stats", str(stats)])
+        run(["bench", "--db", db, "--ptable", ptable, "--min-util", "20",
+             "--min-pro", "0.25", "--presets", "ALL", "--out", str(bench)])
+        mined = [line.split(",") for line in stats.read_text().splitlines()]
+        benched = [line.split(",") for line in bench.read_text().splitlines()]
+        assert mined[0] == benched[0]
+        elapsed = mined[0].index("elapsed_ms")
+        assert len(mined) == len(benched) == 2
+        del mined[1][elapsed], benched[1][elapsed]
+        assert mined[1] == benched[1]
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         db = tmp_path / "bad.db"
         db.write_text("1:0:0.5\n")
@@ -244,6 +260,17 @@ class TestGenCommand:
                     "--out-db", str(tmp_path / "q.db"),
                     "--out-ptable", str(tmp_path / "q.ptable")]) == 2
         assert "max_quantity must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--utility-hi", "inf"],
+        ["--utility-lo", "-0.5", "--utility-hi", "0.9"],
+    ], ids=["infinite-hi", "sub-unit-bounds"])
+    def test_unusable_utility_bounds_are_usage_errors(self, tmp_path, capsys, flags):
+        db = tmp_path / "u.db"
+        assert run(["gen", "--transactions", "5", "--items", "3", *flags,
+                    "--out-db", str(db), "--out-ptable", str(tmp_path / "u.ptable")]) == 2
+        assert "utility_range" in capsys.readouterr().err
+        assert not db.exists()
 
     def test_all_negative(self, tmp_path):
         ptable = tmp_path / "neg.ptable"

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import pytest
 
@@ -82,6 +83,32 @@ def test_param_validation():
                            utility_range=(10.0, 100.0)))
     with pytest.raises(ValueError):
         generate(GenParams(n_transactions=10, n_items=5, max_quantity=0))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(avg_tx_len=math.nan), "transaction lengths"),
+    (dict(avg_tx_len=math.inf), "transaction lengths"),
+    (dict(utility_range=(-1000.0, math.inf)), "finite"),
+    (dict(utility_range=(-math.inf, 1000.0)), "finite"),
+    (dict(utility_range=(-1000.0, math.nan), negative_fraction=0.0), "finite"),
+    (dict(utility_range=(-0.5, 0.9)), "upper bound"),
+    (dict(utility_range=(-0.5, 1000.0)), "lower bound"),
+], ids=["nan-avg-len", "inf-avg-len", "inf-hi", "inf-lo", "nan-hi", "hi-below-one",
+        "lo-above-minus-one"])
+def test_validate_refuses_what_generate_cannot_draw(kwargs, message):
+    # checked on the params alone: generate() itself never returns for a
+    # NaN avg_tx_len unless validate refuses it
+    with pytest.raises(ValueError, match=message):
+        GenParams(n_transactions=5, n_items=3, **kwargs).validate()
+
+
+def test_unit_bounds_of_one():
+    _db, table = generate(GenParams(n_transactions=5, n_items=10,
+                                    utility_range=(-1.0, 1.0), seed=1))
+    assert sorted(table.entries.values()) == [-1.0] * 2 + [1.0] * 8
+    # without negative items the lower bound is never read
+    GenParams(n_transactions=5, n_items=3, utility_range=(-0.5, 1.0),
+              negative_fraction=0.0).validate()
 
 
 def test_small_generator_validates_and_uses_palette():

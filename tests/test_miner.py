@@ -4,14 +4,7 @@ from hypothesis import strategies as st
 
 from phuimine import dataio
 from phuimine.datagen import generate_small
-from phuimine.miner import (
-    EUCS,
-    MiningConfig,
-    PRESETS,
-    initial_scan,
-    mine,
-    mine_preset,
-)
+from phuimine.miner import MiningConfig, PRESETS, initial_scan, mine
 from phuimine.model import (
     DatabaseValidationError,
     Pattern,
@@ -21,7 +14,7 @@ from phuimine.model import (
     UtilityTable,
     make_database,
 )
-from phuimine.pulist import build_initial_pulists, compute_processing_order
+from phuimine.pulist import EUCS, build_initial_pulists, compute_processing_order
 
 import measures
 from helpers import A, B, C, D, E, EXAMPLE_PHUIS, rel_close, results_map
@@ -55,7 +48,7 @@ def eucs_of(db, table, thresholds, *, apply_filter=True):
     order = compute_processing_order(
         table, initial_scan(db, table, thresholds, apply_filter=apply_filter))
     eucs = EUCS.zeros(order)
-    build_initial_pulists(db, table, order, eucs.rows)
+    build_initial_pulists(db, table, order, eucs)
     return eucs
 
 
@@ -114,14 +107,15 @@ class TestMine:
         assert stats.phuis_found == 10
 
     def test_preset_none_identical(self, ex_db, ex_table):
-        baseline, _ = mine_preset(ex_db, ex_table, TH, "ALL")
-        exhaustive, _ = mine_preset(ex_db, ex_table, TH, "NONE")
+        baseline, _ = mine(ex_db, ex_table, TH, MiningConfig.from_preset("ALL"))
+        exhaustive, _ = mine(ex_db, ex_table, TH, MiningConfig.from_preset("NONE"))
         assert results_map(baseline) == results_map(exhaustive)
 
     def test_every_preset_identical(self, ex_db, ex_table):
-        reference = results_map(mine_preset(ex_db, ex_table, TH, "NONE")[0])
+        reference = results_map(mine(ex_db, ex_table, TH, MiningConfig.from_preset("NONE"))[0])
         for preset in PRESETS:
-            assert results_map(mine_preset(ex_db, ex_table, TH, preset)[0]) == reference
+            found, _ = mine(ex_db, ex_table, TH, MiningConfig.from_preset(preset))
+            assert results_map(found) == reference
 
     def test_huge_min_util_yields_nothing(self, ex_db, ex_table):
         results, stats = mine(ex_db, ex_table, Thresholds(1e9, 0.25))
@@ -134,14 +128,14 @@ class TestMine:
         assert (A, D) not in got
 
     def test_no_duplicate_emissions(self, ex_db, ex_table):
-        results, _ = mine_preset(ex_db, ex_table, TH, "NONE")
+        results, _ = mine(ex_db, ex_table, TH, MiningConfig.from_preset("NONE"))
         patterns = [m.pattern for m in results]
         assert len(patterns) == len(set(patterns))
 
     def test_counter_monotonicity_on_example(self, ex_db, ex_table):
         visited = []
         for preset in ["P12", "P123", "P1234", "ALL"]:
-            _, stats = mine_preset(ex_db, ex_table, TH, preset)
+            _, stats = mine(ex_db, ex_table, TH, MiningConfig.from_preset(preset))
             visited.append(stats.visited_nodes)
             assert stats.visited_nodes >= stats.phuis_found == 10
         assert visited == sorted(visited, reverse=True)
@@ -231,7 +225,7 @@ class TestConfig:
             MiningConfig.from_strategies(["s9"])
 
     def test_single_strategy_configs_are_sound(self, ex_db, ex_table):
-        reference = results_map(mine_preset(ex_db, ex_table, TH, "NONE")[0])
+        reference = results_map(mine(ex_db, ex_table, TH, MiningConfig.from_preset("NONE"))[0])
         for s in ["s1", "s2", "s3", "s4", "s5", "s6"]:
             config = MiningConfig.from_strategies([s])
             assert results_map(mine(ex_db, ex_table, TH, config)[0]) == reference

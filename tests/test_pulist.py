@@ -19,13 +19,13 @@ from phuimine.pulist import (
     NARROW_MIN_LEN,
     NARROW_PROBES,
     build_initial_pulists,
-    build_pulist_by_scan,
     compute_processing_order,
     construct,
     PUList,
 )
 
 import measures
+from scan_reference import append_entry, build_pulist_by_scan
 from helpers import (
     A, B, C, D, E,
     _unpruned_roots,
@@ -168,10 +168,8 @@ class TestConstruct:
 def _hand_list(pattern_po, rows):
     """A list from (tid, pro, pu, nu, rpu, iu, ip) rows."""
     out = PUList(pattern_po)
-    for tid, pro, pu, nu, rpu, iu, ip in rows:
-        out.append(tid, pro, pu, nu, rpu)
-        out.iu.append(iu)
-        out.ip.append(ip)
+    for row in rows:
+        append_entry(out, *row)
     return out
 
 
@@ -207,9 +205,9 @@ def _long_list(pattern_po, tids):
     vary by tid; iu is negative at every third tid."""
     out = PUList(pattern_po)
     for t in tids:
-        out.append(t, 0.1 + (t % 7) / 10, 1.1 * (t % 5), -0.3 * (t % 3), 0.7 * (t % 4))
-        out.iu.append(-0.9 if t % 3 == 0 else 1.3 + t % 2)
-        out.ip.append(0.15 + (t % 9) / 10)
+        append_entry(out, t, 0.1 + (t % 7) / 10, 1.1 * (t % 5), -0.3 * (t % 3),
+                     0.7 * (t % 4), -0.9 if t % 3 == 0 else 1.3 + t % 2,
+                     0.15 + (t % 9) / 10)
     return out
 
 
