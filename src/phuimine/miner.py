@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from .model import (
     Item,
     MinedPattern,
+    Pattern,
     Thresholds,
     UncertainDatabase,
     UtilityTable,
@@ -156,18 +157,29 @@ def search(
     lists with no supporting transaction are always discarded (they
     cannot describe a pattern of the database). eucs is read only with
     s6 on; mine() passes None otherwise.
+
+    Each call adds its work to stats once per Py (joins, abandons, s5
+    and s6 counts) or once per call (visited nodes); emitted patterns
+    are not counted here: mine() sets phuis_found to len(out).
     """
     min_util = thresholds.min_util
+    s1 = config.s1_pu_prune
+    s3 = config.s3_probability_bound
+    s4 = config.s4_remaining_utility_bound
+    s5 = config.s5_empty_or_lowpro_skip
+    s6 = config.s6_eucp
+    stats.visited_nodes += len(extensions)
     for idx, py in enumerate(extensions):
-        stats.visited_nodes += 1
-        if py.sum_pro >= pro_bound and py.sum_pu + py.sum_nu >= min_util:
-            out.append(MinedPattern(py.pattern, py.sum_pu + py.sum_nu, py.sum_pro))
-            stats.phuis_found += 1
+        sum_pro = py.sum_pro
+        utility = py.sum_pu + py.sum_nu
+        if sum_pro >= pro_bound and utility >= min_util:
+            # Pattern.of without its call: this runs once per emission
+            out.append(MinedPattern(Pattern(tuple(sorted(py.pattern_po))), utility, sum_pro))
 
-        if config.s3_probability_bound and not py.sum_pro >= pro_bound:
+        if s3 and not sum_pro >= pro_bound:
             stats.s3_cuts += 1
             continue
-        if config.s4_remaining_utility_bound and not py.sum_pu + py.sum_rpu >= min_util:
+        if s4 and not py.sum_pu + py.sum_rpu >= min_util:
             stats.s4_cuts += 1
             continue
 
@@ -177,28 +189,33 @@ def search(
         # it (see pulist.NARROW_MIN_LEN)
         long_py = len(py.tids) >= NARROW_MIN_LEN
         py_tids = None
+        siblings = extensions[idx + 1:]
+        skipped = abandoned = low_pro = 0
         children: list[PUList] = []
-        for pz in extensions[idx + 1:]:
-            if config.s6_eucp and eucs.pair(y, pz.pattern_po[-1]) < min_util:
-                stats.eucs_skips += 1
+        for pz in siblings:
+            if s6 and eucs.pair(y, pz.pattern_po[-1]) < min_util:
+                skipped += 1
                 continue
-            stats.joins_attempted += 1
             if long_py and py_tids is None and len(pz.tids) >= NARROW_MIN_LEN:
                 py_tids = set(py.tids)
             pyz = construct(
                 py, pz,
                 min_util=min_util, pro_bound=pro_bound,
-                la_prune=config.s1_pu_prune, py_tids=py_tids,
+                la_prune=s1, py_tids=py_tids,
             )
             if pyz is None:
-                stats.joins_abandoned += 1
+                abandoned += 1
                 continue
             if not pyz.tids:
                 continue
-            if config.s5_empty_or_lowpro_skip and not pyz.sum_pro >= pro_bound:
-                stats.s5_skips += 1
+            if s5 and not pyz.sum_pro >= pro_bound:
+                low_pro += 1
                 continue
             children.append(pyz)
+        stats.eucs_skips += skipped
+        stats.joins_attempted += len(siblings) - skipped
+        stats.joins_abandoned += abandoned
+        stats.s5_skips += low_pro
         if children:
             search(children, thresholds, pro_bound, config, eucs, stats, out)
 
@@ -235,6 +252,7 @@ def mine(
         eucs = EUCS.zeros(order) if config.s6_eucp else None
         roots = build_initial_pulists(db, table, order, eucs)
         search(roots, thresholds, pro_bound, config, eucs, stats, out)
+    stats.phuis_found = len(out)
 
     stats.elapsed = time.perf_counter() - started
     return out, stats

@@ -22,7 +22,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import ge, lt
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 Item = int  # non-negative integer identifier
 
@@ -165,9 +165,12 @@ class Thresholds:
         return self.min_pro * db_size
 
 
-@dataclass(frozen=True, order=True)
-class Pattern:
-    """A non-empty itemset, canonically stored sorted by ascending id."""
+class Pattern(NamedTuple):
+    """A non-empty itemset, canonically stored sorted by ascending id.
+
+    A one-field named tuple: Patterns compare and sort by their ids, and
+    equal the plain tuple ((1, 2),). So len(p) is 1; a pattern's length
+    is len(p.items)."""
 
     items: tuple[Item, ...]
 
@@ -176,8 +179,7 @@ class Pattern:
         return cls(tuple(sorted(items)))
 
 
-@dataclass(frozen=True)
-class MinedPattern:
+class MinedPattern(NamedTuple):
     """A pattern together with its exact utility and expected support."""
 
     pattern: Pattern

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Mapping
 
-from .model import Item, Pattern, UncertainDatabase, UtilityTable
+from .model import Item, UncertainDatabase, UtilityTable
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,11 @@ class PUList:
     """Per-pattern list stored as parallel tid-sorted columns.
 
     `pattern_po` keeps the items in processing order (the order they
-    were appended along the enumeration path); `pattern` exposes the
-    canonical ascending-id form. build_initial_pulists and construct
-    fill every column and set the four sums.
+    were appended along the enumeration path); Pattern.of(pattern_po)
+    is the canonical ascending-id form. PUList(pattern_po) is an empty
+    list; build_initial_pulists fills its columns and sets the four
+    sums. construct makes a kept join's list without __init__, storing
+    the columns it has filled and every other slot directly.
     """
 
     __slots__ = ("pattern_po", "tids", "pro", "pu", "nu", "rpu", "iu", "ip",
@@ -75,10 +77,6 @@ class PUList:
         self.sum_pu = 0.0
         self.sum_nu = 0.0
         self.sum_rpu = 0.0
-
-    @property
-    def pattern(self) -> Pattern:
-        return Pattern.of(self.pattern_po)
 
     def __len__(self) -> int:
         return len(self.tids)
@@ -270,15 +268,33 @@ def construct(
     least its Pyz entry ey.pro * ez.ip (ip <= 1), and rounded addition
     is monotone, so m_pro bounds Pyz's sum_pro from above. A fully
     matched Py is never abandoned; its Pyz is returned as built.
+
+    The merge fills the seven columns as plain lists; the PUList that
+    holds them is made only after the s1 test, so an abandoned join
+    allocates none.
     """
-    out = PUList(py.pattern_po + (pz.pattern_po[-1],))
-    o_tids, o_pro, o_pu, o_nu = out.tids, out.pro, out.pu, out.nu
-    o_rpu, o_iu, o_ip = out.rpu, out.iu, out.ip
+    # one name per statement, here and for Py's and Pz's columns below:
+    # a multiple assignment of more than three names builds and unpacks a
+    # tuple, a cost paid on every join
+    o_tids = []
+    o_pro = []
+    o_pu = []
+    o_nu = []
+    o_rpu = []
+    o_iu = []
+    o_ip = []
     s_pro = s_pu = s_nu = s_rpu = 0.0
     m_pro = m_util = 0.0
 
-    y_tids, y_pro, y_pu, y_nu, y_rpu = py.tids, py.pro, py.pu, py.nu, py.rpu
-    z_tids, z_rpu, z_iu, z_ip = pz.tids, pz.rpu, pz.iu, pz.ip
+    y_tids = py.tids
+    y_pro = py.pro
+    y_pu = py.pu
+    y_nu = py.nu
+    y_rpu = py.rpu
+    z_tids = pz.tids
+    z_rpu = pz.rpu
+    z_iu = pz.iu
+    z_ip = pz.ip
     z_len = len(z_tids)
 
     if py_tids is not None:
@@ -335,6 +351,15 @@ def construct(
     if (la_prune and len(o_tids) < len(py.tids)
             and (m_pro < pro_bound or m_util < min_util)):
         return ABANDONED
+    out = PUList.__new__(PUList)
+    out.pattern_po = py.pattern_po + (pz.pattern_po[-1],)
+    out.tids = o_tids
+    out.pro = o_pro
+    out.pu = o_pu
+    out.nu = o_nu
+    out.rpu = o_rpu
+    out.iu = o_iu
+    out.ip = o_ip
     out.sum_pro = s_pro
     out.sum_pu = s_pu
     out.sum_nu = s_nu

@@ -9,6 +9,7 @@ command and the test suite.
 """
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from . import oracle
@@ -57,12 +58,15 @@ def compare_results(
     utility (exact float equality) and expected supports within
     `PRO_REL_TOL` relative. The first divergence is the shortest, then
     lowest-id, pattern that is missing from one side or differs in a
-    measure. Both sets are keyed on their item tuples, which hash and
-    compare in C; the ordered walk runs only when the sets differ.
+    measure, or that one side lists more than once. Both sets are keyed
+    on their item tuples, which hash and compare in C; the ordered walk
+    runs only when the sets differ.
     """
     by_items_a = {m.pattern.items: m for m in results_a}
     by_items_b = {m.pattern.items: m for m in results_b}
-    if len(by_items_a) == len(by_items_b):
+    repeated_a = _repeated(results_a, by_items_a)
+    repeated_b = _repeated(results_b, by_items_b)
+    if len(by_items_a) == len(by_items_b) and not repeated_a and not repeated_b:
         # equal supports are close; the call is made only for the rest
         for items, ma in by_items_a.items():
             mb = by_items_b.get(items)
@@ -77,6 +81,12 @@ def compare_results(
                         key=lambda k: (len(k), k)):
         ma = by_items_a.get(items)
         mb = by_items_b.get(items)
+        if items in repeated_a:
+            return Divergence(label_a, label_b, ma.pattern,
+                              f"listed {repeated_a[items]} times in {label_a}")
+        if items in repeated_b:
+            return Divergence(label_a, label_b, mb.pattern,
+                              f"listed {repeated_b[items]} times in {label_b}")
         if ma is None:
             return Divergence(label_a, label_b, mb.pattern, f"missing from {label_a}")
         if mb is None:
@@ -88,6 +98,16 @@ def compare_results(
             return Divergence(label_a, label_b, ma.pattern,
                               f"expected support {ma.expected_support} != {mb.expected_support}")
     return None
+
+
+def _repeated(results: list[MinedPattern], by_items: dict) -> dict:
+    """{items: count} for the patterns that results lists more than
+    once; by_items, results keyed on their items, holds one record per
+    pattern, so it is shorter exactly when some pattern repeats."""
+    if len(by_items) == len(results):
+        return {}
+    counts = Counter(m.pattern.items for m in results)
+    return {items: n for items, n in counts.items() if n > 1}
 
 
 def check_instance(

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phuimine import dataio
-from phuimine.datagen import generate_small
+from phuimine.datagen import GenParams, generate, generate_small
 from phuimine.miner import MiningConfig, PRESETS, initial_scan, mine
 from phuimine.model import (
     DatabaseValidationError,
@@ -15,6 +15,7 @@ from phuimine.model import (
     make_database,
 )
 from phuimine.pulist import EUCS, build_initial_pulists, compute_processing_order
+from phuimine.verify import make_fuzz_case
 
 import measures
 from helpers import A, B, C, D, E, EXAMPLE_PHUIS, rel_close, results_map
@@ -243,3 +244,68 @@ def test_threshold_monotonicity_fuzz(seed, looser_du, looser_dp):
     strict_set = set(results_map(mine(db, table, strict)[0]))
     loose_set = set(results_map(mine(db, table, loose)[0]))
     assert strict_set <= loose_set
+
+
+COUNTER_FIELDS = ("visited_nodes", "joins_attempted", "joins_abandoned", "eucs_skips",
+                  "s3_cuts", "s4_cuts", "s5_skips", "phuis_found")
+
+# Every counter of every preset on fixed instances, so that a slip in how
+# search adds up its counts fails a named test. Between them the
+# instances make each counter nonzero under some preset.
+PINNED_COUNTERS = {
+    "generated": {
+        "NONE": (32277, 34826, 0, 0, 0, 0, 0, 1409),
+        "P12": (3601, 7459, 3874, 0, 0, 0, 0, 1409),
+        "P123": (3503, 6639, 3152, 0, 637, 0, 0, 1409),
+        "P1234": (3448, 5849, 2417, 0, 615, 772, 0, 1409),
+        "ALL": (2833, 5511, 2138, 0, 0, 772, 556, 1409),
+    },
+    "fuzz-20-0": {
+        "NONE": (1515, 1540, 0, 0, 0, 0, 0, 13),
+        "P12": (33, 54, 30, 0, 0, 0, 0, 13),
+        "P123": (30, 41, 20, 0, 17, 0, 0, 13),
+        "P1234": (30, 41, 20, 0, 17, 0, 0, 13),
+        "ALL": (13, 37, 17, 0, 0, 0, 16, 13),
+    },
+    "fuzz-20-1": {
+        "NONE": (1515, 1540, 0, 0, 0, 0, 0, 273),
+        "P12": (1193, 1253, 72, 0, 0, 0, 0, 273),
+        "P123": (615, 661, 58, 0, 225, 0, 0, 273),
+        "P1234": (568, 614, 58, 0, 194, 31, 0, 273),
+        "ALL": (374, 520, 42, 2, 0, 31, 116, 273),
+    },
+    "fuzz-20-2": {
+        "NONE": (1515, 1540, 0, 0, 0, 0, 0, 1113),
+        "P12": (1466, 1496, 42, 0, 0, 0, 0, 1113),
+        "P123": (1466, 1496, 42, 0, 0, 0, 0, 1113),
+        "P1234": (1410, 1436, 38, 0, 0, 127, 0, 1113),
+        "ALL": (1410, 1435, 37, 1, 0, 127, 0, 1113),
+    },
+    "fuzz-20-3": {
+        "NONE": (1515, 1540, 0, 0, 0, 0, 0, 361),
+        "P12": (1188, 1257, 81, 0, 0, 0, 0, 361),
+        "P123": (573, 623, 62, 0, 212, 0, 0, 361),
+        "P1234": (573, 623, 62, 0, 212, 0, 0, 361),
+        "ALL": (361, 512, 45, 0, 0, 0, 118, 361),
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_instances():
+    db, table = generate(GenParams(120, 16, 8, 14, negative_fraction=0.2, seed=7))
+    instances = {"generated": (db, table, Thresholds(1e4, 0.001))}
+    case = make_fuzz_case(20)
+    for i, thresholds in enumerate(case.thresholds_list):
+        instances[f"fuzz-20-{i}"] = (case.db, case.table, thresholds)
+    return instances
+
+
+@pytest.mark.parametrize("instance", list(PINNED_COUNTERS))
+def test_counters_of_every_preset_are_pinned(pinned_instances, instance):
+    db, table, thresholds = pinned_instances[instance]
+    counters = {}
+    for preset in PRESETS:
+        _found, stats = mine(db, table, thresholds, MiningConfig.from_preset(preset))
+        counters[preset] = tuple(getattr(stats, name) for name in COUNTER_FIELDS)
+    assert counters == PINNED_COUNTERS[instance]

@@ -5,6 +5,7 @@ import pytest
 from phuimine import dataio
 from phuimine.model import (
     DatabaseValidationError,
+    MinedPattern,
     Pattern,
     Thresholds,
     Transaction,
@@ -128,6 +129,38 @@ def test_size_counts_source_lines():
 
 def test_pattern_is_canonically_sorted():
     assert Pattern.of([5, 2, 3]).items == (2, 3, 5)
+    assert Pattern.of((5, 2, 3)) == Pattern((2, 3, 5))
+
+
+class TestResultRecords:
+    def test_equal_records_are_equal_and_hash_alike(self):
+        a = MinedPattern(Pattern.of([2, 1]), 3.0, 0.5)
+        b = MinedPattern(Pattern((1, 2)), 3.0, 0.5)
+        assert a == b and hash(a) == hash(b)
+        assert a.pattern == b.pattern and hash(a.pattern) == hash(b.pattern)
+        assert a != MinedPattern(Pattern((1, 2)), 3.5, 0.5)
+        assert len({a, b}) == 1
+
+    def test_patterns_sort_by_ids(self):
+        patterns = [Pattern((2,)), Pattern((1, 3)), Pattern((1,)), Pattern((1, 2, 9))]
+        assert sorted(patterns) == [Pattern((1,)), Pattern((1, 2, 9)), Pattern((1, 3)),
+                                    Pattern((2,))]
+
+    def test_mined_pattern_pickle_round_trip(self):
+        m = MinedPattern(Pattern((1, 4)), -2.5, 0.125)
+        again = pickle.loads(pickle.dumps(m))
+        assert again == m and type(again) is MinedPattern
+        assert type(again.pattern) is Pattern
+
+    def test_fields_by_name(self):
+        m = MinedPattern(Pattern((1, 2)), 3.0, 0.5)
+        assert m.pattern.items == (1, 2)
+        assert (m.utility, m.expected_support) == (3.0, 0.5)
+
+    def test_a_pattern_is_a_one_field_tuple(self):
+        p = Pattern((1, 2))
+        assert len(p) == 1 and len(p.items) == 2
+        assert p == ((1, 2),)
 
 
 def test_item_universe_from_occurrences(ex_db):

@@ -477,7 +477,7 @@ def test_initial_lists_are_the_roots(seed, apply_filter, util_frac, min_pro):
             (item,) for item in order.ordered_items)
         for lst in roots:
             assert lst.tids
-            expected = measures.expected_support(lst.pattern, db)
+            expected = measures.expected_support(Pattern.of(lst.pattern_po), db)
             assert lst.sum_pro.hex() == expected.hex()
 
 

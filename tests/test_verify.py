@@ -67,6 +67,25 @@ class TestCompareResults:
         assert compare_results("a", BASE, "b", other) == Divergence(
             "a", "b", Pattern((1, 2)), "missing from b")
 
+    @pytest.mark.parametrize("first", [
+        mp((1, 2), 3.0, 0.5),  # the same record twice
+        mp((1, 2), 4.0, 0.5),  # two records of one pattern, the last one right
+    ])
+    def test_repeated_pattern_diverges(self, first):
+        m = mp((1, 2), 3.0, 0.5)
+        twice = Divergence("a", "b", Pattern((1, 2)), "listed 2 times in a")
+        assert compare_results("a", [first, m], "b", [m]) == twice
+        assert compare_results("b", [m], "a", [first, m]) == Divergence(
+            "b", "a", Pattern((1, 2)), "listed 2 times in a")
+
+    def test_repeat_reported_in_length_then_id_order(self):
+        m1, m12 = mp((1,), 1.0, 1.0), mp((1, 2), 3.0, 0.5)
+        # the repeated (1, 2) is longer than the missing (3,)
+        assert compare_results("a", [m1, m12, m12], "b", [m1, m12, mp((3,), 1.0, 1.0)]) == \
+            Divergence("a", "b", Pattern((3,)), "missing from a")
+        assert compare_results("a", [m1, m12, m12, m1], "b", [m1, m12]) == \
+            Divergence("a", "b", Pattern((1,)), "listed 2 times in a")
+
 
 def _drop_last(results):
     return results[:-1]
