@@ -43,7 +43,7 @@ def _load(path: str, parse):
     except OSError as exc:
         raise _DataError(f"{path}: {exc.strerror}") from None
     except dataio.ParseError as exc:
-        raise _DataError(f"{path}:{exc.line}: {exc}") from None
+        raise _DataError(f"{path}:{exc.line}:{exc.column}: {exc.message}") from None
 
 
 def _config_from(args) -> MiningConfig:

@@ -2,7 +2,8 @@
 
 Database file: one transaction per non-empty, non-comment line, tokens
 `item:quantity:probability` separated by single spaces. `#` starts a
-comment (whole line or trailing). Tids follow line order.
+comment (whole line or trailing). Tids follow line order. The parser
+converts and checks a chunk of lines at a time.
 
 Utility table file: lines `item:utility` with a signed, finite decimal
 utility.
@@ -19,7 +20,8 @@ that parse(serialize(x)) == x.
 import json
 from dataclasses import asdict, dataclass
 from decimal import Decimal
-from typing import Iterable
+from itertools import islice, repeat
+from typing import Iterable, NoReturn
 
 from .miner import MiningStats
 from .model import (
@@ -29,6 +31,7 @@ from .model import (
     UncertainDatabase,
     UtilityTable,
     make_database,
+    sorted_transactions,
 )
 
 
@@ -82,27 +85,56 @@ def _token_error(token: str, kind: tuple, exc: ValueError) -> str:
     return str(exc)
 
 
+# Content lines that parse_database converts and checks as one chunk.
+# Chunks of 128 to 512 lines parse the c7-scan benchmark's file alike;
+# 32 or 4k lines take longer, and the whole text at once nearly doubles
+# the peak memory of a run.
+_CHUNK_LINES = 256
+
+
 def parse_database(text: str) -> UncertainDatabase:
     """Parse a database file; raises ParseError at the offending token.
 
-    A line is converted in bulk into the sorted rows of a Transaction,
-    which checks them; only a line that fails is walked token by token.
+    The content lines are converted _CHUNK_LINES at a time: the chunk's
+    tokens, each of exactly two colons, split into item, quantity and
+    probability columns, which `map` converts, and each line holds its
+    colon count // 2 of the rows. model.sorted_transactions checks the
+    chunk's rows at once and makes one sorted Transaction per line. Only
+    a chunk that fails is walked, line by line and token by token.
     """
-    transactions = []
-    for tid, (line_no, content) in enumerate(_content_lines(text), start=1):
+    transactions: list[Transaction] = []
+    lines = _content_lines(text)
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        contents = [content for _, content in chunk]
         try:
-            items, quantities, probabilities = zip(
-                *(token.split(":") for token in content.split(" ") if token), strict=True)
-            transactions.append(Transaction(tid, sorted(zip(
-                map(int, items), map(int, quantities), map(float, probabilities)))))
+            tokens = list(filter(None, " ".join(contents).split(" ")))
+            if set(map(str.count, tokens, repeat(":"))) != {2}:
+                raise ValueError("a token does not hold three fields")
+            fields = ":".join(tokens).split(":")
+            transactions += sorted_transactions(
+                len(transactions) + 1, list(map(int, fields[0::3])),
+                list(map(int, fields[1::3])), list(map(float, fields[2::3])),
+                [colons // 2 for colons in map(str.count, contents, repeat(":"))])
         except ValueError:
-            rows = []
-            for col, token in _tokens(content):
-                try:
-                    item, quantity, probability = token.split(":")
-                    rows.append(TransactionEntry(int(item), int(quantity), float(probability)))
-                except ValueError as exc:
-                    raise ParseError(line_no, col, _token_error(token, _DB_TOKEN, exc)) from None
+            _raise_database_fault(chunk, len(transactions) + 1)
+    return make_database(transactions)
+
+
+def _raise_database_fault(chunk: list[tuple[int, str]], first_tid: int) -> NoReturn:
+    """Raise the ParseError of the first token at fault in a chunk that
+    failed: line by line, a token that does not convert or breaks a rule
+    of its own, else the token that ends the shortest failing prefix."""
+    for tid, (line_no, content) in enumerate(chunk, start=first_tid):
+        rows = []
+        for col, token in _tokens(content):
+            try:
+                item, quantity, probability = token.split(":")
+                rows.append(TransactionEntry(int(item), int(quantity), float(probability)))
+            except ValueError as exc:
+                raise ParseError(line_no, col, _token_error(token, _DB_TOKEN, exc)) from None
+        try:
+            Transaction(tid, sorted(rows))
+        except ValueError:
             # Sorted, the rows fail only by repeating an item: the token at
             # fault ends the shortest prefix of the line that fails too.
             for k, (col, _) in enumerate(_tokens(content), start=1):
@@ -110,8 +142,7 @@ def parse_database(text: str) -> UncertainDatabase:
                     Transaction(tid, sorted(rows[:k]))
                 except ValueError as exc:
                     raise ParseError(line_no, col, str(exc)) from None
-            raise
-    return make_database(transactions)
+    raise AssertionError("some token is at fault")
 
 
 def parse_ptable(text: str) -> UtilityTable:

@@ -6,9 +6,11 @@ Transaction.entries views them as TransactionEntry, with named fields.
 Unit utilities (signed, e.g. profit per unit) live in a utility table.
 
 Each type checks its own rules once, when it is built, and raises
-ValueError: _check_rows holds the occurrence rules for Transaction and
-TransactionEntry; a transaction is non-empty; a database's tids run
-1..n; a table's ids are >= 0 and its utilities finite; thresholds have
+ValueError: _rules_hold holds the occurrence rules, and _check_rows
+names the first one broken, for a Transaction, a TransactionEntry or
+all the rows of a parsed chunk of lines, which sorted_transactions
+checks at once; a transaction is non-empty; a database's tids run 1..n;
+a table's ids are >= 0 and its utilities finite; thresholds have
 their ranges. check_utilities, which mine() and the oracle call first,
 checks a database against its table.
 
@@ -20,7 +22,7 @@ import math
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import ge, lt
 from typing import Iterable, Mapping, NamedTuple
 
@@ -43,16 +45,26 @@ class TransactionEntry(namedtuple("TransactionEntry", "item quantity probability
         return TransactionEntry(*super()._replace(**changes))
 
 
-def _check_rows(rows: tuple[tuple[Item, int, float], ...]) -> None:
-    """Raise ValueError unless every (item, quantity, probability) row has
-    item >= 0, quantity >= 1, probability in (0, 1] and the items ascend
-    strictly. C-level calls check the columns (NaN fails them); only a
-    failure walks the rows, every row's values before the order."""
-    items, quantities, probabilities = zip(*rows, strict=True)
-    if (items[0] >= 0 and min(quantities) >= 1
+def _rules_hold(items, quantities, probabilities, starts=frozenset()) -> bool:
+    """Whether the columns of some rows keep every occurrence rule: item
+    >= 0, quantity >= 1, probability in (0, 1] (NaN fails) and items
+    ascending strictly, except at the positions in `starts`, where a new
+    transaction begins. Only C-level calls walk the columns; the items of
+    one transaction need no more than the first test of the order, and
+    its first item is its least when they pass it."""
+    return ((min(items) if starts else items[0]) >= 0 and min(quantities) >= 1
             and all(map(lt, repeat(0.0), probabilities))
             and all(map(ge, repeat(1.0), probabilities))
-            and all(map(lt, items, items[1:]))):
+            and (all(map(lt, items, items[1:]))
+                 or starts.issuperset(compress(count(1), map(ge, items, items[1:])))))
+
+
+def _check_rows(rows, starts=frozenset()) -> None:
+    """Raise ValueError for the first occurrence rule that the (item,
+    quantity, probability) rows break, every row's values before the
+    order; only a failure walks the rows."""
+    items, quantities, probabilities = zip(*rows, strict=True)
+    if _rules_hold(items, quantities, probabilities, starts):
         return
     for item, quantity, probability in rows:
         if item < 0:
@@ -61,8 +73,8 @@ def _check_rows(rows: tuple[tuple[Item, int, float], ...]) -> None:
             raise ValueError(f"quantity must be >= 1, got {quantity}")
         if not 0.0 < probability <= 1.0:
             raise ValueError(f"probability must be in (0, 1], got {probability}")
-    for prev, item in zip(items, items[1:]):
-        if item <= prev:
+    for at, prev, item in zip(count(1), items, items[1:]):
+        if item <= prev and at not in starts:
             raise ValueError(f"duplicate item {item} in transaction" if item == prev
                              else f"items must ascend, got {item} after {prev}")
 
@@ -80,12 +92,45 @@ class Transaction:
         if not rows:
             raise ValueError(f"transaction {tid} is empty")
         _check_rows(rows)
-        object.__setattr__(self, "tid", tid)
-        object.__setattr__(self, "rows", rows)
+        _set_tid(self, tid)
+        _set_rows(self, rows)
 
     @property
     def entries(self) -> tuple[TransactionEntry, ...]:
         return tuple(map(TransactionEntry._make, self.rows))
+
+
+# The slots' own setters, which a frozen class's __setattr__ refuses.
+_set_tid = Transaction.__dict__["tid"].__set__
+_set_rows = Transaction.__dict__["rows"].__set__
+
+
+def _checked_transaction(tid: int, rows: tuple[tuple[Item, int, float], ...]) -> Transaction:
+    """A Transaction of rows that are known to keep every rule."""
+    tx = object.__new__(Transaction)
+    _set_tid(tx, tid)
+    _set_rows(tx, rows)
+    return tx
+
+
+def sorted_transactions(first_tid: int, items: list[Item], quantities: list[int],
+                        probabilities: list[float], sizes: list[int]) -> list[Transaction]:
+    """Transactions first_tid, first_tid + 1, ..., one per size, of the
+    next that many rows of the columns: each equals Transaction(tid,
+    sorted(its rows)), but the rows are checked once, all together.
+    Raises ValueError for the first broken rule, or an empty transaction."""
+    if 0 in sizes:
+        raise ValueError(f"transaction {first_tid + sizes.index(0)} is empty")
+    ends = list(accumulate(sizes))
+    spans = zip([0, *ends], ends)
+    rows = tuple(zip(items, quantities, probabilities))
+    if _rules_hold(items, quantities, probabilities, set(ends)):
+        # the items ascend: each transaction's rows are sorted already
+        groups = [rows[a:b] for a, b in spans]
+    else:
+        groups = [tuple(sorted(rows[a:b])) for a, b in spans]
+        _check_rows(tuple(chain.from_iterable(groups)), set(ends))
+    return list(map(_checked_transaction, range(first_tid, first_tid + len(sizes)), groups))
 
 
 @dataclass(frozen=True)

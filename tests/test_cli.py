@@ -112,6 +112,13 @@ class TestMineCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "bad.db:1" in err and "quantity" in err
+        # file:line:column, then the message alone
+        assert err.startswith(f"error: {db}:1:1: quantity must be >= 1, got 0\n")
+        db.write_text("1:1:0.5\n1:1:0.5 1:2:0.5\n")
+        assert run(["mine", "--db", str(db), "--ptable", str(ptable),
+                    "--min-util", "1", "--min-pro", "0"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {db}:2:9: duplicate item 1 in transaction\n")
         db.write_text("1:1:0.5\n")
         for bad in ("nan", "inf", "1e400"):
             ptable.write_text(f"1:{bad}\n")
@@ -120,6 +127,7 @@ class TestMineCommand:
             assert code == 1
             err = capsys.readouterr().err
             assert "p.ptable:1" in err and "utility must be finite" in err
+            assert err.startswith(f"error: {ptable}:1:1: utility must be finite")
 
     def test_overflowing_utility_exit_code(self, tmp_path, capsys):
         # each number is finite, their product is not

@@ -1,6 +1,8 @@
 import json
+import math
 import random
 from decimal import Decimal
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from phuimine import dataio
 from phuimine.datagen import GenParams, generate, generate_small
 from phuimine.miner import MiningStats
-from phuimine.model import MinedPattern, Pattern
+from phuimine.model import MinedPattern, Pattern, Transaction, make_database
 
 from helpers import EXAMPLE_DB_TEXT, EXAMPLE_PTABLE_TEXT
 
@@ -108,13 +110,27 @@ def _databases(seed: int):
                              seed=seed))[0]
 
 
+# Lines per chunk that the parse is run with: one line, a few, and the
+# default, which the small databases above never fill.
+CHUNK_SIZES = (1, 3, dataio._CHUNK_LINES)
+
+
+def _each_chunk_size():
+    """Yield each of CHUNK_SIZES while dataio parses in chunks of it."""
+    for size in CHUNK_SIZES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "_CHUNK_LINES", size)
+            yield size
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_messy_layout_parses_to_the_same_database(seed):
     rng = random.Random(seed)
     for db in _databases(seed):
         lines, _layout = _messy_lines(db, rng)
-        assert dataio.parse_database("\n".join(lines)) == db
+        for _size in _each_chunk_size():
+            assert dataio.parse_database("\n".join(lines)) == db
 
 
 # Each mutation rewrites one token [column, item, quantity, probability
@@ -180,10 +196,104 @@ def test_one_bad_token_is_reported_where_it_stands(mutation, seed):
         k = rng.randrange(1 if mutation is _duplicate_item else 0, len(tokens))
         message = mutation(tokens[k], tokens[:k])
         lines[line_no - 1] = _write(tokens)
-        with pytest.raises(dataio.ParseError) as err:
-            dataio.parse_database("\n".join(lines))
-        assert (err.value.line, err.value.column, err.value.message) == (
-            line_no, tokens[k][0], message)
+        for _size in _each_chunk_size():
+            with pytest.raises(dataio.ParseError) as err:
+                dataio.parse_database("\n".join(lines))
+            assert (err.value.line, err.value.column, err.value.message) == (
+                line_no, tokens[k][0], message)
+
+
+
+# A token that breaks a rule of its own, added to the end of a line.
+BAD_TOKEN, BAD_MESSAGE = "3:0:0.5", "quantity must be >= 1, got 0"
+
+
+def _chunked_layout(n: int, size: int, faults=()) -> tuple[str, list, list]:
+    """n content lines, their tokens out of item order, with a run of
+    blank and comment lines before every third line and before the first
+    line of every chunk of `size`; BAD_TOKEN ends the lines at `faults`.
+    Also each content line's line number and column of BAD_TOKEN, and
+    each line's rows."""
+    raw, where, rows = [], [], []
+    for k in range(n):
+        if k % 3 == 0 or k % size == 0:
+            raw += ["", "# note", "   # 1:0:0.5"]
+        line_rows = [(10 + k % 7, k % 3 + 1, 0.5), (k % 5, 1, 0.25)]
+        line = " ".join(f"{item}:{quantity}:{probability}"
+                        for item, quantity, probability in line_rows)
+        where.append((len(raw) + 1, len(line) + 2))
+        raw.append(line + (" " + BAD_TOKEN if k in faults else ""))
+        rows.append(line_rows)
+    return "\n".join(raw) + "\n", where, rows
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+@pytest.mark.parametrize("n", ["size-1", "size", "size+1", "3size+2"])
+def test_chunks_parse_as_lines_do(monkeypatch, size, n):
+    monkeypatch.setattr(dataio, "_CHUNK_LINES", size)
+    n = {"size-1": size - 1, "size": size, "size+1": size + 1, "3size+2": 3 * size + 2}[n]
+    text, _where, rows = _chunked_layout(n, size)
+    assert dataio.parse_database(text) == make_database(
+        Transaction(tid, sorted(line_rows)) for tid, line_rows in enumerate(rows, start=1))
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+@pytest.mark.parametrize("faults", [
+    lambda size: [size - 1],
+    lambda size: [size],
+    lambda size: [size - 1, size],
+    lambda size: [2 * size + 1],
+    lambda size: [3 * size + 1],
+], ids=["last-of-a-chunk", "first-of-the-next", "both-sides-of-a-boundary",
+        "after-valid-chunks", "last-line-of-a-short-chunk"])
+def test_first_fault_is_found_across_chunks(monkeypatch, size, faults):
+    monkeypatch.setattr(dataio, "_CHUNK_LINES", size)
+    faults = faults(size)
+    text, where, _rows = _chunked_layout(3 * size + 2, size, faults)
+    with pytest.raises(dataio.ParseError) as err:
+        dataio.parse_database(text)
+    assert (err.value.line, err.value.column, err.value.message) == (
+        *where[faults[0]], BAD_MESSAGE)
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+@pytest.mark.parametrize("text", ["", "\n\n", "# only\n  # comments\n\n   \n"],
+                         ids=["empty", "blank", "comments"])
+def test_no_content_lines_is_an_empty_database(monkeypatch, size, text):
+    monkeypatch.setattr(dataio, "_CHUNK_LINES", size)
+    assert dataio.parse_database(text).size == 0
+
+
+def _edge_row_sets():
+    """One row of edge values, alone, beside another item and beside a
+    repeat of its own item."""
+    for row in product((0, -1), (0, 1),
+                       (-0.0, 0.0, 5e-324, 1.0, math.nextafter(1.0, 2.0), math.nan)):
+        yield [row]
+        yield [row, (5, 1, 0.5)]
+        yield [row, (row[0], 1, 0.5)]
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+def test_parse_and_transaction_enforce_the_same_rules(monkeypatch, size):
+    monkeypatch.setattr(dataio, "_CHUNK_LINES", size)
+    for rows in _edge_row_sets():
+        rows = sorted(rows)
+        try:
+            expected = Transaction(1, rows).rows
+        except ValueError as exc:
+            expected = str(exc)
+        line = " ".join(f"{item}:{quantity}:{probability!r}"
+                        for item, quantity, probability in rows)
+        # a valid line on each side, so that a chunk holds more than the row set
+        try:
+            got = dataio.parse_database(f"7:1:0.5\n{line}\n8:2:1.0\n").transactions[1].rows
+        except dataio.ParseError as err:
+            assert err.line == 2, rows
+            got = err.message
+        assert got == expected, rows
+        if not isinstance(got, str):
+            assert [tuple(map(type, row)) for row in got] == [(int, int, float)] * len(rows)
 
 
 class TestParsePtable:

@@ -13,6 +13,7 @@ from phuimine.model import (
     UtilityTable,
     check_utilities,
     make_database,
+    sorted_transactions,
 )
 
 from helpers import EXAMPLE_DB_TEXT, example_db
@@ -226,3 +227,23 @@ class TestTransactionRows:
     def test_plain_rows_are_checked(self, rows, match):
         with pytest.raises(ValueError, match=match):
             Transaction(1, rows)
+
+
+class TestSortedTransactions:
+    def test_equal_to_transactions_of_sorted_rows(self):
+        txs = sorted_transactions(4, [5, 2, 1, 3], [1, 1, 2, 1], [0.5, 0.5, 1.0, 0.25], [1, 3])
+        assert txs == [Transaction(4, [(5, 1, 0.5)]),
+                       Transaction(5, [(1, 2, 1.0), (2, 1, 0.5), (3, 1, 0.25)])]
+        assert all(type(row) is tuple for tx in txs for row in tx.rows)
+
+    @pytest.mark.parametrize("columns, match", [
+        # a descent where a transaction starts is no fault; the repeat is
+        (([5, 3, 3], [1, 1, 1], [0.5, 0.5, 0.5], [1, 2]), "duplicate item 3 in transaction"),
+        (([5, 3, 4], [1, 0, 1], [0.5, 0.5, 0.5], [1, 2]), "quantity must be >= 1, got 0"),
+        (([5, 3, 4], [1, 1, 1], [0.5, 0.5, float("nan")], [2, 1]), "probability must be in"),
+        (([1, -3], [1, 1], [0.5, 0.5], [1, 1]), "item id must be >= 0, got -3"),
+        (([1, 2], [1, 1], [0.5, 0.5], [1, 0, 1]), "transaction 5 is empty"),
+    ], ids=["repeat", "zero-quantity", "nan-probability", "negative-item", "empty"])
+    def test_first_broken_rule_is_named(self, columns, match):
+        with pytest.raises(ValueError, match=match):
+            sorted_transactions(4, *columns)
