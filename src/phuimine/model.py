@@ -59,7 +59,7 @@ def _rules_hold(items, quantities, probabilities, starts=frozenset()) -> bool:
                  or starts.issuperset(compress(count(1), map(ge, items, items[1:])))))
 
 
-def _check_rows(rows, starts=frozenset()) -> None:
+def _check_rows(rows: tuple[tuple[Item, int, float], ...], starts=frozenset()) -> None:
     """Raise ValueError for the first occurrence rule that the (item,
     quantity, probability) rows break, every row's values before the
     order; only a failure walks the rows."""

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from contextlib import contextmanager
 from decimal import Decimal
 from itertools import product
 
@@ -115,12 +116,12 @@ def _databases(seed: int):
 CHUNK_SIZES = (1, 3, dataio._CHUNK_LINES)
 
 
-def _each_chunk_size():
-    """Yield each of CHUNK_SIZES while dataio parses in chunks of it."""
-    for size in CHUNK_SIZES:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dataio, "_CHUNK_LINES", size)
-            yield size
+@contextmanager
+def _chunk_lines(size: int):
+    """dataio parses in chunks of `size` lines inside the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "_CHUNK_LINES", size)
+        yield
 
 
 @settings(max_examples=40, deadline=None)
@@ -129,8 +130,9 @@ def test_messy_layout_parses_to_the_same_database(seed):
     rng = random.Random(seed)
     for db in _databases(seed):
         lines, _layout = _messy_lines(db, rng)
-        for _size in _each_chunk_size():
-            assert dataio.parse_database("\n".join(lines)) == db
+        for size in CHUNK_SIZES:
+            with _chunk_lines(size):
+                assert dataio.parse_database("\n".join(lines)) == db
 
 
 # Each mutation rewrites one token [column, item, quantity, probability
@@ -196,8 +198,8 @@ def test_one_bad_token_is_reported_where_it_stands(mutation, seed):
         k = rng.randrange(1 if mutation is _duplicate_item else 0, len(tokens))
         message = mutation(tokens[k], tokens[:k])
         lines[line_no - 1] = _write(tokens)
-        for _size in _each_chunk_size():
-            with pytest.raises(dataio.ParseError) as err:
+        for size in CHUNK_SIZES:
+            with _chunk_lines(size), pytest.raises(dataio.ParseError) as err:
                 dataio.parse_database("\n".join(lines))
             assert (err.value.line, err.value.column, err.value.message) == (
                 line_no, tokens[k][0], message)
