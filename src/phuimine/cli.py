@@ -5,8 +5,9 @@ verify (miner-vs-oracle equivalence, fixed or fuzzed inputs), gen
 (synthetic data), bench (threshold/preset sweeps and scalability
 series, CSV plus a pivoted markdown summary).
 
-Exit codes: 0 success, 1 parse/validation error, 2 bad flags,
-3 verification divergence.
+Exit codes: 0 success, 1 parse, validation or file error (a file that
+cannot be read, decoded as UTF-8 or written), 2 bad flags,
+3 verification divergence or, for bench, a monotonicity violation.
 """
 
 import argparse
@@ -37,11 +38,15 @@ def _load_inputs(db_path: str, ptable_path: str) -> tuple[UncertainDatabase, Uti
     return _load(db_path, dataio.parse_database), _load(ptable_path, dataio.parse_ptable)
 
 
+def _file_error(path: str, exc: OSError | UnicodeDecodeError) -> _DataError:
+    return _DataError(f"{path}: {getattr(exc, 'strerror', None) or exc}")
+
+
 def _load(path: str, parse):
     try:
-        return parse(Path(path).read_text())
-    except OSError as exc:
-        raise _DataError(f"{path}: {exc.strerror}") from None
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _file_error(path, exc) from None
     except dataio.ParseError as exc:
         raise _DataError(f"{path}:{exc.line}:{exc.column}: {exc.message}") from None
 
@@ -52,9 +57,16 @@ def _config_from(args) -> MiningConfig:
     return MiningConfig.from_preset(args.preset)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _file_error(path, exc) from None
+
+
 def _write_or_print(text: str, path: str | None) -> None:
     if path:
-        Path(path).write_text(text)
+        _write(path, text)
     else:
         sys.stdout.write(text)
 
@@ -66,7 +78,7 @@ def cmd_mine(args) -> int:
     results, stats = mine(db, table, thresholds, config)
     _write_or_print(dataio.serialize_results(results), args.out)
     if args.stats:
-        Path(args.stats).write_text(dataio.serialize_stats(stats, args.stats_format))
+        _write(args.stats, dataio.serialize_stats(stats, args.stats_format))
     return EXIT_OK
 
 
@@ -124,8 +136,8 @@ def cmd_gen(args) -> int:
         db, table = datagen.generate(params)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    Path(args.out_db).write_text(dataio.serialize_database(db))
-    Path(args.out_ptable).write_text(dataio.serialize_ptable(table))
+    _write(args.out_db, dataio.serialize_database(db))
+    _write(args.out_ptable, dataio.serialize_ptable(table))
     negatives = sum(1 for u in table.entries.values() if u < 0)
     print(f"gen: {db.size} transactions, {len(table.entries)} items "
           f"({negatives} negative), seed {args.seed}")

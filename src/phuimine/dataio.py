@@ -5,29 +5,33 @@ Database file: one transaction per non-empty, non-comment line, tokens
 comment (whole line or trailing). Tids follow line order. The parser
 converts and checks a chunk of lines at a time.
 
-Utility table file: lines `item:utility` with a signed, finite decimal
-utility.
+Utility table file: `item:utility` tokens with signed, finite decimal
+utilities, one entry per item.
 
 Results file: one line per pattern, `<ids ascending> #UTIL: u #PROB: p`
 sorted by (pattern length, item ids), numbers with at most six
 fractional digits and trailing zeros trimmed.
 
-Parsing reports precise 1-based line/column positions. Serialization of
-databases and tables uses shortest round-tripping decimal notation so
-that parse(serialize(x)) == x.
+Each input format is defined once, by its token table (_DB_TOKEN,
+_PTABLE_TOKEN). A ParseError names, with its 1-based line and column,
+the first token in reading order that the parser refuses together with
+the tokens before it: in its line for a database, in the file for a
+table. Serialization of databases and tables uses shortest
+round-tripping decimal notation so that parse(serialize(x)) == x.
 """
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass
 from decimal import Decimal
+from functools import partial
 from itertools import islice, repeat
-from typing import Iterable, NoReturn
+from typing import Iterable
 
 from .miner import MiningStats
 from .model import (
     MinedPattern,
     Transaction,
-    TransactionEntry,
     UncertainDatabase,
     UtilityTable,
     make_database,
@@ -64,10 +68,24 @@ def _tokens(content: str) -> Iterable[tuple[int, str]]:
         col += len(token)
 
 
-# Per kind of token: its shape, then each field's name and type.
+# Each format's one definition, read by _columns and _token_error: the
+# token's shape, then each field's name and type.
 _DB_TOKEN = ("item:quantity:probability", ("item id", int), ("quantity", int),
              ("probability", float))
 _PTABLE_TOKEN = ("item:utility", ("item id", int), ("utility", float))
+
+
+def _columns(contents: list[str], kind: tuple) -> list[list]:
+    """The fields of the lines' space-separated tokens, one converted
+    column per field of `kind`. Raises ValueError unless every token
+    has exactly the kind's fields and each converts."""
+    _shape, *fields = kind
+    tokens = list(filter(None, " ".join(contents).split(" ")))
+    if set(map(str.count, tokens, repeat(":"))) - {len(fields) - 1}:
+        raise ValueError(f"a token does not hold {len(fields)} fields")
+    parts = ":".join(tokens).split(":") if tokens else []
+    return [list(map(convert, parts[k::len(fields)]))
+            for k, (_name, convert) in enumerate(fields)]
 
 
 def _token_error(token: str, kind: tuple, exc: ValueError) -> str:
@@ -85,6 +103,29 @@ def _token_error(token: str, kind: tuple, exc: ValueError) -> str:
     return str(exc)
 
 
+def _parse(convert, kind: tuple, scope: list[tuple[int, str]]):
+    """convert(the contents of scope's (line_no, content) lines); when it
+    raises ValueError, a ParseError at the first token in reading order
+    that convert refuses together with the tokens before it. A refused
+    prefix stays refused as it grows, so bisection finds the shortest,
+    in O(log n) more conversions; convert's error on it names the rule."""
+    try:
+        return convert([content for _, content in scope])
+    except ValueError as exc:
+        error = exc
+    at = [(line_no, col, token) for line_no, content in scope for col, token in _tokens(content)]
+    taken, refused = 0, len(at)
+    while refused - taken > 1:
+        mid = (taken + refused) // 2
+        try:
+            convert([" ".join(token for _, _, token in at[:mid])])
+            taken = mid
+        except ValueError as exc:
+            refused, error = mid, exc
+    line_no, col, token = at[refused - 1]
+    raise ParseError(line_no, col, _token_error(token, kind, error))
+
+
 # Content lines that parse_database converts and checks as one chunk.
 # Chunks of 128 to 512 lines parse the c7-scan benchmark's file alike;
 # 32 or 4k lines take longer, and the whole text at once nearly doubles
@@ -92,90 +133,47 @@ def _token_error(token: str, kind: tuple, exc: ValueError) -> str:
 _CHUNK_LINES = 256
 
 
-def parse_database(text: str) -> UncertainDatabase:
-    """Parse a database file; raises ParseError at the offending token.
+def _transactions(first_tid: int, contents: list[str]) -> list[Transaction]:
+    """A transaction per line, tids from first_tid, each line holding a
+    row per two colons; model.sorted_transactions checks all at once."""
+    return sorted_transactions(
+        first_tid, *_columns(contents, _DB_TOKEN),
+        [colons // 2 for colons in map(str.count, contents, repeat(":"))])
 
-    The content lines are converted _CHUNK_LINES at a time: the chunk's
-    tokens, each of exactly two colons, split into item, quantity and
-    probability columns, which `map` converts, and each line holds its
-    colon count // 2 of the rows. model.sorted_transactions checks the
-    chunk's rows at once and makes one sorted Transaction per line. Only
-    a chunk that fails is walked, line by line and token by token.
-    """
+
+def parse_database(text: str) -> UncertainDatabase:
+    """Parse a database file, _CHUNK_LINES content lines at a time. A
+    chunk that fails is parsed again line by line; the ParseError names
+    the first token that its line refuses with the tokens before it."""
     transactions: list[Transaction] = []
     lines = _content_lines(text)
     while chunk := list(islice(lines, _CHUNK_LINES)):
-        contents = [content for _, content in chunk]
         try:
-            tokens = list(filter(None, " ".join(contents).split(" ")))
-            if set(map(str.count, tokens, repeat(":"))) != {2}:
-                raise ValueError("a token does not hold three fields")
-            fields = ":".join(tokens).split(":")
-            transactions += sorted_transactions(
-                len(transactions) + 1, list(map(int, fields[0::3])),
-                list(map(int, fields[1::3])), list(map(float, fields[2::3])),
-                [colons // 2 for colons in map(str.count, contents, repeat(":"))])
+            transactions += _transactions(len(transactions) + 1,
+                                          [content for _, content in chunk])
         except ValueError:
-            _raise_database_fault(chunk, len(transactions) + 1)
+            for line in chunk:
+                transactions += _parse(partial(_transactions, len(transactions) + 1),
+                                       _DB_TOKEN, [line])
     return make_database(transactions)
 
 
-def _raise_database_fault(chunk: list[tuple[int, str]], first_tid: int) -> NoReturn:
-    """Raise the ParseError of the first token at fault in a chunk that
-    failed: line by line, a token that does not convert or breaks a rule
-    of its own, else the token that ends the shortest failing prefix."""
-    for tid, (line_no, content) in enumerate(chunk, start=first_tid):
-        rows = []
-        for col, token in _tokens(content):
-            try:
-                item, quantity, probability = token.split(":")
-                rows.append(TransactionEntry(int(item), int(quantity), float(probability)))
-            except ValueError as exc:
-                raise ParseError(line_no, col, _token_error(token, _DB_TOKEN, exc)) from None
-        try:
-            Transaction(tid, sorted(rows))
-        except ValueError:
-            # Sorted, the rows fail only by repeating an item: the token at
-            # fault ends the shortest prefix of the line that fails too.
-            for k, (col, _) in enumerate(_tokens(content), start=1):
-                try:
-                    Transaction(tid, sorted(rows[:k]))
-                except ValueError as exc:
-                    raise ParseError(line_no, col, str(exc)) from None
-    raise AssertionError("some token is at fault")
+def _table(contents: list[str]) -> UtilityTable:
+    """The table of the lines' tokens. UtilityTable checks each item's
+    last value, so a broken value rule is named before a repeat; in a
+    shortest refused prefix, the repeat is its last token's item."""
+    items, utilities = _columns(contents, _PTABLE_TOKEN)
+    table = UtilityTable(dict(zip(items, utilities)))
+    if len(table.entries) < len(items):
+        raise ValueError(f"duplicate item {Counter(items).most_common(1)[0][0]} in utility table")
+    return table
 
 
 def parse_ptable(text: str) -> UtilityTable:
-    """Parse a utility table file (`item:utility` lines).
-
-    UtilityTable checks the values. When it refuses them, or an item
-    repeats, the ParseError points at the first token at fault.
-    """
-    pairs: list[tuple[int, float]] = []
-    for line_no, content in _content_lines(text):
-        for col, token in _tokens(content):
-            try:
-                item, utility = token.split(":")
-                pairs.append((int(item), float(utility)))
-            except ValueError as exc:
-                raise ParseError(line_no, col, _token_error(token, _PTABLE_TOKEN, exc)) from None
-    entries = dict(pairs)
-    try:
-        if len(entries) == len(pairs):
-            return UtilityTable(entries)
-    except ValueError:
-        pass
-    seen: set[int] = set()
-    positions = ((n, col) for n, content in _content_lines(text) for col, _ in _tokens(content))
-    for (line_no, col), (item, utility) in zip(positions, pairs):
-        try:
-            UtilityTable({item: utility})
-        except ValueError as exc:
-            raise ParseError(line_no, col, str(exc)) from None
-        if item in seen:
-            raise ParseError(line_no, col, f"duplicate item {item} in utility table")
-        seen.add(item)
-    raise AssertionError("some token is at fault")
+    """Parse a utility table file. The ParseError names the first token
+    that the file refuses with the tokens before it: an item may repeat
+    anywhere in the file."""
+    return _parse(_table, _PTABLE_TOKEN, list(_content_lines(text)))
 
 
 def _exact_decimal(x: float) -> str:

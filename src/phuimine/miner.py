@@ -24,7 +24,8 @@ only in visited-node counts and runtime.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .model import (
     Item,
@@ -47,13 +48,19 @@ from .pulist import (
 
 @dataclass(frozen=True)
 class MiningConfig:
+    """One flag per pruning strategy, in the order of STRATEGIES."""
+
     s1_pu_prune: bool = True
     s2_initial_filter: bool = True
     s3_probability_bound: bool = True
     s4_remaining_utility_bound: bool = True
     s5_empty_or_lowpro_skip: bool = True
     s6_eucp: bool = True
-    preset: str | None = None
+
+    @property
+    def preset(self) -> str:
+        """The name of the preset with exactly these flags, else 'custom'."""
+        return _PRESET_OF.get(_flags(self), "custom")
 
     @classmethod
     def from_preset(cls, name: str) -> "MiningConfig":
@@ -61,30 +68,33 @@ class MiningConfig:
             flags = PRESETS[name.upper()]
         except KeyError:
             raise ValueError(f"unknown preset {name!r}; expected one of {sorted(PRESETS)}")
-        return cls(*flags, preset=name.upper())
+        return cls(*flags)
 
     @classmethod
     def from_strategies(cls, names: list[str]) -> "MiningConfig":
         """Config with exactly the named strategies enabled, e.g. ['s1', 's3']."""
-        known = {"s1", "s2", "s3", "s4", "s5", "s6"}
-        bad = [n for n in names if n.lower() not in known]
+        bad = [n for n in names if n.lower() not in STRATEGIES]
         if bad:
-            raise ValueError(f"unknown strategies {bad}; expected subset of {sorted(known)}")
+            raise ValueError(f"unknown strategies {bad}; expected subset of {list(STRATEGIES)}")
         on = {n.lower() for n in names}
-        return cls(
-            "s1" in on, "s2" in on, "s3" in on, "s4" in on, "s5" in on, "s6" in on,
-            preset=None,
-        )
+        return cls(*(s in on for s in STRATEGIES))
 
 
-# Preset -> (s1, s2, s3, s4, s5, s6)
-PRESETS: dict[str, tuple[bool, bool, bool, bool, bool, bool]] = {
-    "NONE": (False, False, False, False, False, False),
-    "P12": (True, True, False, False, False, False),
-    "P123": (True, True, True, False, False, False),
-    "P1234": (True, True, True, True, False, False),
-    "ALL": (True, True, True, True, True, True),
+# The strategies' names, s1 to s6, read from MiningConfig's flags
+STRATEGIES = tuple(f.name.partition("_")[0] for f in fields(MiningConfig))
+_flags = attrgetter(*(f.name for f in fields(MiningConfig)))
+
+# Preset -> its flags, one per strategy
+PRESETS: dict[str, tuple[bool, ...]] = {
+    name: tuple(s in on for s in STRATEGIES) for name, on in [
+        ("NONE", ()),
+        ("P12", ("s1", "s2")),
+        ("P123", ("s1", "s2", "s3")),
+        ("P1234", ("s1", "s2", "s3", "s4")),
+        ("ALL", ("s1", "s2", "s3", "s4", "s5", "s6")),
+    ]
 }
+_PRESET_OF = {flags: name for name, flags in PRESETS.items()}
 
 
 @dataclass
@@ -238,7 +248,7 @@ def mine(
         config = MiningConfig.from_preset("ALL")
 
     stats = MiningStats(
-        preset=config.preset or "custom",
+        preset=config.preset,
         min_util=thresholds.min_util,
         min_pro=thresholds.min_pro,
     )
@@ -262,6 +272,7 @@ __all__ = [
     "MiningConfig",
     "MiningStats",
     "PRESETS",
+    "STRATEGIES",
     "initial_scan",
     "mine",
     "search",

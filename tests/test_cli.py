@@ -147,6 +147,24 @@ class TestMineCommand:
                     "--min-util", "1", "--min-pro", "0"])
         assert code == 1
 
+    def test_file_not_utf8_is_data_error(self, data_files, tmp_path, capsys):
+        db, ptable = data_files
+        bad = tmp_path / "latin1.db"
+        bad.write_bytes(b"1:1:0.5 # caf\xe9\n")
+        for flags in (["--db", str(bad), "--ptable", ptable],
+                      ["--db", db, "--ptable", str(bad)]):
+            assert run(["mine", *flags, "--min-util", "1", "--min-pro", "0"]) == 1
+            assert capsys.readouterr().err.startswith(
+                f"error: {bad}: 'utf-8' codec can't decode byte 0xe9")
+
+    @pytest.mark.parametrize("flag", ["--out", "--stats"])
+    def test_unwritable_output_is_data_error(self, data_files, tmp_path, capsys, flag):
+        db, ptable = data_files
+        target = tmp_path / "missing-dir" / "file.txt"
+        assert run(["mine", "--db", db, "--ptable", ptable, "--min-util", "20",
+                    "--min-pro", "0.25", flag, str(target)]) == 1
+        assert capsys.readouterr().err == f"error: {target}: No such file or directory\n"
+
 
 class TestOracleCommand:
     def test_matches_mine(self, data_files, tmp_path):
@@ -280,6 +298,14 @@ class TestGenCommand:
         assert "utility_range" in capsys.readouterr().err
         assert not db.exists()
 
+    @pytest.mark.parametrize("flag", ["--out-db", "--out-ptable"])
+    def test_unwritable_output_is_data_error(self, tmp_path, capsys, flag):
+        paths = {"--out-db": str(tmp_path / "g.db"), "--out-ptable": str(tmp_path / "g.ptable")}
+        paths[flag] = str(tmp_path / "missing-dir" / "file.txt")
+        assert run(["gen", "--transactions", "5", "--items", "3",
+                    "--out-db", paths["--out-db"], "--out-ptable", paths["--out-ptable"]]) == 1
+        assert capsys.readouterr().err == f"error: {paths[flag]}: No such file or directory\n"
+
     def test_all_negative(self, tmp_path):
         ptable = tmp_path / "neg.ptable"
         assert run(["gen", "--transactions", "10", "--items", "8", "--seed", "3",
@@ -344,6 +370,28 @@ class TestBenchCommand:
                     f"--prefix-sizes=2,{size}", "--out", str(out)]) == 2
         assert f"prefix size {size} outside 1..5" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_repeats_below_one_is_usage_error(self, data_files, capsys):
+        db, ptable = data_files
+        assert run(["bench", "--db", db, "--ptable", ptable, "--min-util", "20",
+                    "--min-pro", "0.25", "--repeats", "0"]) == 2
+        assert "repeats must be >= 1" in capsys.readouterr().err
+
+    def test_assert_monotone_names_the_broken_combination(self, data_files, monkeypatch,
+                                                           capsys):
+        # a miner whose visited nodes grow from P12 to ALL
+        def growing(db, table, thresholds, config):
+            results, stats = mine(db, table, thresholds, config)
+            stats.visited_nodes = 100 + ["P12", "ALL"].index(config.preset)
+            return results, stats
+
+        monkeypatch.setattr(cli, "mine", growing)
+        db, ptable = data_files
+        assert run(["bench", "--db", db, "--ptable", ptable, "--min-util", "20,30",
+                    "--min-pro", "0.25", "--presets", "P12,ALL", "--assert-monotone"]) == 3
+        assert capsys.readouterr().err == (
+            "bench: monotonicity violated: u=20,p=0.25: "
+            "visited_nodes(P12)=100 < visited_nodes(ALL)=101\n")
 
     def test_bad_preset(self, data_files, capsys):
         db, ptable = data_files

@@ -56,6 +56,13 @@ class TestParseDatabase:
             dataio.parse_database("1:1:0.5\n5:1:0.5 3:1:0.5 5:1:0.5 3:1:0.5")
         assert err.value.line == 2 and err.value.column == 17
 
+    def test_first_fault_in_reading_order_is_reported(self):
+        # the repeat at column 9 comes before the zero quantity at 17
+        with pytest.raises(dataio.ParseError) as err:
+            dataio.parse_database("1:1:0.5 1:1:0.5 2:0:0.5")
+        assert (err.value.line, err.value.column, err.value.message) == (
+            1, 9, "duplicate item 1 in transaction")
+
     def test_negative_item_rejected(self):
         with pytest.raises(dataio.ParseError, match="item id must be >= 0") as err:
             dataio.parse_database("1:1:0.5 -2:1:0.5")
@@ -99,9 +106,11 @@ def _messy_lines(db, rng: random.Random) -> tuple[list[str], list[list[tuple[int
 
 
 def _write(tokens: list) -> str:
+    """A line holding [column, field, ...] tokens, each at its column or,
+    after a token that grew, one space after it."""
     line = ""
-    for col, item, quantity, probability in tokens:
-        line += " " * (col - 1 - len(line)) + f"{item}:{quantity}:{probability} "
+    for col, *fields in tokens:
+        line += " " * (col - 1 - len(line)) + ":".join(map(str, fields)) + " "
     return line
 
 
@@ -204,6 +213,39 @@ def test_one_bad_token_is_reported_where_it_stands(mutation, seed):
             assert (err.value.line, err.value.column, err.value.message) == (
                 line_no, tokens[k][0], message)
 
+
+
+def _two_places(layout: list, rng: random.Random) -> list[tuple[int, int, list, int]]:
+    """Two distinct tokens of a layout, half the time on one line, in
+    reading order: each as (index in reading order, line number, the
+    line's tokens, index in the line)."""
+    places = [(line_no, toks, k) for line_no, toks in layout for k in range(len(toks))]
+    lines = [toks for _, toks in layout if len(toks) > 1]
+    if lines and rng.random() < 0.5:
+        toks = rng.choice(lines)
+        at = [i for i, (_, ts, _) in enumerate(places) if ts is toks]
+    else:
+        at = range(len(places))
+    return [(i, *places[i]) for i in sorted(rng.sample(at, 2))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_first_of_two_bad_tokens_is_reported(seed):
+    rng = random.Random(seed)
+    for db in _databases(seed):
+        lines, layout = _messy_lines(db, rng)
+        if sum(len(toks) for _, toks in layout) < 2:
+            continue
+        faults = []
+        for _, line_no, toks, k in _two_places(layout, rng):
+            mutation = rng.choice([m for m in MUTATIONS.values() if k or m is not _duplicate_item])
+            faults.append((line_no, toks[k][0], mutation(toks[k], toks[:k])))
+            lines[line_no - 1] = _write(toks)
+        for size in CHUNK_SIZES:
+            with _chunk_lines(size), pytest.raises(dataio.ParseError) as err:
+                dataio.parse_database("\n".join(lines))
+            assert (err.value.line, err.value.column, err.value.message) == faults[0]
 
 
 # A token that breaks a rule of its own, added to the end of a line.
@@ -326,9 +368,113 @@ class TestParsePtable:
             dataio.parse_ptable("1:8 2:nan\n2:5")
         assert err.value.line == 1 and err.value.column == 5
 
+    @pytest.mark.parametrize("token, message", [
+        ("1:x", "utility must be a number, got 'x'"),
+        ("x:1", "item id must be an integer, got 'x'"),
+        ("1", "expected item:utility, got '1'"),
+        ("1:2:3", "expected item:utility, got '1:2:3'"),
+    ])
+    def test_token_that_does_not_convert(self, token, message):
+        with pytest.raises(dataio.ParseError) as err:
+            dataio.parse_ptable(f"1:8\n2:5  {token} 3:1\n")
+        assert (err.value.line, err.value.column, err.value.message) == (2, 6, message)
+
+    def test_first_fault_in_reading_order_is_reported(self):
+        # line 1 is at fault before line 2's token, which does not convert
+        with pytest.raises(dataio.ParseError) as err:
+            dataio.parse_ptable("1:inf\n2:x")
+        assert (err.value.line, err.value.column) == (1, 1)
+        assert err.value.message == "utility must be finite, got inf for item 1"
+
+    def test_fault_is_found_in_logarithmic_conversions(self, monkeypatch):
+        n = 20_000
+        text = "".join(f"{i}:1\n" for i in range(n - 1)) + "7:2\n"
+        table, calls = dataio._table, []
+
+        def counted(contents):
+            calls.append(contents)
+            return table(contents)
+
+        monkeypatch.setattr(dataio, "_table", counted)
+        with pytest.raises(dataio.ParseError) as err:
+            dataio.parse_ptable(text)
+        assert (err.value.line, err.value.column, err.value.message) == (
+            n, 1, "duplicate item 7 in utility table")
+        assert len(calls) <= 2 * math.ceil(math.log2(n)) + 2
+
     def test_one_entry_per_line_also_works(self):
         table = dataio.parse_ptable("1:8\n2:5\n")
         assert table.entries == {1: 8.0, 2: 5.0}
+
+
+def _messy_table(table, rng: random.Random) -> tuple[list[str], list[tuple[int, list]]]:
+    """table written as its tokens in a shuffled order, one to three a
+    line, with runs of spaces and blank and comment lines between; also,
+    per line, its number and its tokens as [column, item, utility text]."""
+    entries = list(table.entries.items())
+    rng.shuffle(entries)
+    lines, layout = [], []
+    while entries:
+        while rng.random() < 0.3:
+            lines.append(rng.choice(["", "   ", "# a comment"]))
+        line, tokens = " " * rng.randint(0, 2), []
+        for item, utility in entries[:rng.randint(1, 3)]:
+            tokens.append([len(line) + 1, item, repr(utility)])
+            line += f"{item}:{utility!r}" + " " * rng.randint(1, 3)
+        del entries[:len(tokens)]
+        lines.append(line)
+        layout.append((len(lines), tokens))
+    return lines, layout
+
+
+# Each rewrites one table token [column, item, utility text], given the
+# tokens before it in the file, and returns the message it must raise.
+def _table_field_count(tok, _earlier):
+    tok[2] += ":1"
+    return f"expected item:utility, got '{tok[1]}:{tok[2]}'"
+
+
+def _not_a_number(tok, _earlier):
+    tok[2] = "x"
+    return "utility must be a number, got 'x'"
+
+
+def _not_finite(tok, _earlier):
+    tok[2] = "inf"
+    return f"utility must be finite, got inf for item {tok[1]}"
+
+
+def _table_negative_item(tok, _earlier):
+    tok[1] = -tok[1] - 1
+    return f"item id must be >= 0, got {tok[1]}"
+
+
+def _repeat(tok, earlier):
+    tok[1] = earlier[-1][1]
+    return f"duplicate item {tok[1]} in utility table"
+
+
+TABLE_MUTATIONS = [_table_field_count, _not_a_number, _not_finite, _table_negative_item,
+                   _repeat]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_first_of_two_bad_table_tokens_is_reported(seed):
+    rng = random.Random(seed)
+    lines, layout = _messy_table(generate_small(seed)[1], rng)
+    tokens = [tok for _, toks in layout for tok in toks]
+    if len(tokens) < 2:
+        return
+    faults = []
+    for i, line_no, toks, k in _two_places(layout, rng):
+        earlier = tokens[:i]
+        mutation = rng.choice([m for m in TABLE_MUTATIONS if earlier or m is not _repeat])
+        faults.append((line_no, toks[k][0], mutation(toks[k], earlier)))
+        lines[line_no - 1] = _write(toks)
+    with pytest.raises(dataio.ParseError) as err:
+        dataio.parse_ptable("\n".join(lines))
+    assert (err.value.line, err.value.column, err.value.message) == faults[0]
 
 
 class TestSerializeResults:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -205,12 +207,21 @@ class TestMine:
 class TestConfig:
     def test_presets_match_toggle_vectors(self):
         assert MiningConfig.from_preset("P12") == MiningConfig(
-            True, True, False, False, False, False, preset="P12")
+            True, True, False, False, False, False)
         assert MiningConfig.from_preset("all").preset == "ALL"
         none = MiningConfig.from_preset("NONE")
         assert not any([none.s1_pu_prune, none.s2_initial_filter,
                         none.s3_probability_bound, none.s4_remaining_utility_bound,
                         none.s5_empty_or_lowpro_skip, none.s6_eucp])
+
+    def test_preset_label_follows_the_flags(self, ex_db, ex_table):
+        # the label names the preset with exactly the flags mined with
+        no_s6 = dataclasses.replace(MiningConfig.from_preset("ALL"), s6_eucp=False)
+        assert mine(ex_db, ex_table, TH, no_s6)[1].preset == "custom"
+        assert mine(ex_db, ex_table, TH, MiningConfig())[1].preset == "ALL"
+        assert MiningConfig.from_strategies(["s2", "S1"]).preset == "P12"
+        for name in PRESETS:
+            assert MiningConfig.from_preset(name).preset == name
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
