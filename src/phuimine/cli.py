@@ -64,6 +64,25 @@ def _write(path: str, text: str) -> None:
         raise _file_error(path, exc) from None
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Refuse, before any work, an output path that cannot be opened for
+    writing. An existing file is opened for appending and left as it is;
+    a new one is created and removed again, so a run that fails later
+    leaves no empty output behind."""
+    for path in paths:
+        if not path:
+            continue
+        target = Path(path)
+        try:
+            if target.exists():
+                target.open("a").close()
+            else:
+                target.open("x").close()
+                target.unlink()
+        except OSError as exc:
+            raise _file_error(path, exc) from None
+
+
 def _write_or_print(text: str, path: str | None) -> None:
     if path:
         _write(path, text)
@@ -74,6 +93,7 @@ def _write_or_print(text: str, path: str | None) -> None:
 def cmd_mine(args) -> int:
     thresholds = Thresholds(args.min_util, args.min_pro)
     config = _config_from(args)
+    _check_writable(args.out, args.stats)
     db, table = _load_inputs(args.db, args.ptable)
     results, stats = mine(db, table, thresholds, config)
     _write_or_print(dataio.serialize_results(results), args.out)
@@ -86,6 +106,7 @@ def cmd_oracle(args) -> int:
     if args.max_items < 1:
         raise _UsageError(f"--max-items {args.max_items} must be at least 1")
     thresholds = Thresholds(args.min_util, args.min_pro)
+    _check_writable(args.out)
     db, table = _load_inputs(args.db, args.ptable)
     results = oracle.brute_force_mine(db, table, thresholds, max_items=args.max_items)
     _write_or_print(dataio.serialize_results(results), args.out)
@@ -133,9 +154,11 @@ def cmd_gen(args) -> int:
         per_item_probability=args.per_item_probability,
     )
     try:
-        db, table = datagen.generate(params)
+        params.validate()
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    _check_writable(args.out_db, args.out_ptable)
+    db, table = datagen.generate(params)
     _write(args.out_db, dataio.serialize_database(db))
     _write(args.out_ptable, dataio.serialize_ptable(table))
     negatives = sum(1 for u in table.entries.values() if u < 0)
@@ -216,6 +239,7 @@ def cmd_bench(args) -> int:
     pairs = [Thresholds(min_util, min_pro) for min_util in min_utils for min_pro in min_pros]
     for preset in presets:
         MiningConfig.from_preset(preset)
+    _check_writable(args.out)
     full_db, table = _load_inputs(args.db, args.ptable)
     for bad in (n for n in prefix_sizes if not 1 <= n <= full_db.size):
         raise _UsageError(f"prefix size {bad} outside 1..{full_db.size}, "

@@ -2,10 +2,12 @@
 
 The miner scans the database once for per-item bounds and once more to
 build the single-item lists (and, for s6, the item-pair matrix) in the
-same walk; those lists are the roots of a recursive search.
-Each candidate's exact utility and expected support come straight from
-its list's column sums, so qualifying patterns are emitted without a
-verification pass.
+same walk; those lists are the roots of a recursive search. The search
+of one mine() call runs in one frame: search() binds the strategy
+flags, bounds, EUCS lookup and counters once, and its nested visit()
+recurses over the set-enumeration tree. Each candidate's exact utility
+and expected support come straight from its list's column sums, so
+qualifying patterns are emitted without a verification pass.
 
 Six pruning strategies sit behind independent toggles. All of them are
 sound: every configuration produces the same result set and differs
@@ -158,19 +160,25 @@ def search(
     stats: MiningStats,
     out: list[MinedPattern],
 ) -> None:
-    """Depth-first exploration of sibling extensions, which share all
-    but their last item.
+    """Depth-first exploration of the subtrees under sibling extensions,
+    which share all but their last item.
 
-    Every extension examined here counts as a visited node. A node is
-    emitted when both of its exact measures reach their bounds; it is
-    extended unless s3/s4 rule the whole subtree out. Joined child
-    lists with no supporting transaction are always discarded (they
-    cannot describe a pattern of the database). eucs is read only with
-    s6 on; mine() passes None otherwise.
+    Every extension examined counts as a visited node. A node is emitted
+    when both of its exact measures reach their bounds; it is extended
+    unless s3/s4 rule the whole subtree out. Joined child lists with no
+    supporting transaction are always discarded (they cannot describe a
+    pattern of the database). eucs is read only with s6 on; mine()
+    passes None otherwise.
 
-    Each call adds its work to stats once per Py (joins, abandons, s5
-    and s6 counts) or once per call (visited nodes); emitted patterns
-    are not counted here: mine() sets phuis_found to len(out).
+    The flags, bounds, EUCS lookup and counters are bound once here, in
+    one frame; the recursion runs in the nested visit(), and the
+    counters are added to stats once, when the whole tree is done.
+    Emitted patterns are not counted here: mine() sets phuis_found to
+    len(out). The last of a set of siblings has no later sibling to join
+    with, so it is emitted and counted but sets up no join. Every join
+    calls this module's construct, looked up at call time, with Py and Pz
+    as its positional arguments, so a wrapper set on miner.construct sees
+    each one.
     """
     min_util = thresholds.min_util
     s1 = config.s1_pu_prune
@@ -178,56 +186,80 @@ def search(
     s4 = config.s4_remaining_utility_bound
     s5 = config.s5_empty_or_lowpro_skip
     s6 = config.s6_eucp
-    stats.visited_nodes += len(extensions)
-    for idx, py in enumerate(extensions):
-        sum_pro = py.sum_pro
-        utility = py.sum_pu + py.sum_nu
-        if sum_pro >= pro_bound and utility >= min_util:
-            # Pattern.of without its call: this runs once per emission
-            out.append(MinedPattern(Pattern(tuple(sorted(py.pattern_po))), utility, sum_pro))
+    pair = eucs.pair if s6 else None
+    emit = out.append
+    # tuple.__new__ makes the named tuples without their Python-level
+    # __new__, a cost paid once per emission
+    new = tuple.__new__
+    # pairs counts the (Py, Pz) sibling pairs of every extended Py; the
+    # joins attempted are the pairs that s6 does not skip
+    visited = pairs = skipped = abandoned = low_pro = s3_cuts = s4_cuts = 0
 
-        if s3 and not sum_pro >= pro_bound:
-            stats.s3_cuts += 1
-            continue
-        if s4 and not py.sum_pu + py.sum_rpu >= min_util:
-            stats.s4_cuts += 1
-            continue
+    def visit(extensions: list[PUList]) -> None:
+        nonlocal visited, pairs, skipped, abandoned, low_pro, s3_cuts, s4_cuts
+        visited += len(extensions)
+        last = len(extensions) - 1
+        for idx, py in enumerate(extensions):
+            sum_pro = py.sum_pro
+            utility = py.sum_pu + py.sum_nu
+            if sum_pro >= pro_bound and utility >= min_util:
+                emit(new(MinedPattern,
+                         (new(Pattern, (tuple(sorted(py.pattern_po)),)), utility, sum_pro)))
 
-        y = py.pattern_po[-1]
-        # Py's tid set, built at Py's first join of two long lists and
-        # shared by the rest; construct narrows long sparse joins with
-        # it (see pulist.NARROW_MIN_LEN)
-        long_py = len(py.tids) >= NARROW_MIN_LEN
-        py_tids = None
-        siblings = extensions[idx + 1:]
-        skipped = abandoned = low_pro = 0
-        children: list[PUList] = []
-        for pz in siblings:
-            if s6 and eucs.pair(y, pz.pattern_po[-1]) < min_util:
-                skipped += 1
+            if s3 and not sum_pro >= pro_bound:
+                s3_cuts += 1
                 continue
-            if long_py and py_tids is None and len(pz.tids) >= NARROW_MIN_LEN:
-                py_tids = set(py.tids)
-            pyz = construct(
-                py, pz,
-                min_util=min_util, pro_bound=pro_bound,
-                la_prune=s1, py_tids=py_tids,
-            )
-            if pyz is None:
-                abandoned += 1
+            if s4 and not py.sum_pu + py.sum_rpu >= min_util:
+                s4_cuts += 1
                 continue
-            if not pyz.tids:
-                continue
-            if s5 and not pyz.sum_pro >= pro_bound:
-                low_pro += 1
-                continue
-            children.append(pyz)
-        stats.eucs_skips += skipped
-        stats.joins_attempted += len(siblings) - skipped
-        stats.joins_abandoned += abandoned
-        stats.s5_skips += low_pro
-        if children:
-            search(children, thresholds, pro_bound, config, eucs, stats, out)
+            if idx == last:
+                break
+
+            y = py.pattern_po[-1]
+            # Py's tid set, built at Py's first join of two long lists
+            # and shared by the rest; construct narrows long sparse joins
+            # with it (see pulist.NARROW_MIN_LEN)
+            long_py = len(py.tids) >= NARROW_MIN_LEN
+            py_tids = None
+            pairs += last - idx
+            children: list[PUList] = []
+            for pz in extensions[idx + 1:]:
+                if s6 and pair(y, pz.pattern_po[-1]) < min_util:
+                    skipped += 1
+                    continue
+                if long_py and py_tids is None and len(pz.tids) >= NARROW_MIN_LEN:
+                    py_tids = set(py.tids)
+                pyz = construct(
+                    py, pz,
+                    min_util=min_util, pro_bound=pro_bound,
+                    la_prune=s1, py_tids=py_tids,
+                )
+                if pyz is None:
+                    abandoned += 1
+                    continue
+                if not pyz.tids:
+                    continue
+                if s5 and not pyz.sum_pro >= pro_bound:
+                    low_pro += 1
+                    continue
+                children.append(pyz)
+            if children:
+                visit(children)
+
+    try:
+        visit(extensions)
+    finally:
+        # visit holds itself in its closure; dropping the name breaks
+        # that cycle, so out and the EUCS are freed by reference counting
+        # and not left for a later collection
+        del visit
+    stats.visited_nodes += visited
+    stats.joins_attempted += pairs - skipped
+    stats.joins_abandoned += abandoned
+    stats.eucs_skips += skipped
+    stats.s3_cuts += s3_cuts
+    stats.s4_cuts += s4_cuts
+    stats.s5_skips += low_pro
 
 
 def mine(

@@ -158,12 +158,48 @@ class TestMineCommand:
                 f"error: {bad}: 'utf-8' codec can't decode byte 0xe9")
 
     @pytest.mark.parametrize("flag", ["--out", "--stats"])
-    def test_unwritable_output_is_data_error(self, data_files, tmp_path, capsys, flag):
+    def test_unwritable_output_is_data_error(self, data_files, tmp_path, capsys, monkeypatch,
+                                             flag):
+        # refused before any mining: a mine() call would fail the test
+        monkeypatch.setattr(cli, "mine", _must_not_run)
         db, ptable = data_files
         target = tmp_path / "missing-dir" / "file.txt"
         assert run(["mine", "--db", db, "--ptable", ptable, "--min-util", "20",
                     "--min-pro", "0.25", flag, str(target)]) == 1
         assert capsys.readouterr().err == f"error: {target}: No such file or directory\n"
+
+    def test_writable_outputs_are_kept_or_left_absent_when_mining_fails(self, tmp_path,
+                                                                        capsys):
+        # the up-front check neither empties an existing output nor
+        # leaves a new one behind when the run fails afterwards
+        bad = tmp_path / "bad.db"
+        bad.write_text("1:0:0.5\n")
+        ptable = tmp_path / "x.ptable"
+        ptable.write_text(EXAMPLE_PTABLE_TEXT)
+        kept, absent = tmp_path / "kept.txt", tmp_path / "absent.txt"
+        kept.write_text("earlier results\n")
+        assert run(["mine", "--db", str(bad), "--ptable", str(ptable), "--min-util", "1",
+                    "--min-pro", "0", "--out", str(kept), "--stats", str(absent)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}:1:")
+        assert kept.read_text() == "earlier results\n"
+        assert not absent.exists()
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ran before its output path was checked")
+
+
+@pytest.mark.parametrize("command", [
+    ["oracle", "--min-util", "20", "--min-pro", "0.25"],
+    ["bench", "--min-util", "20", "--min-pro", "0.25"],
+])
+def test_unwritable_out_is_refused_before_any_input_is_read(data_files, tmp_path, capsys,
+                                                            monkeypatch, command):
+    monkeypatch.setattr(cli, "_load_inputs", _must_not_run)
+    db, ptable = data_files
+    target = tmp_path / "missing-dir" / "file.txt"
+    assert run([*command, "--db", db, "--ptable", ptable, "--out", str(target)]) == 1
+    assert capsys.readouterr().err == f"error: {target}: No such file or directory\n"
 
 
 class TestOracleCommand:
@@ -305,6 +341,8 @@ class TestGenCommand:
         assert run(["gen", "--transactions", "5", "--items", "3",
                     "--out-db", paths["--out-db"], "--out-ptable", paths["--out-ptable"]]) == 1
         assert capsys.readouterr().err == f"error: {paths[flag]}: No such file or directory\n"
+        # both paths are checked before either file is written
+        assert list(tmp_path.iterdir()) == []
 
     def test_all_negative(self, tmp_path):
         ptable = tmp_path / "neg.ptable"

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import pytest
 from hypothesis import given, settings
@@ -320,3 +321,40 @@ def test_counters_of_every_preset_are_pinned(pinned_instances, instance):
         _found, stats = mine(db, table, thresholds, MiningConfig.from_preset(preset))
         counters[preset] = tuple(getattr(stats, name) for name in COUNTER_FIELDS)
     assert counters == PINNED_COUNTERS[instance]
+
+
+# mine() reports patterns in depth-first discovery order: a node, then
+# every pattern in the subtree under it, then its next sibling, siblings
+# in processing order. Pruning only drops subtrees that hold no pattern,
+# so every preset lists the same item tuples in the same order.
+DISCOVERY_ORDER = {
+    "example": [(1,), (1, 2), (1, 3), (4,), (4, 5), (2,), (2, 5), (2, 3, 5), (5,), (3, 5)],
+    "fuzz-20-0": [(11,), (4,), (1,), (1, 3), (12,), (3, 12), (10,), (8,), (3,), (3, 9),
+                  (2, 3), (9,), (2,)],
+}
+
+
+@pytest.mark.parametrize("instance", list(DISCOVERY_ORDER))
+def test_results_come_in_depth_first_discovery_order(pinned_instances, ex_db, ex_table,
+                                                     instance):
+    db, table, thresholds = ((ex_db, ex_table, TH) if instance == "example"
+                             else pinned_instances[instance])
+    for preset in PRESETS:
+        found, _stats = mine(db, table, thresholds, MiningConfig.from_preset(preset))
+        assert [m.pattern.items for m in found] == DISCOVERY_ORDER[instance], preset
+
+
+def test_mine_leaves_no_cyclic_garbage():
+    # everything a run allocates is freed by reference counting when the
+    # run ends; a reference cycle would keep the lists, the EUCS and the
+    # results alive until a later collection
+    case = make_fuzz_case(3)
+    gc.collect()
+    gc.disable()
+    try:
+        for thresholds in case.thresholds_list:
+            for preset in PRESETS:
+                mine(case.db, case.table, thresholds, MiningConfig.from_preset(preset))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -68,6 +68,17 @@ def test_traced_miner_globals_are_called_through_the_module(ex_db, ex_table, mon
         assert isinstance(py, PUList) and isinstance(pz, PUList)
         assert result is None or len(result) <= min(len(py), len(pz))
 
+    # every join goes through the module global, so perfbench's tid counts
+    # see all of them: one recorded call per attempted join, every preset
+    case = verify.make_fuzz_case(20)
+    thresholds = case.thresholds_list[1]
+    for preset in miner.PRESETS:
+        calls["construct"].clear()
+        _found, stats = miner.mine(case.db, case.table, thresholds,
+                                   miner.MiningConfig.from_preset(preset))
+        assert stats.joins_attempted > 0
+        assert len(calls["construct"]) == stats.joins_attempted, preset
+
 
 def test_traced_verify_and_oracle_names_are_called_through_the_module(ex_db, ex_table,
                                                                       monkeypatch):
