@@ -1,5 +1,8 @@
 """Text formats for databases, utility tables, results and stats.
 
+In both input formats a line ends at \\n, \\r\\n or \\r only, and every
+field is ASCII without `_`.
+
 Database file: one transaction per non-empty, non-comment line, tokens
 `item:quantity:probability` separated by single spaces. `#` starts a
 comment (whole line or trailing). Tids follow line order. The parser
@@ -50,8 +53,11 @@ class ParseError(Exception):
 
 
 def _content_lines(text: str) -> Iterable[tuple[int, str]]:
-    """Yield (line_no, content) with comments stripped; blank lines skipped."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    """Yield (line_no, content) with comments stripped; blank lines
+    skipped. Lines end at \\n, \\r\\n or \\r only: str.splitlines would
+    also end one at \\v, \\f, \\x1c-\\x1e, \\x85, U+2028 and U+2029."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
         hash_at = raw.find("#")
         content = raw if hash_at < 0 else raw[:hash_at]
         if content.strip():
@@ -78,9 +84,14 @@ _PTABLE_TOKEN = ("item:utility", ("item id", int), ("utility", float))
 def _columns(contents: list[str], kind: tuple) -> list[list]:
     """The fields of the lines' space-separated tokens, one converted
     column per field of `kind`. Raises ValueError unless every token
-    has exactly the kind's fields and each converts."""
+    has exactly the kind's fields and each converts. int and float also
+    take digits other than ASCII and a `_` between digits, which the
+    formats refuse; one test of the joined text finds either."""
     _shape, *fields = kind
-    tokens = list(filter(None, " ".join(contents).split(" ")))
+    text = " ".join(contents)
+    if not text.isascii() or "_" in text:
+        raise ValueError("a field holds a character other than ASCII, or '_'")
+    tokens = list(filter(None, text.split(" ")))
     if set(map(str.count, tokens, repeat(":"))) - {len(fields) - 1}:
         raise ValueError(f"a token does not hold {len(fields)} fields")
     parts = ":".join(tokens).split(":") if tokens else []
@@ -90,7 +101,8 @@ def _columns(contents: list[str], kind: tuple) -> list[list]:
 
 def _token_error(token: str, kind: tuple, exc: ValueError) -> str:
     """Why a token failed to become a value, looked up only then: its
-    shape, the first field that does not convert, else the model's rule."""
+    shape, the first field that is not ASCII without `_` or does not
+    convert, else the model's rule."""
     shape, *fields = kind
     parts = token.split(":")
     if len(parts) != len(fields):
@@ -98,8 +110,11 @@ def _token_error(token: str, kind: tuple, exc: ValueError) -> str:
     for text, (name, convert) in zip(parts, fields):
         try:
             convert(text)
+            if text.isascii() and "_" not in text:
+                continue
         except ValueError:
-            return f"{name} must be {'an integer' if convert is int else 'a number'}, got {text!r}"
+            pass
+        return f"{name} must be {'an integer' if convert is int else 'a number'}, got {text!r}"
     return str(exc)
 
 

@@ -130,11 +130,12 @@ def initial_scan(
     support reaches min_pro * |D| and its rtwu reaches min_util; with it
     off every occurring item survives.
     """
+    units = table.entries
     acc: dict[Item, list[float]] = {i: [0.0, 0.0] for i in sorted(db.item_universe)}
     for tx in db.transactions:
         rtu = 0.0
         for item, quantity, _probability in tx.rows:
-            u = table.unit_utility(item) * quantity
+            u = units[item] * quantity
             if u > 0.0:
                 rtu += u
         for item, _quantity, probability in tx.rows:

@@ -1,15 +1,18 @@
 """Domain types for uncertain quantitative transaction databases.
 
-A database is an ordered sequence of transactions; each holds its
-occurrences as rows of plain (item, quantity, probability) tuples, and
-Transaction.entries views them as TransactionEntry, with named fields.
-Unit utilities (signed, e.g. profit per unit) live in a utility table.
+A database is an ordered sequence of transactions; each is a named
+tuple (tid, rows) whose rows are plain (item, quantity, probability)
+tuples, and Transaction.entries views them as TransactionEntry, with
+named fields. Unit utilities (signed, e.g. profit per unit) live in a
+utility table, read as table.entries[item]. Transactions, entries,
+patterns and results are named tuples: each equals its plain tuple.
 
 Each type checks its own rules once, when it is built, and raises
 ValueError: _rules_hold holds the occurrence rules, and _check_rows
 names the first one broken, for a Transaction, a TransactionEntry or
 all the rows of a parsed chunk of lines, which sorted_transactions
-checks at once; a transaction is non-empty; a database's tids run 1..n;
+checks at once and builds unchecked with tuple.__new__, as search
+builds its records; a transaction is non-empty; a database's tids run 1..n;
 a table's ids are >= 0 and its utilities finite; thresholds have
 their ranges. check_utilities, which mine() and the oracle call first,
 checks a database against its table.
@@ -79,38 +82,29 @@ def _check_rows(rows: tuple[tuple[Item, int, float], ...], starts=frozenset()) -
                              else f"items must ascend, got {item} after {prev}")
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class Transaction:
+class Transaction(namedtuple("Transaction", "tid rows")):
     """A tid (1-based position) plus its rows, one exact (item, quantity,
-    probability) tuple per occurrence, from any iterable of triples."""
+    probability) tuple per occurrence, from any iterable of triples;
+    equal to the plain tuple (tid, rows). Checked when built, by
+    _replace and when unpickled; _make and tuple.__new__ stay unchecked,
+    for rows that are known to keep every rule."""
 
-    tid: int
-    rows: tuple[tuple[Item, int, float], ...]
+    __slots__ = ()
 
-    def __init__(self, tid: int, entries: Iterable[tuple[Item, int, float]]) -> None:
+    def __new__(cls, tid: int, entries: Iterable[tuple[Item, int, float]]) -> "Transaction":
         rows = tuple(map(tuple, entries))
         if not rows:
             raise ValueError(f"transaction {tid} is empty")
         _check_rows(rows)
-        _set_tid(self, tid)
-        _set_rows(self, rows)
+        return tuple.__new__(cls, (tid, rows))
+
+    def _replace(self, **changes) -> "Transaction":
+        """A copy with the named fields changed, checked as when built."""
+        return Transaction(*super()._replace(**changes))
 
     @property
     def entries(self) -> tuple[TransactionEntry, ...]:
         return tuple(map(TransactionEntry._make, self.rows))
-
-
-# The slots' own setters, which a frozen class's __setattr__ refuses.
-_set_tid = Transaction.__dict__["tid"].__set__
-_set_rows = Transaction.__dict__["rows"].__set__
-
-
-def _checked_transaction(tid: int, rows: tuple[tuple[Item, int, float], ...]) -> Transaction:
-    """A Transaction of rows that are known to keep every rule."""
-    tx = object.__new__(Transaction)
-    _set_tid(tx, tid)
-    _set_rows(tx, rows)
-    return tx
 
 
 def sorted_transactions(first_tid: int, items: list[Item], quantities: list[int],
@@ -130,7 +124,8 @@ def sorted_transactions(first_tid: int, items: list[Item], quantities: list[int]
     else:
         groups = [tuple(sorted(rows[a:b])) for a, b in spans]
         _check_rows(tuple(chain.from_iterable(groups)), set(ends))
-    return list(map(_checked_transaction, range(first_tid, first_tid + len(sizes)), groups))
+    tids = range(first_tid, first_tid + len(sizes))
+    return list(map(tuple.__new__, repeat(Transaction), zip(tids, groups)))
 
 
 @dataclass(frozen=True)
@@ -179,14 +174,6 @@ class UtilityTable:
                 raise ValueError(f"item id must be >= 0, got {item}")
             if not math.isfinite(u):
                 raise ValueError(f"utility must be finite, got {u} for item {item}")
-
-    def unit_utility(self, item: Item) -> float:
-        return self.entries[item]
-
-    def is_positive_group(self, item: Item) -> bool:
-        # Zero-utility items count as positive: they contribute nothing
-        # either way and this keeps the item ordering total.
-        return self.entries[item] >= 0
 
 
 @dataclass(frozen=True)

@@ -49,11 +49,12 @@ def enumerate_supported(
         raise UniverseTooLargeError(
             f"item universe has {len(db.item_universe)} items, limit is {max_items}"
         )
+    units = table.entries
     totals: dict[tuple[int, ...], tuple[float, float]] = {}
     for tx in db.transactions:
         subsets: list[tuple[tuple[int, ...], float, float]] = [((), 0.0, 1.0)]
         for item, quantity, ip in tx.rows:
-            iu = table.unit_utility(item) * quantity
+            iu = units[item] * quantity
             subsets += [(key + (item,), u + iu, p * ip) for key, u, p in subsets]
         for key, u, p in subsets[1:]:
             acc = totals.get(key)

@@ -114,10 +114,10 @@ def compute_processing_order(
     """Order the surviving items: every positive-group item precedes
     every negative-group item; within a group ascending rtwu, ties by
     ascending id."""
-    items = sorted(
-        item_rtwu,
-        key=lambda i: (not table.is_positive_group(i), item_rtwu[i], i),
-    )
+    units = table.entries
+    # Zero-utility items count as positive: they contribute nothing
+    # either way and this keeps the item ordering total.
+    items = sorted(item_rtwu, key=lambda i: (units[i] < 0, item_rtwu[i], i))
     return ProcessingOrder(tuple(items), {it: r for r, it in enumerate(items)})
 
 
@@ -147,7 +147,7 @@ def build_initial_pulists(
     """
     pair_rtwu = eucs.rows if eucs is not None else None
     rank_of = order.rank.get
-    unit_of_rank = [table.unit_utility(item) for item in order.ordered_items]
+    unit_of_rank = [table.entries[item] for item in order.ordered_items]
     lists = [PUList((item,)) for item in order.ordered_items]
     appends = [(lst.tids.append, lst.pro.append, lst.pu.append, lst.nu.append,
                 lst.rpu.append) for lst in lists]

@@ -4,7 +4,9 @@ Drives the miner under every preset against the brute-force reference
 on fixed inputs or on seeded fuzz instances, comparing result sets
 exactly on membership and utility and within a relative tolerance
 (`PRO_REL_TOL`) on expected support, and reporting the first
-divergence in (length, item ids) order. Shared by the CLI `verify`
+divergence in (length, item ids) order. Two sets whose records are
+equal exactly, keyed on their items, agree by one dict comparison;
+only the rest are walked in that order. Shared by the CLI `verify`
 command and the test suite.
 """
 
@@ -59,24 +61,16 @@ def compare_results(
     `PRO_REL_TOL` relative. The first divergence is the shortest, then
     lowest-id, pattern that is missing from one side or differs in a
     measure, or that one side lists more than once. Both sets are keyed
-    on their item tuples, which hash and compare in C; the ordered walk
-    runs only when the sets differ.
+    on their item tuples; when neither repeats a pattern and the two
+    dicts are equal (every record equal exactly, tested in C), they
+    agree, and the ordered walk runs only otherwise.
     """
     by_items_a = {m.pattern.items: m for m in results_a}
     by_items_b = {m.pattern.items: m for m in results_b}
     repeated_a = _repeated(results_a, by_items_a)
     repeated_b = _repeated(results_b, by_items_b)
-    if len(by_items_a) == len(by_items_b) and not repeated_a and not repeated_b:
-        # equal supports are close; the call is made only for the rest
-        for items, ma in by_items_a.items():
-            mb = by_items_b.get(items)
-            if (mb is None or ma.utility != mb.utility
-                    or (ma.expected_support != mb.expected_support
-                        and not probabilities_close(ma.expected_support,
-                                                    mb.expected_support))):
-                break
-        else:
-            return None
+    if not repeated_a and not repeated_b and by_items_a == by_items_b:
+        return None
     for items in sorted(by_items_a.keys() | by_items_b.keys(),
                         key=lambda k: (len(k), k)):
         ma = by_items_a.get(items)

@@ -33,7 +33,7 @@ def item_utility(item: Item, tx: Transaction, table: UtilityTable) -> float:
     entry = next((e for e in tx.entries if e.item == item), None)
     if entry is None:
         raise ItemNotInTransactionError(f"item {item} not in transaction {tx.tid}")
-    return table.unit_utility(item) * entry.quantity
+    return table.entries[item] * entry.quantity
 
 
 def pattern_utility_in_tx(pattern: Pattern, tx: Transaction, table: UtilityTable) -> float:
@@ -81,7 +81,7 @@ def expected_support(pattern: Pattern, db: UncertainDatabase) -> float:
 
 def transaction_utility(tx: Transaction, table: UtilityTable) -> float:
     """Sum of all item utilities in the transaction, negatives included."""
-    return sum(table.unit_utility(e.item) * e.quantity for e in tx.entries)
+    return sum(table.entries[e.item] * e.quantity for e in tx.entries)
 
 
 def redefined_transaction_utility(tx: Transaction, table: UtilityTable) -> float:
@@ -91,9 +91,9 @@ def redefined_transaction_utility(tx: Transaction, table: UtilityTable) -> float
     weight behind the anti-monotone rtwu bound.
     """
     return sum(
-        table.unit_utility(e.item) * e.quantity
+        table.entries[e.item] * e.quantity
         for e in tx.entries
-        if table.is_positive_group(e.item)
+        if table.entries[e.item] >= 0
     )
 
 

@@ -41,14 +41,14 @@ def build_pulist_by_scan(
     """The list of an arbitrary pattern, given in any order and
     normalized to processing order, read from the transactions."""
     rank = order.rank
-    unit = table.unit_utility
+    units = table.entries
     members = sorted(pattern_items, key=lambda i: rank[i])
     member_set = set(members)
     last_rank = rank[members[-1]]
     out = PUList(tuple(members))
     for tx in db.transactions:
         found = {
-            item: (unit(item) * quantity, probability)
+            item: (units[item] * quantity, probability)
             for item, quantity, probability in tx.rows
             if item in member_set
         }
@@ -65,7 +65,7 @@ def build_pulist_by_scan(
             else:
                 nu += u
         following = sorted(
-            (rank[item], unit(item) * quantity)
+            (rank[item], units[item] * quantity)
             for item, quantity, _probability in tx.rows
             if item in rank and rank[item] > last_rank
         )

@@ -17,6 +17,11 @@ from phuimine.model import MinedPattern, Pattern, Transaction, make_database
 from helpers import EXAMPLE_DB_TEXT, EXAMPLE_PTABLE_TEXT
 
 
+# Characters at which str.splitlines ends a line, besides \n and \r;
+# a line of either format ends only at \n, \r\n or \r.
+NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 class TestParseDatabase:
     def test_first_line_of_example(self):
         db = dataio.parse_database("1:5:0.6 2:3:0.5 4:2:0.9 5:4:0.8")
@@ -79,6 +84,25 @@ class TestParseDatabase:
     def test_entries_normalized_ascending(self):
         db = dataio.parse_database("5:1:0.5 1:1:0.5")
         assert [e.item for e in db.transactions[0].entries] == [1, 5]
+
+    def test_lines_become_transactions_as_the_constructor_builds_them(self):
+        db = dataio.parse_database("1:1:0.5 2:3:0.25\n5:1:0.5 3:2:1.0\n")
+        assert db.transactions == (Transaction(1, [(1, 1, 0.5), (2, 3, 0.25)]),
+                                   Transaction(2, [(3, 2, 1.0), (5, 1, 0.5)]))
+        assert all(type(tx) is Transaction for tx in db.transactions)
+
+    @pytest.mark.parametrize("sep", NOT_LINE_ENDS)
+    def test_a_line_ends_only_at_a_newline(self, sep):
+        assert dataio.parse_database(f"# note{sep}more\n1:1:0.5\n").size == 1
+        with pytest.raises(dataio.ParseError) as err:
+            dataio.parse_database(f"1:1:0.5{sep}2:1:0.5\n")
+        assert (err.value.line, err.value.column) == (1, 1)
+        assert err.value.message.startswith("expected item:quantity:probability")
+        # a later fault is at the line an editor shows
+        with pytest.raises(dataio.ParseError) as err:
+            dataio.parse_database(f"# a{sep}b\r\n1:1:0.5\r2:1:0.5\n3:0:0.5\n")
+        assert (err.value.line, err.value.column, err.value.message) == (
+            4, 1, "quantity must be >= 1, got 0")
 
 
 def _messy_lines(db, rng: random.Random) -> tuple[list[str], list[list[tuple[int, list]]]]:
@@ -179,9 +203,27 @@ def _duplicate_item(tok, earlier):
     return f"duplicate item {tok[1]} in transaction"
 
 
+def _underscore(tok, _earlier):
+    tok[2] = f"1_{tok[2]}"
+    return f"quantity must be an integer, got '{tok[2]}'"
+
+
+def _non_ascii_digit(tok, _earlier):
+    tok[1] = f"\u0661{tok[1]}"  # ARABIC-INDIC DIGIT ONE, which int() reads as 1
+    return f"item id must be an integer, got '{tok[1]}'"
+
+
+def _fullwidth_digit(tok, _earlier):
+    tok[3] = "0.\uff15"  # FULLWIDTH DIGIT FIVE, which float() reads as 5
+    return "probability must be a number, got '0.\uff15'"
+
+
 MUTATIONS = {
     "field-count": _field_count,
     "non-integer": _non_integer,
+    "underscore": _underscore,
+    "non-ascii-digit": _non_ascii_digit,
+    "fullwidth-digit": _fullwidth_digit,
     "zero-quantity": _zero_quantity,
     "zero-probability": _probability("0", "0.0"),
     "probability-above-one": _probability("1.5", "1.5"),
@@ -373,6 +415,10 @@ class TestParsePtable:
         ("x:1", "item id must be an integer, got 'x'"),
         ("1", "expected item:utility, got '1'"),
         ("1:2:3", "expected item:utility, got '1:2:3'"),
+        ("1:1_000", "utility must be a number, got '1_000'"),
+        ("1_0:1", "item id must be an integer, got '1_0'"),
+        ("\u0661:1", "item id must be an integer, got '\u0661'"),
+        ("1:\uff12", "utility must be a number, got '\uff12'"),
     ])
     def test_token_that_does_not_convert(self, token, message):
         with pytest.raises(dataio.ParseError) as err:
@@ -405,6 +451,14 @@ class TestParsePtable:
     def test_one_entry_per_line_also_works(self):
         table = dataio.parse_ptable("1:8\n2:5\n")
         assert table.entries == {1: 8.0, 2: 5.0}
+
+    @pytest.mark.parametrize("sep", NOT_LINE_ENDS)
+    def test_a_line_ends_only_at_a_newline(self, sep):
+        assert dataio.parse_ptable(f"# note{sep}more\n1:8\n").entries == {1: 8.0}
+        with pytest.raises(dataio.ParseError) as err:
+            dataio.parse_ptable(f"1:8\n# a{sep}b\r\n2:x\n")
+        assert (err.value.line, err.value.column, err.value.message) == (
+            3, 1, "utility must be a number, got 'x'")
 
 
 def _messy_table(table, rng: random.Random) -> tuple[list[str], list[tuple[int, list]]]:

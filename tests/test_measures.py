@@ -174,6 +174,6 @@ def test_rtu_dominates_tu(seed):
         rtu = measures.redefined_transaction_utility(t, table)
         assert rtu >= 0
         assert rtu >= tu
-        has_negative = any(table.unit_utility(e.item) < 0 for e in t.entries)
+        has_negative = any(table.entries[e.item] < 0 for e in t.entries)
         if not has_negative:
             assert math.isclose(rtu, tu, rel_tol=0, abs_tol=0)

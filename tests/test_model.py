@@ -188,7 +188,35 @@ class TestTransactionRows:
         again = pickle.loads(pickle.dumps(ex_db))
         assert again == ex_db and again.item_quantity == ex_db.item_quantity
         tx = ex_db.transactions[0]
-        assert pickle.loads(pickle.dumps(tx)) == tx
+        again = pickle.loads(pickle.dumps(tx))
+        assert again == tx and type(again) is Transaction
+
+    def test_unpickling_checks_the_rows(self):
+        # built unchecked, as the parser's bulk path builds; pickle calls
+        # the checked constructor again
+        bad = tuple.__new__(Transaction, (1, ((1, 0, 0.5),)))
+        with pytest.raises(ValueError, match="quantity must be >= 1"):
+            pickle.loads(pickle.dumps(bad))
+
+    def test_a_transaction_is_a_two_field_tuple(self):
+        tx = Transaction(3, [TransactionEntry(1, 2, 0.5), (4, 1, 0.25)])
+        plain = (3, ((1, 2, 0.5), (4, 1, 0.25)))
+        assert tx == plain and hash(tx) == hash(plain)
+        assert len(tx) == 2 and (tx.tid, tx.rows) == plain
+
+    @pytest.mark.parametrize("changes, match", [
+        ({"rows": ()}, "transaction 1 is empty"),
+        ({"rows": ((1, 0, 0.5),)}, "quantity must be >= 1"),
+        ({"rows": ((2, 1, 0.5), (1, 1, 0.5))}, "items must ascend"),
+    ], ids=["empty", "zero-quantity", "descending-items"])
+    def test_replace_checks_the_new_transaction(self, changes, match):
+        with pytest.raises(ValueError, match=match):
+            Transaction(1, [(1, 1, 0.5)])._replace(**changes)
+
+    def test_replace_keeps_a_valid_transaction(self):
+        again = Transaction(1, [(1, 1, 0.5)])._replace(tid=4, rows=[[2, 3, 1.0]])
+        assert type(again) is Transaction and again == (4, ((2, 3, 1.0),))
+        assert type(again.rows[0]) is tuple
 
     def test_rows_are_exact_tuples(self):
         tx = Transaction(1, [TransactionEntry(1, 2, 0.5), [3, 1, 0.25], (4, 1, 1.0)])
@@ -231,10 +259,13 @@ class TestTransactionRows:
 
 class TestSortedTransactions:
     def test_equal_to_transactions_of_sorted_rows(self):
-        txs = sorted_transactions(4, [5, 2, 1, 3], [1, 1, 2, 1], [0.5, 0.5, 1.0, 0.25], [1, 3])
-        assert txs == [Transaction(4, [(5, 1, 0.5)]),
-                       Transaction(5, [(1, 2, 1.0), (2, 1, 0.5), (3, 1, 0.25)])]
-        assert all(type(row) is tuple for tx in txs for row in tx.rows)
+        for items in [5, 1, 2, 3], [5, 2, 1, 3]:  # each line's items sorted, then not
+            columns = (items, [1, 2, 1, 1], [0.5, 1.0, 0.5, 0.25])
+            txs = sorted_transactions(4, *columns, [1, 3])
+            rows = list(zip(*columns))
+            assert txs == [Transaction(4, rows[:1]), Transaction(5, sorted(rows[1:]))]
+            assert all(type(tx) is Transaction for tx in txs)
+            assert all(type(row) is tuple for tx in txs for row in tx.rows)
 
     @pytest.mark.parametrize("columns, match", [
         # a descent where a transaction starts is no fault; the repeat is

@@ -99,7 +99,7 @@ def _per_combination_measures(db, table):
                 u = 0.0
                 p = 1.0
                 for e in combo:
-                    u += table.unit_utility(e.item) * e.quantity
+                    u += table.entries[e.item] * e.quantity
                     p *= e.probability
                 key = tuple(e.item for e in combo)
                 if key in totals:

@@ -377,7 +377,7 @@ def test_s1_abandons_iff_matched_sums_fall_below_a_bound(seed, util_frac, pro_fr
                                     max_tx_len=6, seed=seed))
     for db, table in (dyadic, non_dyadic):
         total_rtu = sum(
-            max(table.unit_utility(e.item) * e.quantity, 0.0)
+            max(table.entries[e.item] * e.quantity, 0.0)
             for tx in db.transactions for e in tx.entries
         )
         drawn = (util_frac * total_rtu, pro_frac * db.size)

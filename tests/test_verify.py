@@ -75,6 +75,8 @@ class TestCompareResults:
         m = mp((1, 2), 3.0, 0.5)
         twice = Divergence("a", "b", Pattern((1, 2)), "listed 2 times in a")
         assert compare_results("a", [first, m], "b", [m]) == twice
+        # both sides repeat it alike, so their dicts are equal
+        assert compare_results("a", [first, m], "b", [first, m]) == twice
         assert compare_results("b", [m], "a", [first, m]) == Divergence(
             "b", "a", Pattern((1, 2)), "listed 2 times in a")
 
