@@ -17,8 +17,7 @@ from pathlib import Path
 
 from . import dataio, datagen, oracle, verify
 from .miner import PRESETS, MiningConfig, MiningStats, mine
-from .model import (DatabaseValidationError, Thresholds, UncertainDatabase, UtilityTable,
-                    make_database)
+from .model import DatabaseValidationError, Thresholds, UncertainDatabase, UtilityTable
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
@@ -254,7 +253,7 @@ def cmd_bench(args) -> int:
     csv_lines.append(",".join(header))
 
     for prefix in prefix_sizes or [full_db.size]:
-        db = make_database(full_db.transactions[:prefix]) if scalability else full_db
+        db = full_db.prefix(prefix) if scalability else full_db
         for thresholds in pairs:
             combo = (f"u={dataio._six_digits(thresholds.min_util)},"
                      f"p={dataio._six_digits(thresholds.min_pro)}")

@@ -1,12 +1,13 @@
 """Text formats for databases, utility tables, results and stats.
 
 In both input formats a line ends at \\n, \\r\\n or \\r only, and every
-field is ASCII without `_`.
+field is printable ASCII without `_`: no tab, vertical tab or form feed.
 
 Database file: one transaction per non-empty, non-comment line, tokens
 `item:quantity:probability` separated by single spaces. `#` starts a
 comment (whole line or trailing). Tids follow line order. The parser
-converts and checks a chunk of lines at a time.
+converts and checks a chunk of lines at a time and appends its columns
+to the database's: it builds no row tuple and no Transaction.
 
 Utility table file: `item:utility` tokens with signed, finite decimal
 utilities, one entry per item.
@@ -28,18 +29,11 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from decimal import Decimal
 from functools import partial
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Iterable
 
 from .miner import MiningStats
-from .model import (
-    MinedPattern,
-    Transaction,
-    UncertainDatabase,
-    UtilityTable,
-    make_database,
-    sorted_transactions,
-)
+from .model import MinedPattern, UncertainDatabase, UtilityTable, sorted_columns
 
 
 @dataclass(frozen=True)
@@ -52,16 +46,23 @@ class ParseError(Exception):
         return f"line {self.line}, column {self.column}: {self.message}"
 
 
-def _content_lines(text: str) -> Iterable[tuple[int, str]]:
-    """Yield (line_no, content) with comments stripped; blank lines
-    skipped. Lines end at \\n, \\r\\n or \\r only: str.splitlines would
-    also end one at \\v, \\f, \\x1c-\\x1e, \\x85, U+2028 and U+2029."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for line_no, raw in enumerate(lines, start=1):
+def _raw_lines(text: str) -> list[str]:
+    """The lines of a text. Lines end at \\n, \\r\\n or \\r only:
+    str.splitlines would also end one at \\v, \\f, \\x1c-\\x1e, \\x85,
+    U+2028 and U+2029."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _content_lines(lines: list[str], first_line: int = 1) -> list[tuple[int, str]]:
+    """(line_no, content) of the lines, numbered from first_line, with
+    comments stripped; blank lines skipped."""
+    out = []
+    for line_no, raw in enumerate(lines, start=first_line):
         hash_at = raw.find("#")
         content = raw if hash_at < 0 else raw[:hash_at]
         if content.strip():
-            yield line_no, content
+            out.append((line_no, content))
+    return out
 
 
 def _tokens(content: str) -> Iterable[tuple[int, str]]:
@@ -85,12 +86,13 @@ def _columns(contents: list[str], kind: tuple) -> list[list]:
     """The fields of the lines' space-separated tokens, one converted
     column per field of `kind`. Raises ValueError unless every token
     has exactly the kind's fields and each converts. int and float also
-    take digits other than ASCII and a `_` between digits, which the
-    formats refuse; one test of the joined text finds either."""
+    take digits other than ASCII, a `_` between digits and a tab,
+    vertical tab or form feed around a field, which the formats refuse;
+    one test of the joined text finds any of them."""
     _shape, *fields = kind
     text = " ".join(contents)
-    if not text.isascii() or "_" in text:
-        raise ValueError("a field holds a character other than ASCII, or '_'")
+    if not (text.isascii() and text.isprintable()) or "_" in text:
+        raise ValueError("a field holds a character other than printable ASCII, or '_'")
     tokens = list(filter(None, text.split(" ")))
     if set(map(str.count, tokens, repeat(":"))) - {len(fields) - 1}:
         raise ValueError(f"a token does not hold {len(fields)} fields")
@@ -101,8 +103,8 @@ def _columns(contents: list[str], kind: tuple) -> list[list]:
 
 def _token_error(token: str, kind: tuple, exc: ValueError) -> str:
     """Why a token failed to become a value, looked up only then: its
-    shape, the first field that is not ASCII without `_` or does not
-    convert, else the model's rule."""
+    shape, the first field that is not printable ASCII without `_` or
+    does not convert, else the model's rule."""
     shape, *fields = kind
     parts = token.split(":")
     if len(parts) != len(fields):
@@ -110,7 +112,7 @@ def _token_error(token: str, kind: tuple, exc: ValueError) -> str:
     for text, (name, convert) in zip(parts, fields):
         try:
             convert(text)
-            if text.isascii() and "_" not in text:
+            if text.isascii() and text.isprintable() and "_" not in text:
                 continue
         except ValueError:
             pass
@@ -141,36 +143,43 @@ def _parse(convert, kind: tuple, scope: list[tuple[int, str]]):
     raise ParseError(line_no, col, _token_error(token, kind, error))
 
 
-# Content lines that parse_database converts and checks as one chunk.
+# Lines that parse_database converts and checks as one chunk.
 # Chunks of 128 to 512 lines parse the c7-scan benchmark's file alike;
 # 32 or 4k lines take longer, and the whole text at once nearly doubles
 # the peak memory of a run.
 _CHUNK_LINES = 256
 
 
-def _transactions(first_tid: int, contents: list[str]) -> list[Transaction]:
-    """A transaction per line, tids from first_tid, each line holding a
-    row per two colons; model.sorted_transactions checks all at once."""
-    return sorted_transactions(
-        first_tid, *_columns(contents, _DB_TOKEN),
-        [colons // 2 for colons in map(str.count, contents, repeat(":"))])
+def _rows(first_tid: int, contents: list[str]) -> tuple[list, ...]:
+    """The item, quantity and probability columns of the lines, one
+    transaction per line with tids from first_tid, each line holding a
+    row per two colons, plus their sizes; model.sorted_columns checks
+    all rows at once and sorts a line whose items do not ascend."""
+    sizes = [colons // 2 for colons in map(str.count, contents, repeat(":"))]
+    return (*sorted_columns(first_tid, *_columns(contents, _DB_TOKEN), sizes), sizes)
 
 
 def parse_database(text: str) -> UncertainDatabase:
-    """Parse a database file, _CHUNK_LINES content lines at a time. A
+    """Parse a database file, _CHUNK_LINES lines at a time, into
+    whole-database columns: no row tuple and no Transaction is built. A
     chunk that fails is parsed again line by line; the ParseError names
     the first token that its line refuses with the tokens before it."""
-    transactions: list[Transaction] = []
-    lines = _content_lines(text)
-    while chunk := list(islice(lines, _CHUNK_LINES)):
+    columns: tuple[list, ...] = ([], [], [], [])
+    lines = _raw_lines(text)
+    for at in range(0, len(lines), _CHUNK_LINES):
+        scope = _content_lines(lines[at:at + _CHUNK_LINES], at + 1)
+        if not scope:
+            continue
+        tid = len(columns[3]) + 1
         try:
-            transactions += _transactions(len(transactions) + 1,
-                                          [content for _, content in chunk])
+            parts = [_rows(tid, [content for _, content in scope])]
         except ValueError:
-            for line in chunk:
-                transactions += _parse(partial(_transactions, len(transactions) + 1),
-                                       _DB_TOKEN, [line])
-    return make_database(transactions)
+            parts = [_parse(partial(_rows, tid + k), _DB_TOKEN, [line])
+                     for k, line in enumerate(scope)]
+        for part in parts:
+            for column, values in zip(columns, part):
+                column += values
+    return UncertainDatabase._of_checked(*columns)
 
 
 def _table(contents: list[str]) -> UtilityTable:
@@ -188,7 +197,7 @@ def parse_ptable(text: str) -> UtilityTable:
     """Parse a utility table file. The ParseError names the first token
     that the file refuses with the tokens before it: an item may repeat
     anywhere in the file."""
-    return _parse(_table, _PTABLE_TOKEN, list(_content_lines(text)))
+    return _parse(_table, _PTABLE_TOKEN, _content_lines(_raw_lines(text)))
 
 
 def _exact_decimal(x: float) -> str:

@@ -27,6 +27,7 @@ only in visited-node counts and runtime.
 
 import time
 from dataclasses import dataclass, fields
+from itertools import islice
 from operator import attrgetter
 
 from .model import (
@@ -123,22 +124,28 @@ def initial_scan(
     thresholds: Thresholds,
     *,
     apply_filter: bool = True,
+    utilities: list[float] | None = None,
 ) -> dict[Item, float]:
     """First database pass: {item: rtwu} for the surviving items.
 
     With the filter on (s2), an item survives only if its expected
     support reaches min_pro * |D| and its rtwu reaches min_util; with it
-    off every occurring item survives.
+    off every occurring item survives. utilities is db.utilities(table),
+    formed here unless given. The walk reads the columns transaction by
+    transaction: rtu adds the positive utilities in row order, rtwu and
+    the probabilities are added per item in tid order.
     """
-    units = table.entries
+    if utilities is None:
+        utilities = db.utilities(table)
     acc: dict[Item, list[float]] = {i: [0.0, 0.0] for i in sorted(db.item_universe)}
-    for tx in db.transactions:
+    us = iter(utilities)
+    rows = zip(db.items, db.probabilities)
+    for n in db.sizes:
         rtu = 0.0
-        for item, quantity, _probability in tx.rows:
-            u = units[item] * quantity
+        for u in islice(us, n):
             if u > 0.0:
                 rtu += u
-        for item, _quantity, probability in tx.rows:
+        for item, probability in islice(rows, n):
             a = acc[item]
             a[0] += rtu
             a[1] += probability
@@ -287,13 +294,15 @@ def mine(
     )
     started = time.perf_counter()
 
-    rtwu = initial_scan(db, table, thresholds, apply_filter=config.s2_initial_filter)
+    utilities = db.utilities(table)
+    rtwu = initial_scan(db, table, thresholds, apply_filter=config.s2_initial_filter,
+                        utilities=utilities)
     pro_bound = thresholds.probability_bound(db.size)
     out: list[MinedPattern] = []
     if rtwu:
         order = compute_processing_order(table, rtwu)
         eucs = EUCS.zeros(order) if config.s6_eucp else None
-        roots = build_initial_pulists(db, table, order, eucs)
+        roots = build_initial_pulists(db, table, order, eucs, utilities=utilities)
         search(roots, thresholds, pro_bound, config, eucs, stats, out)
     stats.phuis_found = len(out)
 

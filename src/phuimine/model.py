@@ -1,32 +1,40 @@
 """Domain types for uncertain quantitative transaction databases.
 
-A database is an ordered sequence of transactions; each is a named
-tuple (tid, rows) whose rows are plain (item, quantity, probability)
-tuples, and Transaction.entries views them as TransactionEntry, with
-named fields. Unit utilities (signed, e.g. profit per unit) live in a
-utility table, read as table.entries[item]. Transactions, entries,
-patterns and results are named tuples: each equals its plain tuple.
+A database holds its transactions as whole-database columns: every
+occurrence's item, quantity and probability, transaction after
+transaction, plus each transaction's size; the tids are the positions
+1..n. Its transactions view gives the same data as Transaction records,
+named tuples (tid, rows) whose rows are plain (item, quantity,
+probability) tuples; Transaction.entries views them as
+TransactionEntry, with named fields. Unit utilities (signed, e.g.
+profit per unit) live in a utility table, read as table.entries[item].
+Transactions, entries, patterns and results are named tuples: each
+equals its plain tuple.
 
 Each type checks its own rules once, when it is built, and raises
-ValueError: _rules_hold holds the occurrence rules, and _check_rows
-names the first one broken, for a Transaction, a TransactionEntry or
-all the rows of a parsed chunk of lines, which sorted_transactions
-checks at once and builds unchecked with tuple.__new__, as search
-builds its records; a transaction is non-empty; a database's tids run 1..n;
-a table's ids are >= 0 and its utilities finite; thresholds have
-their ranges. check_utilities, which mine() and the oracle call first,
-checks a database against its table.
+ValueError: _rules_hold holds the occurrence rules over columns, and
+_raise_broken_rule names the first one broken, for a Transaction, a
+TransactionEntry, a database built from columns or all the rows of a
+parsed chunk of lines, which sorted_columns checks at once; a
+transaction is non-empty; a database's tids run 1..n; a table's ids are
+>= 0 and its utilities finite; thresholds have their ranges.
+check_utilities, which mine() and the oracle call first, checks a
+database against its table.
 
 All types are immutable after construction and safe to share across
-threads.
+threads. UncertainDatabase caches what it derives: a database that
+make_database built forms its columns on first use, and one built from
+columns forms its transactions view on first use. Two threads that
+race there each build equal values, and one of them is kept, so
+`db.transactions is db.transactions` need not hold across threads.
 """
 
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, count, repeat
-from operator import ge, lt
+from dataclasses import dataclass
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import attrgetter, ge, itemgetter, lt, mul
 from typing import Iterable, Mapping, NamedTuple
 
 Item = int  # non-negative integer identifier
@@ -62,14 +70,11 @@ def _rules_hold(items, quantities, probabilities, starts=frozenset()) -> bool:
                  or starts.issuperset(compress(count(1), map(ge, items, items[1:])))))
 
 
-def _check_rows(rows: tuple[tuple[Item, int, float], ...], starts=frozenset()) -> None:
-    """Raise ValueError for the first occurrence rule that the (item,
-    quantity, probability) rows break, every row's values before the
-    order; only a failure walks the rows."""
-    items, quantities, probabilities = zip(*rows, strict=True)
-    if _rules_hold(items, quantities, probabilities, starts):
-        return
-    for item, quantity, probability in rows:
+def _raise_broken_rule(items, quantities, probabilities, starts=frozenset()) -> None:
+    """Raise ValueError for the first occurrence rule that the columns of
+    some rows break, every row's values before the order; called once
+    _rules_hold has found that they break one."""
+    for item, quantity, probability in zip(items, quantities, probabilities):
         if item < 0:
             raise ValueError(f"item id must be >= 0, got {item}")
         if quantity < 1:
@@ -80,6 +85,15 @@ def _check_rows(rows: tuple[tuple[Item, int, float], ...], starts=frozenset()) -
         if item <= prev and at not in starts:
             raise ValueError(f"duplicate item {item} in transaction" if item == prev
                              else f"items must ascend, got {item} after {prev}")
+
+
+def _check_rows(rows: tuple[tuple[Item, int, float], ...]) -> None:
+    """Raise ValueError for the first occurrence rule that the (item,
+    quantity, probability) rows of one transaction break; only a failure
+    walks the rows."""
+    items, quantities, probabilities = zip(*rows, strict=True)
+    if not _rules_hold(items, quantities, probabilities):
+        _raise_broken_rule(items, quantities, probabilities)
 
 
 class Transaction(namedtuple("Transaction", "tid rows")):
@@ -107,49 +121,151 @@ class Transaction(namedtuple("Transaction", "tid rows")):
         return tuple(map(TransactionEntry._make, self.rows))
 
 
-def sorted_transactions(first_tid: int, items: list[Item], quantities: list[int],
-                        probabilities: list[float], sizes: list[int]) -> list[Transaction]:
-    """Transactions first_tid, first_tid + 1, ..., one per size, of the
-    next that many rows of the columns: each equals Transaction(tid,
-    sorted(its rows)), but the rows are checked once, all together.
+def sorted_columns(first_tid: int, items: list[Item], quantities: list[int],
+                   probabilities: list[float], sizes: list[int]) -> tuple[list, list, list]:
+    """The columns of transactions first_tid, first_tid + 1, ..., one per
+    size, with each transaction's rows sorted: the columns of
+    Transaction(tid, its rows) for each. The rows are checked once, all
+    together; the lines are sorted only when one of them does not ascend.
     Raises ValueError for the first broken rule, or an empty transaction."""
     if 0 in sizes:
         raise ValueError(f"transaction {first_tid + sizes.index(0)} is empty")
     ends = list(accumulate(sizes))
-    spans = zip([0, *ends], ends)
-    rows = tuple(zip(items, quantities, probabilities))
     if _rules_hold(items, quantities, probabilities, set(ends)):
-        # the items ascend: each transaction's rows are sorted already
-        groups = [rows[a:b] for a, b in spans]
-    else:
-        groups = [tuple(sorted(rows[a:b])) for a, b in spans]
-        _check_rows(tuple(chain.from_iterable(groups)), set(ends))
-    tids = range(first_tid, first_tid + len(sizes))
-    return list(map(tuple.__new__, repeat(Transaction), zip(tids, groups)))
+        return items, quantities, probabilities
+    rows = list(zip(items, quantities, probabilities))
+    rows = list(chain.from_iterable(sorted(rows[a:b]) for a, b in zip([0, *ends], ends)))
+    items, quantities, probabilities = map(list, zip(*rows))
+    if not _rules_hold(items, quantities, probabilities, set(ends)):
+        _raise_broken_rule(items, quantities, probabilities, set(ends))
+    return items, quantities, probabilities
 
 
-@dataclass(frozen=True)
+def _item_totals(items: Iterable[Item], quantities: Iterable[int]) -> dict[Item, int]:
+    """Each item's summed quantity, keyed in order of first occurrence."""
+    totals: dict[Item, int] = {}
+    get = totals.get
+    for item, quantity in zip(items, quantities):
+        totals[item] = get(item, 0) + quantity
+    return totals
+
+
+_COLUMNS = ("items", "quantities", "probabilities", "sizes")
+
+
 class UncertainDatabase:
-    """Ordered transactions, whose tids must run 1..n, plus each
-    occurring item's total quantity, derived from them (so equality and
-    hashing look at the transactions alone).
+    """Transactions stored as whole-database columns: every occurrence's
+    item, quantity and probability, transaction after transaction, and
+    each transaction's number of rows (its size). The tids are the
+    positions 1..n. Each occurring item's total quantity is derived when
+    the database is built; equality and hashing look at the columns
+    alone.
+
+    UncertainDatabase(items, quantities, probabilities, sizes) checks
+    the columns as Transaction checks its rows: every transaction
+    non-empty, its items ascending. parse_database builds one from
+    checked chunks of lines and prefix(n) from a prefix of the columns,
+    neither checking again; unpickling runs the checks again, on the
+    columns alone. make_database keeps the Transactions it is given as
+    the transactions view and forms the columns from them on first use;
+    a database built from columns forms the view on first use.
 
     The size (number of transactions) is fixed at load time and is the
     |D| used in the probability bound, even if later processing drops
     items from transactions.
     """
 
-    transactions: tuple[Transaction, ...]
-    item_quantity: dict[Item, int] = field(init=False, repr=False, compare=False)
+    # items, quantities and probabilities hold one entry per row, sizes
+    # one per transaction; a database that make_database built has them
+    # unset until first use, when __getattr__ forms them from the view
+    __slots__ = _COLUMNS + ("_transactions", "item_quantity")
 
-    def __post_init__(self) -> None:
-        totals: dict[Item, int] = {}
-        for pos, tx in enumerate(self.transactions, start=1):
-            if tx.tid != pos:
-                raise ValueError(f"tid {tx.tid} at position {pos}; tids must be 1..n")
-            for item, quantity, _probability in tx.rows:
-                totals[item] = totals.get(item, 0) + quantity
-        object.__setattr__(self, "item_quantity", totals)
+    def __init__(self, items: Iterable[Item], quantities: Iterable[int],
+                 probabilities: Iterable[float], sizes: Iterable[int]) -> None:
+        columns = tuple(map(tuple, (items, quantities, probabilities, sizes)))
+        *rows, sizes = columns
+        if set(map(len, rows)) - {sum(sizes)}:
+            raise ValueError(f"columns of {', '.join(map(str, map(len, rows)))} rows "
+                             f"for transactions of {sum(sizes)}")
+        if sizes and min(sizes) < 1:
+            raise ValueError(f"transaction {sizes.index(min(sizes)) + 1} is empty")
+        if sizes and not _rules_hold(*rows, set(accumulate(sizes))):
+            _raise_broken_rule(*rows, set(accumulate(sizes)))
+        self._set(columns, None, _item_totals(*rows[:2]))
+
+    def _set(self, columns, transactions, item_quantity) -> None:
+        for name, column in zip(_COLUMNS, columns or ()):
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "_transactions", transactions)
+        object.__setattr__(self, "item_quantity", item_quantity)
+
+    @classmethod
+    def _of_checked(cls, items, quantities, probabilities, sizes) -> "UncertainDatabase":
+        """A database of columns that are known to keep every rule."""
+        db = object.__new__(cls)
+        columns = tuple(map(tuple, (items, quantities, probabilities, sizes)))
+        db._set(columns, None, _item_totals(*columns[:2]))
+        return db
+
+    def __getattr__(self, name: str):
+        """A column not yet formed: form all four from the transactions."""
+        if name not in _COLUMNS:
+            raise AttributeError(name)
+        groups = tuple(map(attrgetter("rows"), self._transactions))
+        rows = tuple(chain.from_iterable(groups))
+        self._set((*(tuple(map(itemgetter(k), rows)) for k in range(3)), tuple(map(len, groups))),
+                  self._transactions, self.item_quantity)
+        return object.__getattribute__(self, name)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a database is immutable")
+
+    __delattr__ = __setattr__
+
+    @property
+    def columns(self) -> tuple[tuple, tuple, tuple, tuple]:
+        """(items, quantities, probabilities, sizes)."""
+        return self.items, self.quantities, self.probabilities, self.sizes
+
+    def __reduce__(self):
+        return UncertainDatabase, self.columns
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.columns == other.columns
+
+    def __hash__(self) -> int:
+        return hash(self.columns)
+
+    def __repr__(self) -> str:
+        return "UncertainDatabase({}={!r}, {}={!r}, {}={!r}, {}={!r})".format(
+            *chain.from_iterable(zip(_COLUMNS, self.columns)))
+
+    @property
+    def transactions(self) -> tuple[Transaction, ...]:
+        """The Transactions, a read-only view: make_database keeps the
+        ones it was given; otherwise they are formed once, on first use."""
+        if self._transactions is None:
+            rows = zip(self.items, self.quantities, self.probabilities)
+            object.__setattr__(self, "_transactions", tuple(map(
+                tuple.__new__, repeat(Transaction),
+                zip(count(1), map(tuple, map(islice, repeat(rows), self.sizes))))))
+        return self._transactions
+
+    def prefix(self, n: int) -> "UncertainDatabase":
+        """The database of the first n transactions, cut from the columns."""
+        if not 0 <= n <= self.size:
+            raise ValueError(f"prefix of {n} transactions outside 0..{self.size}")
+        items, quantities, probabilities, sizes = self.columns
+        end = sum(sizes[:n])
+        return UncertainDatabase._of_checked(items[:end], quantities[:end],
+                                             probabilities[:end], sizes[:n])
+
+    def utilities(self, table: "UtilityTable") -> list[float]:
+        """Every row's utility, unit utility x quantity, as one column.
+        Raises KeyError for an item that the table lacks."""
+        return list(map(mul, map(table.entries.__getitem__, self.items), self.quantities))
 
     @property
     def item_universe(self) -> frozenset[Item]:
@@ -158,7 +274,9 @@ class UncertainDatabase:
 
     @property
     def size(self) -> int:
-        return len(self.transactions)
+        if self._transactions is not None:
+            return len(self._transactions)
+        return len(self.sizes)
 
 
 @dataclass(frozen=True)
@@ -253,4 +371,14 @@ def check_utilities(db: UncertainDatabase, table: UtilityTable) -> None:
 
 
 def make_database(transactions: Iterable[Transaction]) -> UncertainDatabase:
-    return UncertainDatabase(tuple(transactions))
+    """The database of the Transactions, whose tids must run 1..n. It
+    keeps them as its transactions view; its columns are formed from
+    them on first use."""
+    transactions = tuple(transactions)
+    for pos, tx in enumerate(transactions, start=1):
+        if tx.tid != pos:
+            raise ValueError(f"tid {tx.tid} at position {pos}; tids must be 1..n")
+    rows = tuple(chain.from_iterable(map(attrgetter("rows"), transactions)))
+    db = object.__new__(UncertainDatabase)
+    db._set(None, transactions, _item_totals(map(itemgetter(0), rows), map(itemgetter(1), rows)))
+    return db

@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 
 from phuimine import dataio
 from phuimine.datagen import GenParams, generate, generate_small
-from phuimine.miner import MiningStats
-from phuimine.model import MinedPattern, Pattern, Transaction, make_database
+from phuimine.miner import MiningStats, initial_scan
+from phuimine.model import (MinedPattern, Pattern, Thresholds, Transaction, UtilityTable,
+                            make_database)
+from phuimine.pulist import EUCS, build_initial_pulists, compute_processing_order
 
 from helpers import EXAMPLE_DB_TEXT, EXAMPLE_PTABLE_TEXT
+from scan_reference import build_pulist_by_scan
 
 
 # Characters at which str.splitlines ends a line, besides \n and \r;
@@ -90,6 +93,19 @@ class TestParseDatabase:
         assert db.transactions == (Transaction(1, [(1, 1, 0.5), (2, 3, 0.25)]),
                                    Transaction(2, [(3, 2, 1.0), (5, 1, 0.5)]))
         assert all(type(tx) is Transaction for tx in db.transactions)
+
+    @pytest.mark.parametrize("line, column, message", [
+        ("1:\t1:0.5", 1, "quantity must be an integer, got '\\t1'"),
+        ("\t1:1:0.5", 1, "item id must be an integer, got '\\t1'"),
+        ("1:1:0.5\f", 1, "probability must be a number, got '0.5\\x0c'"),
+        ("2:1:0.5 1:1:0.5\v # note", 9, "probability must be a number, got '0.5\\x0b'"),
+    ], ids=["tab", "leading-tab", "form-feed", "vertical-tab"])
+    def test_a_control_character_in_a_token_is_refused(self, line, column, message):
+        with pytest.raises(dataio.ParseError) as err:
+            dataio.parse_database(f"1:1:0.5\n{line}\n2:1:0.5\n")
+        assert (err.value.line, err.value.column, err.value.message) == (2, column, message)
+        # a tab in a comment or on a blank line is no fault
+        assert dataio.parse_database("1:1:0.5 # a\tb\n\t \n2:1:0.5\n").size == 2
 
     @pytest.mark.parametrize("sep", NOT_LINE_ENDS)
     def test_a_line_ends_only_at_a_newline(self, sep):
@@ -168,6 +184,88 @@ def test_messy_layout_parses_to_the_same_database(seed):
                 assert dataio.parse_database("\n".join(lines)) == db
 
 
+def _float_hex_lists(roots, eucs):
+    """The roots' columns and sums and the EUCS cells, floats by float.hex."""
+    def hexed(values):
+        return [v.hex() if isinstance(v, float) else v for v in values]
+    return ([(lst.pattern_po, lst.tids, *(hexed(c) for c in (lst.pro, lst.pu, lst.nu, lst.rpu,
+                                                              lst.iu, lst.ip)),
+              hexed([lst.sum_pro, lst.sum_pu, lst.sum_nu, lst.sum_rpu])) for lst in roots],
+            [hexed(row) for row in eucs.rows])
+
+
+def _roots_from_rows(db, table, order):
+    """The roots and EUCS built by a walk over the transactions' rows, as
+    the lists were built before the database became columns."""
+    lists = {item: build_pulist_by_scan(db, table, order, [item]) for item in order.ordered_items}
+    eucs = EUCS.zeros(order)
+    units, rank = table.entries, order.rank
+    for tx in db.transactions:
+        kept = sorted((rank[item], units[item] * quantity) for item, quantity, _p in tx.rows
+                      if item in rank)
+        positive = 0.0
+        for _r, u in reversed(kept):
+            if u > 0.0:
+                positive += u
+        for k, (r, _u) in enumerate(kept):
+            for q, _v in kept[:k]:
+                eucs.rows[r][q] += positive
+    return [lists[item] for item in order.ordered_items], eucs
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 700), seed=st.integers(0, 10_000), s2=st.booleans())
+def test_parsed_and_constructed_databases_agree(n, seed, s2):
+    """One data path: a file of n lines, also longer than a chunk, parses
+    to the columns of make_database; the transactions view gives the
+    database back; the roots and the EUCS read from the columns equal,
+    by float.hex, those of a walk over the rows."""
+    rng = random.Random(seed)
+    probabilities = [1.0, 0.5, 0.25, 0.1, 0.3, 0.7, 1e-3]
+    db = make_database(
+        Transaction(tid, [(item, rng.randint(1, 9), rng.choice(probabilities))
+                          for item in sorted(rng.sample(range(30), rng.randint(1, 8)))])
+        for tid in range(1, n + 1))
+    table = UtilityTable({i: rng.choice([-3.5, -1.0, 0.0, 0.1, 2.0, 7.25]) for i in range(30)})
+    text = dataio.serialize_database(db)
+    # the same lines with their tokens shuffled: the parser sorts them
+    shuffled = []
+    for line in text.splitlines():
+        tokens = line.split(" ")
+        rng.shuffle(tokens)
+        shuffled.append(" ".join(tokens))
+    for parsed in dataio.parse_database(text), dataio.parse_database("\n".join(shuffled)):
+        assert parsed == db and hash(parsed) == hash(db)
+        assert (parsed.items, parsed.quantities, parsed.probabilities, parsed.sizes) == (
+            db.items, db.quantities, db.probabilities, db.sizes)
+        assert parsed.item_quantity == db.item_quantity
+        assert parsed.transactions == db.transactions
+        assert all(type(tx) is Transaction for tx in parsed.transactions)
+        again = make_database(parsed.transactions)
+        assert again == parsed and hash(again) == hash(parsed)
+    # rtwu as a walk over the rows adds it: rtu in row order, then per
+    # item in tid order
+    by_rows: dict = {}
+    for tx in db.transactions:
+        rtu = 0.0
+        for item, quantity, _p in tx.rows:
+            if table.entries[item] * quantity > 0.0:
+                rtu += table.entries[item] * quantity
+        for item, _q, _p in tx.rows:
+            by_rows[item] = by_rows.get(item, 0.0) + rtu
+    unfiltered = initial_scan(parsed, table, Thresholds(0.0, 0.0), apply_filter=False)
+    assert {i: w.hex() for i, w in unfiltered.items()} == {
+        i: by_rows[i].hex() for i in sorted(by_rows)}
+    thresholds = Thresholds(rng.choice([0.0, 50.0, 400.0]), rng.choice([0.0, 0.01, 0.05]))
+    rtwu = initial_scan(parsed, table, thresholds, apply_filter=s2)
+    if not rtwu:
+        return
+    order = compute_processing_order(table, rtwu)
+    eucs = EUCS.zeros(order)
+    roots = build_initial_pulists(parsed, table, order, eucs)
+    assert _float_hex_lists(roots, eucs) == _float_hex_lists(*_roots_from_rows(db, table, order))
+
+
 # Each mutation rewrites one token [column, item, quantity, probability
 # text] of a line, given the line's earlier tokens, and returns the
 # message the ParseError must carry.
@@ -218,8 +316,16 @@ def _fullwidth_digit(tok, _earlier):
     return "probability must be a number, got '0.\uff15'"
 
 
+def _control_character(tok, _earlier):
+    # int() and float() strip a tab, vertical tab or form feed around a field
+    tok[2] = f"\t{tok[2]}"
+    tok[3] = f"{tok[3]}\f"
+    return f"quantity must be an integer, got {tok[2]!r}"
+
+
 MUTATIONS = {
     "field-count": _field_count,
+    "control-character": _control_character,
     "non-integer": _non_integer,
     "underscore": _underscore,
     "non-ascii-digit": _non_ascii_digit,
@@ -419,6 +525,9 @@ class TestParsePtable:
         ("1_0:1", "item id must be an integer, got '1_0'"),
         ("\u0661:1", "item id must be an integer, got '\u0661'"),
         ("1:\uff12", "utility must be a number, got '\uff12'"),
+        ("1:\t2", "utility must be a number, got '\\t2'"),
+        ("\v1:2", "item id must be an integer, got '\\x0b1'"),
+        ("1:2\f", "utility must be a number, got '2\\x0c'"),
     ])
     def test_token_that_does_not_convert(self, token, message):
         with pytest.raises(dataio.ParseError) as err:

@@ -358,3 +358,29 @@ def test_mine_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.fixture(scope="module")
+def wide_2k():
+    """The C7 generator at 2k transactions: 100 items, beyond the oracle."""
+    return generate(GenParams(n_transactions=2000, n_items=100, avg_tx_len=5.0, max_tx_len=10,
+                              negative_fraction=0.2, seed=20_260_810))
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_doubled_utilities_double_the_results(wide_2k, preset):
+    """Every unit utility and min_util doubled: doubling is exact in
+    binary floats short of overflow, so each preset returns the same
+    patterns in the same order, with utilities exactly doubled, the same
+    expected supports and the same counters."""
+    db, table = wide_2k
+    doubled = UtilityTable({item: 2 * u for item, u in table.entries.items()})
+    config = MiningConfig.from_preset(preset)
+    found, stats = mine(db, table, Thresholds(4000, 0.001), config)
+    again, again_stats = mine(db, doubled, Thresholds(8000, 0.001), config)
+    assert found, "the thresholds must leave patterns to compare"
+    assert [(m.pattern, (2 * m.utility).hex(), m.expected_support.hex()) for m in found] == [
+        (m.pattern, m.utility.hex(), m.expected_support.hex()) for m in again]
+    counters = {f: v for f, v in vars(stats).items() if f not in ("elapsed", "min_util")}
+    assert counters == {f: v for f, v in vars(again_stats).items()
+                        if f not in ("elapsed", "min_util")}

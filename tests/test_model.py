@@ -12,8 +12,9 @@ from phuimine.model import (
     TransactionEntry,
     UtilityTable,
     check_utilities,
+    UncertainDatabase,
     make_database,
-    sorted_transactions,
+    sorted_columns,
 )
 
 from helpers import EXAMPLE_DB_TEXT, example_db
@@ -178,6 +179,84 @@ def test_database_equality_and_hash_ignore_derived_totals(ex_db):
     assert {again: 1}[ex_db] == 1
 
 
+class TestColumns:
+    def test_columns_of_the_example(self, ex_db):
+        assert ex_db.sizes == (4, 3, 4, 2, 4)
+        assert ex_db.items[:4] == (1, 2, 4, 5) and ex_db.quantities[:4] == (5, 3, 2, 4)
+        assert ex_db.probabilities[-4:] == (1.0, 0.95, 0.6, 1.0)
+        assert all(type(c) is tuple for c in (ex_db.items, ex_db.quantities,
+                                               ex_db.probabilities, ex_db.sizes))
+
+    def test_constructor_checks_the_columns(self):
+        assert UncertainDatabase([1, 2], [1, 1], [0.5, 1.0], [1, 1]).size == 2
+        assert UncertainDatabase([], [], [], []).size == 0
+
+    @pytest.mark.parametrize("columns, match", [
+        (([1, 2], [1, 1], [0.5, 0.0], [2]), "probability must be in"),
+        (([2, 1], [1, 1], [0.5, 0.5], [2]), "items must ascend, got 1 after 2"),
+        (([1, 1], [1, 1], [0.5, 0.5], [1, 0, 1]), "transaction 2 is empty"),
+        (([1, 2], [1, 1], [0.5, 0.5], [1]), "columns of 2, 2, 2 rows for transactions of 1"),
+        (([1, 2], [1], [0.5, 0.5], [2]), "columns of 2, 1, 2 rows"),
+    ], ids=["zero-probability", "descending-items", "empty", "sizes-short", "column-short"])
+    def test_constructor_names_the_broken_rule(self, columns, match):
+        with pytest.raises(ValueError, match=match):
+            UncertainDatabase(*columns)
+
+    def test_a_descent_between_transactions_is_no_fault(self):
+        db = UncertainDatabase([5, 1, 2], [1, 1, 1], [0.5, 0.5, 0.5], [1, 2])
+        assert db.transactions == (Transaction(1, [(5, 1, 0.5)]),
+                                   Transaction(2, [(1, 1, 0.5), (2, 1, 0.5)]))
+
+    def test_transactions_view(self, ex_db):
+        # built once, from the columns, and equal to the Transactions
+        # that make_database keeps
+        assert ex_db.transactions is ex_db.transactions
+        assert all(type(tx) is Transaction for tx in ex_db.transactions)
+        txs = tuple(Transaction(tx.tid, tx.rows) for tx in ex_db.transactions)
+        again = make_database(txs)
+        assert again.transactions is txs and again == ex_db
+
+    def test_utilities_column(self, ex_db, ex_table):
+        us = ex_db.utilities(ex_table)
+        assert us == [ex_table.entries[i] * q for i, q in zip(ex_db.items, ex_db.quantities)]
+        assert us[:4] == [40.0, 15.0, 24.0, 28.0]
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_prefix_equals_the_database_of_the_first_transactions(self, ex_db, n):
+        head = ex_db.prefix(n)
+        old = make_database(ex_db.transactions[:n])
+        assert head == old and hash(head) == hash(old)
+        assert head.item_quantity == old.item_quantity and head.size == n
+        assert head.transactions == old.transactions
+
+    @pytest.mark.parametrize("n", [-1, 6])
+    def test_prefix_outside_the_database(self, ex_db, n):
+        with pytest.raises(ValueError, match="outside 0..5"):
+            ex_db.prefix(n)
+
+    def test_pickle_holds_the_columns_only(self, ex_db):
+        data = pickle.dumps(ex_db)
+        assert b"Transaction" not in data and b"item_quantity" not in data
+        again = pickle.loads(data)
+        assert again == ex_db and again.item_quantity == ex_db.item_quantity
+        assert again.transactions == ex_db.transactions
+
+    @pytest.mark.parametrize("column, values, match", [
+        ("probabilities", (0.5, 0.0, 0.25), "probability must be in"),
+        ("items", (2, 1, 3), "items must ascend, got 1 after 2"),
+        ("sizes", (2, 0, 1), "transaction 2 is empty"),
+    ], ids=["zero-probability", "descending-items", "empty"])
+    def test_unpickling_checks_the_columns(self, column, values, match):
+        columns = {"items": (1, 2, 3), "quantities": (1, 1, 1),
+                   "probabilities": (0.5, 0.5, 0.25), "sizes": (2, 1)}
+        columns[column] = values
+        # built unchecked, as the parser builds a database; pickle calls
+        # the checked constructor
+        bad = UncertainDatabase._of_checked(*columns.values())
+        with pytest.raises(ValueError, match=match):
+            pickle.loads(pickle.dumps(bad))
+
+
 class TestTransactionRows:
     def test_rebuilt_from_entries_is_equal(self, ex_db):
         for tx in ex_db.transactions:
@@ -258,14 +337,16 @@ class TestTransactionRows:
 
 
 class TestSortedTransactions:
+    """model.sorted_columns: the columns of a chunk of parsed lines, one
+    transaction per size, each with its rows sorted, checked at once."""
+
     def test_equal_to_transactions_of_sorted_rows(self):
         for items in [5, 1, 2, 3], [5, 2, 1, 3]:  # each line's items sorted, then not
             columns = (items, [1, 2, 1, 1], [0.5, 1.0, 0.5, 0.25])
-            txs = sorted_transactions(4, *columns, [1, 3])
+            got = sorted_columns(4, *columns, [1, 3])
             rows = list(zip(*columns))
-            assert txs == [Transaction(4, rows[:1]), Transaction(5, sorted(rows[1:]))]
-            assert all(type(tx) is Transaction for tx in txs)
-            assert all(type(row) is tuple for tx in txs for row in tx.rows)
+            txs = [Transaction(4, rows[:1]), Transaction(5, sorted(rows[1:]))]
+            assert [list(c) for c in got] == [list(c) for c in zip(*txs[0].rows, *txs[1].rows)]
 
     @pytest.mark.parametrize("columns, match", [
         # a descent where a transaction starts is no fault; the repeat is
@@ -277,4 +358,4 @@ class TestSortedTransactions:
     ], ids=["repeat", "zero-quantity", "nan-probability", "negative-item", "empty"])
     def test_first_broken_rule_is_named(self, columns, match):
         with pytest.raises(ValueError, match=match):
-            sorted_transactions(4, *columns)
+            sorted_columns(4, *columns)
