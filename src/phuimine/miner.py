@@ -43,9 +43,11 @@ from .pulist import (
     EUCS,
     NARROW_MIN_LEN,
     PUList,
+    TransactionRows,
     build_initial_pulists,
     compute_processing_order,
     construct,
+    find_shared,
 )
 
 
@@ -160,6 +162,7 @@ def initial_scan(
 
 
 def search(
+    db: UncertainDatabase,
     extensions: list[PUList],
     thresholds: Thresholds,
     pro_bound: float,
@@ -176,7 +179,8 @@ def search(
     unless s3/s4 rule the whole subtree out. Joined child lists with no
     supporting transaction are always discarded (they cannot describe a
     pattern of the database). eucs is read only with s6 on; mine()
-    passes None otherwise.
+    passes None otherwise. db is the database the root lists were built
+    from.
 
     The flags, bounds, EUCS lookup and counters are bound once here, in
     one frame; the recursion runs in the nested visit(), and the
@@ -187,6 +191,13 @@ def search(
     calls this module's construct, looked up at call time, with Py and Pz
     as its positional arguments, so a wrapper set on miner.construct sees
     each one.
+
+    Before the joins of a Py of at least NARROW_MIN_LEN tids, the tids it
+    shares with each of its sparse long partners among the later
+    siblings that s6 keeps are found at once (pulist.find_shared), by
+    one walk over Py's transactions in db or by one set intersection
+    per partner, and each of those joins is given its partner's. A
+    shorter Py's joins merge as they are.
     """
     min_util = thresholds.min_util
     s1 = config.s1_pu_prune
@@ -202,6 +213,7 @@ def search(
     # pairs counts the (Py, Pz) sibling pairs of every extended Py; the
     # joins attempted are the pairs that s6 does not skip
     visited = pairs = skipped = abandoned = low_pro = s3_cuts = s4_cuts = 0
+    rows = TransactionRows(db.items, db.sizes)
 
     def visit(extensions: list[PUList]) -> None:
         nonlocal visited, pairs, skipped, abandoned, low_pro, s3_cuts, s4_cuts
@@ -224,23 +236,26 @@ def search(
                 break
 
             y = py.pattern_po[-1]
-            # Py's tid set, built at Py's first join of two long lists
-            # and shared by the rest; construct narrows long sparse joins
-            # with it (see pulist.NARROW_MIN_LEN)
-            long_py = len(py.tids) >= NARROW_MIN_LEN
-            py_tids = None
+            later = extensions[idx + 1:]
+            cuts = None
+            if len(py.tids) >= NARROW_MIN_LEN:
+                # a loop, not a comprehension, which would make y a
+                # closure cell read on every join below
+                kept = []
+                for pz in later:
+                    if not (s6 and pair(y, pz.pattern_po[-1]) < min_util):
+                        kept.append(pz)
+                cuts = find_shared(py, kept, rows)
             pairs += last - idx
             children: list[PUList] = []
-            for pz in extensions[idx + 1:]:
+            for pz in later:
                 if s6 and pair(y, pz.pattern_po[-1]) < min_util:
                     skipped += 1
                     continue
-                if long_py and py_tids is None and len(pz.tids) >= NARROW_MIN_LEN:
-                    py_tids = set(py.tids)
                 pyz = construct(
                     py, pz,
-                    min_util=min_util, pro_bound=pro_bound,
-                    la_prune=s1, py_tids=py_tids,
+                    min_util=min_util, pro_bound=pro_bound, la_prune=s1,
+                    shared=cuts.get(pz.pattern_po[-1]) if cuts else None,
                 )
                 if pyz is None:
                     abandoned += 1
@@ -303,7 +318,7 @@ def mine(
         order = compute_processing_order(table, rtwu)
         eucs = EUCS.zeros(order) if config.s6_eucp else None
         roots = build_initial_pulists(db, table, order, eucs, utilities=utilities)
-        search(roots, thresholds, pro_bound, config, eucs, stats, out)
+        search(db, roots, thresholds, pro_bound, config, eucs, stats, out)
     stats.phuis_found = len(out)
 
     stats.elapsed = time.perf_counter() - started

@@ -23,13 +23,16 @@ entry is extended by z's own utility and probability, which Pz carries
 in its iu and ip columns, so no lookup in the list of P and no division
 is needed. The join is one two-pointer merge over the tid columns of
 Py and Pz. When both lists are long and a probe of a few Pz tids finds
-almost none in Py, the join first narrows both lists to their shared
-tids, found with one set intersection and located with bisect, so that
-the merge walks only the entries it keeps (see NARROW_MIN_LEN). With s1
-on, the join also sums Py's probability and pu + rpu over the matched
-entries; if some Py entry went unmatched and either sum is below its
-threshold, the join is abandoned: Pyz and every extension of it are
-then out of reach. The tests cross-check construct against lists built
+almost none in Py, the join is given the tids the two share, and the
+merge walks only the entries it keeps (see NARROW_MIN_LEN). Before a
+long Py's joins, find_shared finds those tids for all of its sparse
+partners at once: by one walk over Py's transactions, which meets every
+later item Py co-occurs with, or by one set intersection per partner,
+whichever the count of Py's rows against its partners' tids says is
+cheaper. With s1 on, the join also sums Py's probability and pu + rpu
+over the matched entries; if some Py entry went unmatched and either
+sum is below its threshold, the join is abandoned: Pyz and every
+extension of it are then out of reach. The tests cross-check construct against lists built
 by a direct scan of the transactions (tests/scan_reference.py).
 """
 
@@ -141,8 +144,9 @@ def build_initial_pulists(
     reverse pass per transaction appends each entry to its item's
     columns and carries the suffix of positive utilities: rpu sums the
     positive utilities that follow the item in the projected
-    transaction. A positive-group item has nu = 0 per entry, a
-    negative-group item has pu = 0. The column sums are added once per
+    transaction. A negative-group item's utilities go to its nu column
+    and its pu column is all 0.0; every other item's go to pu, with nu
+    all 0.0. The column sums are added once per
     list after the walk, in tid order from 0.0: the order in which
     construct accumulates its sums.
 
@@ -165,8 +169,15 @@ def build_initial_pulists(
                       accumulate(sizes, initial=0)))
         sizes = list(map(sub, at[1:], at))
     lists = [PUList((item,)) for item in order.ordered_items]
-    appends = [(lst.tids.append, lst.pro.append, lst.pu.append, lst.nu.append,
-                lst.rpu.append) for lst in lists]
+    # a negative-group item's utilities are its nu column, every other
+    # item's its pu column (u has the sign of the unit, quantities being
+    # positive, and a unit of 0.0 or -0.0 counts as positive); the other
+    # column is all zeros, filled once the walk is done
+    units = table.entries
+    negative = [units[item] < 0 for item in order.ordered_items]
+    appends = [(lst.tids.append, lst.pro.append,
+                (lst.nu if neg else lst.pu).append, lst.rpu.append)
+               for lst, neg in zip(lists, negative)]
     # the tids as one list of ints made up front: ints made one by one
     # inside the walk lie scattered between its other objects, and every
     # join reads them (the c7-wide benchmark's search took 1.08x as long)
@@ -175,18 +186,13 @@ def build_initial_pulists(
         entries = sorted(islice(rows, n))
         suffix = 0.0
         for r, u, p in reversed(entries):
-            add_tid, add_pro, add_pu, add_nu, add_rpu = appends[r]
+            add_tid, add_pro, add_u, add_rpu = appends[r]
             add_tid(tid)
             add_pro(p)
+            add_u(u)
             add_rpu(suffix)
-            if u >= 0.0:
-                add_pu(u)
-                add_nu(0.0)
-                if u > 0.0:  # adding a zero would leave suffix as it is
-                    suffix += u
-            else:
-                add_pu(0.0)
-                add_nu(u)
+            if u > 0.0:  # adding a zero would leave suffix as it is
+                suffix += u
         if pair_rtwu is not None:
             lower = []
             for r, _u, _p in entries:
@@ -194,16 +200,20 @@ def build_initial_pulists(
                 for q in lower:
                     row[q] += suffix
                 lower.append(r)
-    for lst in lists:
+    for lst, neg in zip(lists, negative):
+        # A single-item list's last item is the pattern itself, so its
+        # item columns are its own pro and signed utility columns.
+        lst.ip = lst.pro
+        if neg:
+            lst.pu = [0.0] * len(lst.tids)
+            lst.iu = lst.nu
+        else:
+            lst.nu = [0.0] * len(lst.tids)
+            lst.iu = lst.pu
         lst.sum_pro = _front_to_back(lst.pro)
         lst.sum_pu = _front_to_back(lst.pu)
         lst.sum_nu = _front_to_back(lst.nu)
         lst.sum_rpu = _front_to_back(lst.rpu)
-        # A single-item list's last item is the pattern itself, so its
-        # item columns are its own pro and signed utility columns (a
-        # negative-group item has u < 0, hence nu < 0, in every entry).
-        lst.ip = lst.pro
-        lst.iu = lst.nu if lst.sum_nu < 0.0 else lst.pu
     return lists
 
 
@@ -219,26 +229,40 @@ def _front_to_back(column: list[float]) -> float:
 ABANDONED = None  # construct() result when the s1 test fires
 
 # When Py and Pz are both long and share few tids, the merge spends
-# nearly all of its steps on tids it then skips. Such a join first
-# narrows both lists to their shared tids: one C-level set intersection
-# with Py's tid set finds them, bisect gathers their entries, and the
-# merge then walks the narrowed columns in lockstep, so its cost follows
-# the overlap, not the lengths (the rule of adaptive set intersection,
-# Demaine, Lopez-Ortiz & Munro, SODA 2000). Whether a join is sparse is
-# judged by a probe: NARROW_PROBES evenly spaced tids of Pz looked up in
-# Py's set, sparse iff at most NARROW_MAX_HITS of them are found. Both
-# lists must hold at least NARROW_MIN_LEN tids.
+# nearly all of its steps on tids it then skips. Such a join is given
+# the tids both lists share and Py's positions of them (find_shared),
+# bisect locates those tids in Pz, and the merge then walks the
+# narrowed columns in lockstep, so its cost follows the overlap, not the
+# lengths (the rule of adaptive set intersection, Demaine, Lopez-Ortiz &
+# Munro, SODA 2000). Whether a join is sparse is judged by a probe:
+# NARROW_PROBES evenly spaced tids of Pz looked up in Py's tid set,
+# sparse iff at most NARROW_MAX_HITS of them are found. Both lists must
+# hold at least NARROW_MIN_LEN tids.
 # Measured against the plain merge, in an interleaved replay of every
 # join: the C7 family at 20k transactions (joins of about 990 tids that
-# share about 5 %) narrows 4,586 of its 4,760 joins, which then take
+# share about 5 %) narrows 4,593 of its 4,760 joins, which then take
 # about 0.6x the time; dense data with long lists that share about half
 # their tids narrows 15 of 41,605 long joins, and a deep tree of short
 # joins none. A narrowed dense join costs about 2x its merge: length
 # alone as the rule, or an 8-tid probe, sent too many of them down this
 # path (see ROADMAP, "Measured and rejected").
+# find_shared finds the shared tids of all of a long Py's sparse
+# partners before Py's joins. One walk over Py's transactions collects,
+# for each partner's last item, the tids whose rows hold it and Py's
+# positions of them, as EFIM's projected transactions and d2HUP's one
+# scan per node do; one set intersection per partner, sorted and
+# located in Py by bisect, finds the same. A row visited by the walk
+# costs about WALK_ROW_COST tids hashed by an intersection (in process,
+# 90-150 ns against 25-60 ns), so Py is walked iff WALK_ROW_COST times
+# its rows is below its partners' tids. On the C7 family at 20k
+# transactions, whose long Pys hold about a tenth as many rows as their
+# partners hold tids, mine() then takes about 0.8x the time; weighting
+# a row as one tid made sparse data over 40 items 1.03x and the C7
+# family at 100k transactions 1.15x slower.
 NARROW_MIN_LEN = 128
 NARROW_PROBES = 16
 NARROW_MAX_HITS = 2
+WALK_ROW_COST = 3
 
 
 def construct(
@@ -248,7 +272,7 @@ def construct(
     min_util: float = 0.0,
     pro_bound: float = 0.0,
     la_prune: bool = False,
-    py_tids: set[int] | None = None,
+    shared: tuple[list[int], list[int]] | None = None,
 ) -> PUList | None:
     """Join the lists of Py = P + y and Pz = P + z into the list of Pyz.
 
@@ -261,14 +285,13 @@ def construct(
       rpu = ez.rpu,  iu = ez.iu,  ip = ez.ip
     This multiplies and adds in processing order, as a direct scan does.
 
-    py_tids, when given, is set(py.tids); the caller builds it once and
-    passes it to each of Py's joins. With it, a join of two lists of at
-    least NARROW_MIN_LEN tids whose probe finds at most NARROW_MAX_HITS
-    of NARROW_PROBES sampled Pz tids in Py first narrows both lists to
-    their shared tids (see NARROW_MIN_LEN above), and the same merge
-    walks the narrowed columns. The merge only ever acts on shared tids,
-    in tid order, so the narrowed join returns the same list, bit for
-    bit. Without py_tids the join always merges the full columns.
+    shared, when given, is find_shared's entry for Pz: the tids that Py
+    and Pz share, ascending, and Py's positions of them. The join then
+    locates those tids in Pz by bisect, gathers both lists' entries
+    there, and the same merge walks the narrowed columns (see
+    NARROW_MIN_LEN above). The merge only ever acts on shared tids, in
+    tid order, so the narrowed join returns the same list, bit for bit.
+    Without shared the join merges the full columns.
 
     The same walk sums, over the matched Py entries in tid order,
     m_pro = sum of ey.pro and m_util = sum of ey.pu + ey.rpu. With
@@ -309,12 +332,20 @@ def construct(
     z_ip = pz.ip
     z_len = len(z_tids)
 
-    if py_tids is not None:
-        narrowed = _narrow(py, pz, py_tids)
-        if narrowed is not None:
-            y_tids, y_pro, y_pu, y_nu, y_rpu, z_rpu, z_iu, z_ip = narrowed
-            z_tids = y_tids
-            z_len = len(z_tids)
+    if shared is not None:
+        # map() and not a comprehension: a comprehension would read the
+        # columns as closure cells, on every join, in the merge below
+        z_tids, at = shared
+        y_tids = z_tids
+        z_len = len(z_tids)
+        y_pro = list(map(y_pro.__getitem__, at))
+        y_pu = list(map(y_pu.__getitem__, at))
+        y_nu = list(map(y_nu.__getitem__, at))
+        y_rpu = list(map(y_rpu.__getitem__, at))
+        at = list(map(bisect_left, repeat(pz.tids), z_tids))
+        z_rpu = list(map(z_rpu.__getitem__, at))
+        z_iu = list(map(z_iu.__getitem__, at))
+        z_ip = list(map(z_ip.__getitem__, at))
 
     if z_len:
         k = 0
@@ -379,21 +410,104 @@ def construct(
     return out
 
 
-def _narrow(py: PUList, pz: PUList, py_tids: set[int]) -> tuple[list, ...] | None:
-    """Py's tid and pattern columns and Pz's rpu and item columns, each
-    cut down to the tids both lists share, or None unless both lists
-    hold at least NARROW_MIN_LEN tids and at most NARROW_MAX_HITS of
-    NARROW_PROBES evenly spaced Pz tids are in py_tids, Py's tid set."""
-    y_tids, z_tids = py.tids, pz.tids
-    z_len = len(z_tids)
-    if len(y_tids) < NARROW_MIN_LEN or z_len < NARROW_MIN_LEN:
-        return None
-    step = z_len // NARROW_PROBES
-    if len(py_tids.intersection(z_tids[:step * NARROW_PROBES:step])) > NARROW_MAX_HITS:
-        return None
-    shared = sorted(py_tids.intersection(z_tids))
-    yi = list(map(bisect_left, repeat(y_tids), shared))
-    zi = list(map(bisect_left, repeat(z_tids), shared))
-    return (shared,
-            *([column[i] for i in yi] for column in (py.pro, py.pu, py.nu, py.rpu)),
-            *([column[k] for k in zi] for column in (pz.rpu, pz.iu, pz.ip)))
+class TransactionRows:
+    """A database's transactions by tid, for find_shared: size_of[t] is
+    the number of rows of tid t (size_of[0] is 0), and of(tids) gives
+    each tid's items in turn, cut from the items column at offsets that
+    are formed on its first call."""
+
+    __slots__ = ("items", "size_of", "_bounds")
+
+    def __init__(self, items: tuple[Item, ...], sizes: tuple[int, ...]):
+        self.items = items
+        self.size_of = (0,) + sizes
+        self._bounds: tuple[list[int], list[int]] | None = None
+
+    def count(self, tids: list[int]) -> int:
+        """The rows that the transactions of tids hold."""
+        return sum(map(self.size_of.__getitem__, tids))
+
+    def of(self, tids: list[int]):
+        """The items of each transaction of tids, one tuple per tid."""
+        if self._bounds is None:
+            ends = list(accumulate(self.size_of))
+            self._bounds = ([0] + ends[:-1], ends)
+        begin, end = self._bounds
+        return map(self.items.__getitem__,
+                   map(slice, map(begin.__getitem__, tids), map(end.__getitem__, tids)))
+
+
+def find_shared(
+    py: PUList,
+    siblings: list[PUList],
+    rows: TransactionRows,
+) -> dict[Item, tuple[list[int], list[int]]]:
+    """Py's sparse long partners among its later siblings, each mapped by
+    its last item z to (the tids Py and Pz share, ascending; Py's
+    positions of them), as construct's shared takes them.
+
+    A partner is a sibling that, like Py, holds at least NARROW_MIN_LEN
+    tids and whose probe finds at most NARROW_MAX_HITS of NARROW_PROBES
+    evenly spaced tids of it in Py; a Py shorter than that has none.
+    rows are the transactions of the database from which the lists
+    came. When WALK_ROW_COST times the rows of Py's transactions is
+    below the tids the partners hold, one walk over those rows finds
+    every partner's shared tids (_walk_shared); otherwise one set
+    intersection per partner does (_intersect_shared).
+    """
+    if len(py.tids) < NARROW_MIN_LEN:
+        return {}
+    partners = [pz for pz in siblings if len(pz.tids) >= NARROW_MIN_LEN]
+    if not partners:
+        return {}
+    py_set = set(py.tids)
+    partners = [pz for pz in partners if _probe_finds_few(py_set, pz.tids)]
+    if not partners:
+        return {}
+    if WALK_ROW_COST * rows.count(py.tids) < sum(map(len, partners)):
+        return _walk_shared(py, partners, rows)
+    return _intersect_shared(py, py_set, partners)
+
+
+def _probe_finds_few(py_set: set[int], z_tids: list[int]) -> bool:
+    """At most NARROW_MAX_HITS of NARROW_PROBES evenly spaced z_tids are
+    in py_set."""
+    step = len(z_tids) // NARROW_PROBES
+    return len(py_set.intersection(z_tids[:step * NARROW_PROBES:step])) <= NARROW_MAX_HITS
+
+
+def _walk_shared(
+    py: PUList,
+    partners: list[PUList],
+    rows: TransactionRows,
+) -> dict[Item, tuple[list[int], list[int]]]:
+    """find_shared by one walk over Py's transactions. A list's tids are
+    exactly its pattern's supporting transactions: Pz's are those of P
+    that hold z, and Py's lie among P's, so Py and Pz share exactly the
+    tids of Py whose transaction holds z. Rows of other items are passed
+    over."""
+    found = {pz.pattern_po[-1]: ([], []) for pz in partners}
+    get = found.get
+    tids = py.tids
+    for i, row in enumerate(rows.of(tids)):
+        for item in row:
+            hit = get(item)
+            if hit is not None:
+                hit[0].append(tids[i])
+                hit[1].append(i)
+    return found
+
+
+def _intersect_shared(
+    py: PUList,
+    py_set: set[int],
+    partners: list[PUList],
+) -> dict[Item, tuple[list[int], list[int]]]:
+    """find_shared by one C-level set intersection with Py's tid set per
+    partner, the positions found in Py by bisect."""
+    y_tids = py.tids
+    found = {}
+    for pz in partners:
+        tids = sorted(py_set.intersection(pz.tids))
+        found[pz.pattern_po[-1]] = (tids, list(map(bisect_left, repeat(y_tids), tids)))
+    return found

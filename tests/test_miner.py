@@ -14,6 +14,7 @@ from phuimine.model import (
     Thresholds,
     Transaction,
     TransactionEntry,
+    UncertainDatabase,
     UtilityTable,
     make_database,
 )
@@ -384,3 +385,25 @@ def test_doubled_utilities_double_the_results(wide_2k, preset):
     counters = {f: v for f, v in vars(stats).items() if f not in ("elapsed", "min_util")}
     assert counters == {f: v for f, v in vars(again_stats).items()
                         if f not in ("elapsed", "min_util")}
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_relabelled_items_give_the_same_results(wide_2k, preset):
+    """Every item id i relabelled 2i + 7 in the database and the table:
+    the map keeps the order of ids, which breaks rtwu ties in the
+    processing order, so each preset returns the same patterns,
+    relabelled, in the same order, with the same utilities, expected
+    supports and counters."""
+    db, table = wide_2k
+    items, quantities, probabilities, sizes = db.columns
+    relabelled = UncertainDatabase([2 * i + 7 for i in items], quantities, probabilities, sizes)
+    relabelled_table = UtilityTable({2 * i + 7: u for i, u in table.entries.items()})
+    config = MiningConfig.from_preset(preset)
+    found, stats = mine(db, table, Thresholds(4000, 0.001), config)
+    again, again_stats = mine(relabelled, relabelled_table, Thresholds(4000, 0.001), config)
+    assert found, "the thresholds must leave patterns to compare"
+    assert [(tuple(2 * i + 7 for i in m.pattern.items), m.utility.hex(),
+             m.expected_support.hex()) for m in found] == [
+        (m.pattern.items, m.utility.hex(), m.expected_support.hex()) for m in again]
+    counters = {f: v for f, v in vars(stats).items() if f != "elapsed"}
+    assert counters == {f: v for f, v in vars(again_stats).items() if f != "elapsed"}

@@ -1,11 +1,13 @@
 import math
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phuimine import miner, pulist
 from phuimine.datagen import GenParams, generate, generate_small
-from phuimine.miner import initial_scan
+from phuimine.miner import initial_scan, mine
 from phuimine.model import (
     Pattern,
     Thresholds,
@@ -18,10 +20,15 @@ from phuimine.pulist import (
     ABANDONED,
     NARROW_MIN_LEN,
     NARROW_PROBES,
+    WALK_ROW_COST,
+    TransactionRows,
     build_initial_pulists,
     compute_processing_order,
     construct,
+    find_shared,
     PUList,
+    _intersect_shared,
+    _walk_shared,
 )
 
 import measures
@@ -105,6 +112,28 @@ class TestInitialLists:
         assert rel_close(c.sum_pro, 3.3)
         assert (c.sum_pu, c.sum_nu, c.sum_rpu) == (0.0, -16.0, 0.0)
 
+    @pytest.mark.parametrize("unit", [0.0, -0.0])
+    def test_a_zero_unit_is_in_the_positive_group(self, unit):
+        # a unit of 0.0 or -0.0 sorts with the positives: its utilities,
+        # the zero's sign kept, are its pu column and iu, and nu is 0.0;
+        # the negative item's are its nu column and iu, and pu is 0.0
+        db = make_database([Transaction(1, ((1, 2, 0.5), (2, 1, 0.25))),
+                            Transaction(2, ((1, 3, 1.0),))])
+        table = UtilityTable({1: unit, 2: -3.0})
+        order = compute_processing_order(
+            table, initial_scan(db, table, Thresholds(0.0, 0.0), apply_filter=False))
+        zero, negative = build_initial_pulists(db, table, order)
+        assert (zero.pattern_po, negative.pattern_po) == ((1,), (2,))
+        assert [x.hex() for x in zero.pu] == [(unit * 2).hex(), (unit * 3).hex()]
+        assert [x.hex() for x in zero.nu] == [(0.0).hex()] * 2
+        assert zero.iu is zero.pu and zero.ip is zero.pro
+        assert [x.hex() for x in negative.pu] == [(0.0).hex()]
+        assert negative.nu == [-3.0] and negative.iu is negative.nu
+        assert [x.hex() for x in (zero.sum_pu, zero.sum_nu, negative.sum_pu)] == \
+            [(0.0).hex()] * 3
+        for lst in (zero, negative):
+            assert lists_match(lst, build_pulist_by_scan(db, table, order, lst.pattern_po))
+
     def test_empty_list_sums(self):
         empty = PUList((9,))
         assert (empty.sum_pro, empty.sum_pu, empty.sum_nu, empty.sum_rpu) == (0.0,) * 4
@@ -186,20 +215,6 @@ def _pz(tids):
     ])
 
 
-class CountingSet(set):
-    """Py's tid set, recording the length of every intersection asked of
-    it: construct probes with NARROW_PROBES tids of Pz and narrows with
-    all of them."""
-
-    def __init__(self, tids):
-        super().__init__(tids)
-        self.asked = []
-
-    def intersection(self, *others):
-        self.asked.extend(len(o) for o in others)
-        return super().intersection(*others)
-
-
 def _long_list(pattern_po, tids):
     """A list at the given tids, with values off the binary grid that
     vary by tid; iu is negative at every third tid."""
@@ -211,22 +226,52 @@ def _long_list(pattern_po, tids):
     return out
 
 
-def _joins_alike(py, pz, **bounds):
-    """construct with Py's set equal, bit for bit, to construct without
-    it; returns the CountingSet, so that a caller can see which path
-    the join took."""
-    py_tids = CountingSet(py.tids)
-    with_set = construct(py, pz, py_tids=py_tids, **bounds)
-    without = construct(py, pz, **bounds)
-    if without is ABANDONED:
-        assert with_set is ABANDONED
+def _rows(*lists):
+    """The transactions of a database under hand-made lists of one
+    prefix: transaction t, from 1 to the largest tid, holds the last
+    item of every list that holds t, so that each list's tids are the
+    transactions of its last item."""
+    rows = [[] for _ in range(max((t for lst in lists for t in lst.tids), default=0))]
+    for lst in lists:
+        for t in lst.tids:
+            rows[t - 1].append(lst.pattern_po[-1])
+    return TransactionRows(tuple(chain.from_iterable(map(sorted, rows))),
+                           tuple(map(len, rows)))
+
+
+def _cut(py, pz):
+    """find_shared's entry for Pz as Py's only later sibling, over
+    _rows: None unless Pz is a sparse partner. The walk over Py's
+    transactions and the set intersection must find the same tids and
+    positions, whichever find_shared chose."""
+    rows = _rows(py, pz)
+    walked = _walk_shared(py, [pz], rows)
+    assert walked == _intersect_shared(py, set(py.tids), [pz])
+    cut = find_shared(py, [pz], rows).get(pz.pattern_po[-1])
+    assert cut is None or cut == walked[pz.pattern_po[-1]]
+    return cut
+
+
+def _joins_alike(py, pz, cut=None, **bounds):
+    """construct given Pz's cut (by default _cut's) equal, bit for bit,
+    to construct without one; returns the cut, None for a join that
+    merges its full columns."""
+    if cut is None:
+        cut = _cut(py, pz)
+    narrowed = construct(py, pz, shared=cut, **bounds)
+    plain = construct(py, pz, **bounds)
+    if plain is ABANDONED:
+        assert narrowed is ABANDONED
     else:
-        assert with_set is not ABANDONED and lists_match(with_set, without)
-    return py_tids
+        assert narrowed is not ABANDONED and _bits(narrowed) == _bits(plain)
+    return cut
 
 
-def _narrowed(py_tids, pz):
-    return py_tids.asked == [NARROW_PROBES, len(pz.tids)]
+def _bits(lst):
+    """A list's pattern, tids, columns and sums, every float by float.hex."""
+    return (lst.pattern_po, lst.tids,
+            [[x.hex() for x in getattr(lst, c)] for c in ("pro", "pu", "nu", "rpu", "iu", "ip")],
+            [x.hex() for x in (lst.sum_pro, lst.sum_pu, lst.sum_nu, lst.sum_rpu)])
 
 
 class TestMerge:
@@ -275,43 +320,45 @@ class TestMerge:
         assert pyz.tids == [3, 5, 7]
 
     def test_disjoint_long_lists(self):
-        py = _long_list((1, 2), range(0, 4 * NARROW_MIN_LEN, 2))
-        pz = _long_list((1, 3), range(1, 4 * NARROW_MIN_LEN, 2))
-        assert _narrowed(_joins_alike(py, pz), pz)
-        pyz = construct(py, pz, py_tids=set(py.tids))
+        py = _long_list((1, 2), range(1, 4 * NARROW_MIN_LEN + 1, 2))
+        pz = _long_list((1, 3), range(2, 4 * NARROW_MIN_LEN + 1, 2))
+        cut = _joins_alike(py, pz)
+        assert cut == ([], [])
+        pyz = construct(py, pz, shared=cut)
         assert pyz.tids == [] and (pyz.sum_pro, pyz.sum_pu) == (0.0, 0.0)
         # nothing matched: any positive bound abandons, zero bounds do not
-        assert construct(py, pz, py_tids=set(py.tids), pro_bound=1e-9,
-                         la_prune=True) is ABANDONED
-        assert _narrowed(_joins_alike(py, pz, la_prune=True), pz)
+        assert construct(py, pz, shared=cut, pro_bound=1e-9, la_prune=True) is ABANDONED
+        assert _joins_alike(py, pz, la_prune=True) is not None
 
     def test_py_inside_pz_is_never_abandoned(self):
         # every Py tid is in Pz, which is 20 times longer: the probe
         # judges the join sparse, and the fully matched Py stays
-        py = _long_list((1, 2), range(7, 20 * NARROW_MIN_LEN, 20))
-        pz = _long_list((1, 3), range(20 * NARROW_MIN_LEN))
+        py = _long_list((1, 2), range(8, 20 * NARROW_MIN_LEN + 1, 20))
+        pz = _long_list((1, 3), range(1, 20 * NARROW_MIN_LEN + 1))
         bounds = {"min_util": 1e9, "pro_bound": 1e9, "la_prune": True}
-        assert _narrowed(_joins_alike(py, pz, **bounds), pz)
-        pyz = construct(py, pz, py_tids=set(py.tids), **bounds)
+        cut = _joins_alike(py, pz, **bounds)
+        assert cut is not None
+        pyz = construct(py, pz, shared=cut, **bounds)
         assert pyz is not ABANDONED and pyz.tids == py.tids
 
     def test_pz_ends_before_py(self):
-        py = _long_list((1, 2), range(0, 4 * NARROW_MIN_LEN, 2))
-        pz = _long_list((1, 3), [10, 100] + list(range(101, 2 * NARROW_MIN_LEN + 101, 2)))
+        py = _long_list((1, 2), range(1, 4 * NARROW_MIN_LEN + 1, 2))
+        pz = _long_list((1, 3), [11, 101] + list(range(102, 2 * NARROW_MIN_LEN + 102, 2)))
         assert pz.tids[-1] < py.tids[-1]
-        assert _narrowed(_joins_alike(py, pz), pz)
-        assert construct(py, pz, py_tids=set(py.tids)).tids == [10, 100]
+        cut = _joins_alike(py, pz)
+        assert cut is not None
+        assert construct(py, pz, shared=cut).tids == [11, 101]
 
     @pytest.mark.parametrize("length", [NARROW_MIN_LEN - 1, NARROW_MIN_LEN])
     def test_length_threshold(self, length):
         # Py of `length` tids, Pz of NARROW_MIN_LEN tids, sharing one tid
-        shorter = _long_list((1, 2), range(0, 2 * length, 2))
-        longer = _long_list((1, 3), [0] + list(range(1, 2 * NARROW_MIN_LEN - 1, 2)))
+        shorter = _long_list((1, 2), range(1, 2 * length + 1, 2))
+        longer = _long_list((1, 3), [1] + list(range(2, 2 * NARROW_MIN_LEN, 2)))
+        assert len(longer) == NARROW_MIN_LEN
         for py, pz in ((shorter, longer), (longer, shorter)):
-            py_tids = _joins_alike(py, pz)
-            assert _narrowed(py_tids, pz) == (length >= NARROW_MIN_LEN)
-            assert py_tids.asked in ([], [NARROW_PROBES, len(pz.tids)])
-            assert construct(py, pz, py_tids=set(py.tids)).tids == [0]
+            cut = _joins_alike(py, pz)
+            assert (cut is not None) == (length >= NARROW_MIN_LEN)
+            assert construct(py, pz, shared=cut).tids == [1]
 
     def test_probe_decides_the_path_not_the_result(self):
         # Pz of 16 * 16 tids, sampled at every 16th position. Against
@@ -320,30 +367,78 @@ class TestMerge:
         # others are: the probe finds none and the join narrows, to 240
         # shared tids. Both equal the merge.
         n = NARROW_PROBES * 16
-        pz = _long_list((1, 3), range(0, 2 * n, 2))
+        pz = _long_list((1, 3), range(1, 2 * n + 1, 2))
         sampled = set(pz.tids[::16])
-        py_sampled = _long_list((1, 2), sorted(sampled | set(range(1, 2 * n, 2))))
+        py_sampled = _long_list((1, 2), sorted(sampled | set(range(2, 2 * n + 1, 2))))
         py_others = _long_list((1, 2), sorted(set(pz.tids) - sampled))
-        assert _joins_alike(py_sampled, pz).asked == [NARROW_PROBES]
-        assert _narrowed(_joins_alike(py_others, pz), pz)
-        assert construct(py_others, pz, py_tids=set(py_others.tids)).tids == py_others.tids
+        assert _joins_alike(py_sampled, pz) is None
+        cut = _joins_alike(py_others, pz)
+        assert cut is not None
+        assert construct(py_others, pz, shared=cut).tids == py_others.tids
 
     def test_s1_counts_py_entries_outside_the_narrowed_columns(self):
-        # Py shares tids 10 and 100 with Pz; its other entries lie
+        # Py shares tids 11 and 101 with Pz; its other entries lie
         # outside the narrowed columns, so Py went partly unmatched, and
         # a bound just above a matched sum abandons the join
-        py = _long_list((1, 2), range(0, 4 * NARROW_MIN_LEN, 2))
-        pz = _long_list((1, 3), [10, 100] + list(range(101, 4 * NARROW_MIN_LEN, 2)))
+        py = _long_list((1, 2), range(1, 4 * NARROW_MIN_LEN + 1, 2))
+        pz = _long_list((1, 3), [11, 101] + list(range(102, 4 * NARROW_MIN_LEN + 1, 2)))
+        cut = _cut(py, pz)
+        assert cut is not None
         m_pro = 0.0 + py.pro[5] + py.pro[50]
         m_util = 0.0 + (py.pu[5] + py.rpu[5]) + (py.pu[50] + py.rpu[50])
         for bounds in ({"pro_bound": math.nextafter(m_pro, math.inf)},
                        {"min_util": math.nextafter(m_util, math.inf)}):
-            py_tids = CountingSet(py.tids)
-            assert construct(py, pz, py_tids=py_tids, la_prune=True, **bounds) is ABANDONED
-            assert _narrowed(py_tids, pz)
-        kept = construct(py, pz, py_tids=set(py.tids), min_util=m_util, pro_bound=m_pro,
-                         la_prune=True)
-        assert kept.tids == [10, 100]
+            assert construct(py, pz, shared=cut, la_prune=True, **bounds) is ABANDONED
+        kept = construct(py, pz, shared=cut, min_util=m_util, pro_bound=m_pro, la_prune=True)
+        assert kept.tids == [11, 101]
+
+
+def _paths(monkeypatch):
+    """Record the Pys that find_shared walks for and intersects for."""
+    taken = {"walk": [], "intersect": []}
+
+    def recorder(name, fn):
+        def recording(py, *args):
+            taken[name].append(py.pattern_po)
+            return fn(py, *args)
+        return recording
+    monkeypatch.setattr(pulist, "_walk_shared", recorder("walk", pulist._walk_shared))
+    monkeypatch.setattr(pulist, "_intersect_shared",
+                        recorder("intersect", pulist._intersect_shared))
+    return taken
+
+
+class TestFindShared:
+    def test_no_sparse_partner_walks_nothing(self, monkeypatch):
+        # a long Py whose later siblings are a dense long list (the
+        # probe finds it in Py) and a short sparse one: no partner, so
+        # neither path runs, and both joins merge their full columns
+        taken = _paths(monkeypatch)
+        py = _long_list((1, 2), range(1, 4 * NARROW_MIN_LEN + 1))
+        dense = _long_list((1, 3), range(1, 4 * NARROW_MIN_LEN + 1, 2))
+        short = _long_list((1, 4), range(4 * NARROW_MIN_LEN + 1,
+                                         4 * NARROW_MIN_LEN + NARROW_MIN_LEN))
+        assert find_shared(py, [dense, short], _rows(py, dense, short)) == {}
+        assert taken == {"walk": [], "intersect": []}
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_rows_against_partner_tids(self, monkeypatch, extra):
+        # Py's transactions hold one row of y each and one of z in each
+        # of the 2 shared tids: 2 * NARROW_MIN_LEN + 2 rows. A partner of
+        # exactly WALK_ROW_COST times that many tids is intersected; of
+        # one tid more, walked
+        taken = _paths(monkeypatch)
+        py = _long_list((1, 2), range(1, 4 * NARROW_MIN_LEN + 1, 2))
+        n_rows = 2 * NARROW_MIN_LEN + 2
+        beyond = 4 * NARROW_MIN_LEN + 2
+        pz = _long_list((1, 3), [1, 3] + list(range(
+            beyond, beyond + 2 * (WALK_ROW_COST * n_rows - 2 + extra), 2)))
+        rows = _rows(py, pz)
+        assert rows.count(py.tids) == n_rows
+        assert len(pz) == WALK_ROW_COST * n_rows + extra
+        assert find_shared(py, [pz], rows) == {3: ([1, 3], [0, 1])}
+        assert taken == ({"walk": [(1, 2)], "intersect": []} if extra
+                         else {"walk": [], "intersect": [(1, 2)]})
 
 
 def _s1_reference(py, pz, min_util, pro_bound):
@@ -403,24 +498,28 @@ def test_s1_abandons_iff_matched_sums_fall_below_a_bound(seed, util_frac, pro_fr
 def test_narrowed_joins_equal_the_scan_and_the_merge(seed, util_frac, pro_frac):
     """Long, sparse lists: 3,000 transactions over 40 items, where every
     single-item list holds a few hundred tids and most pairs share about
-    a tenth of them. Every join of two roots, built with Py's tid set,
-    equals the join without it bit for bit, and each one the probe
-    narrows equals the scan. With s1 on, at drawn thresholds and at
-    thresholds on and just above the matched sums, both abandon alike."""
+    a tenth of them. Every join of two roots, given the cut that
+    find_shared finds for it, equals the join without one bit for bit,
+    and each narrowed one equals the scan. With s1 on, at drawn
+    thresholds and at thresholds on and just above the matched sums,
+    both abandon alike."""
     db, table = generate(GenParams(n_transactions=3000, n_items=40, avg_tx_len=4,
                                    max_tx_len=8, seed=seed))
     order, roots = _unpruned_roots(db, table)
     total_rtu = sum(measures.redefined_transaction_utility(tx, table)
                     for tx in db.transactions)
     drawn = (util_frac * total_rtu, pro_frac * db.size)
+    rows = TransactionRows(db.items, db.sizes)
     narrowed = 0
     for i, py in enumerate(roots):
+        cuts = find_shared(py, roots[i + 1:], rows)
         for pz in roots[i + 1:]:
-            py_tids = _joins_alike(py, pz)
-            if _narrowed(py_tids, pz):
+            cut = cuts.get(pz.pattern_po[-1])
+            if cut is not None:
+                _joins_alike(py, pz, cut)
                 narrowed += 1
                 scan = build_pulist_by_scan(db, table, order, py.pattern_po + pz.pattern_po[-1:])
-                assert lists_match(construct(py, pz, py_tids=set(py.tids)), scan)
+                assert lists_match(construct(py, pz, shared=cut), scan)
             _fires, m_pro, m_util = _s1_reference(py, pz, 0.0, 0.0)
             for min_util, pro_bound in (
                 drawn,
@@ -428,9 +527,73 @@ def test_narrowed_joins_equal_the_scan_and_the_merge(seed, util_frac, pro_frac):
                 (math.nextafter(m_util, math.inf), m_pro),
                 (m_util, math.nextafter(m_pro, math.inf)),
             ):
-                _joins_alike(py, pz, min_util=min_util, pro_bound=pro_bound,
-                             la_prune=True)
+                if cut is not None:
+                    _joins_alike(py, pz, cut, min_util=min_util, pro_bound=pro_bound,
+                                 la_prune=True)
     assert narrowed >= len(roots) * (len(roots) - 1) // 4
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), apply_filter=st.booleans(),
+       util_frac=st.floats(0.22, 0.26))
+def test_the_walk_finds_what_the_intersection_finds(seed, apply_filter, util_frac):
+    """Sparse generated databases, with the s2 filter on (at these
+    thresholds it drops up to half of the 16 items, whose rows stay in
+    the transactions) and off: for every Py at depths 1 to 3 and all of
+    its later siblings, one walk over Py's transactions finds the shared
+    tids and Py positions that one set intersection per sibling finds,
+    and find_shared gives each sparse partner the same."""
+    db, table = generate(GenParams(n_transactions=2000, n_items=16, avg_tx_len=4,
+                                   max_tx_len=8, seed=seed))
+    total_rtu = sum(measures.redefined_transaction_utility(tx, table)
+                    for tx in db.transactions)
+    order = compute_processing_order(table, initial_scan(
+        db, table, Thresholds(util_frac * total_rtu, 0.0), apply_filter=apply_filter))
+    rows = TransactionRows(db.items, db.sizes)
+    depths = set()
+
+    def visit(siblings):
+        for i, py in enumerate(siblings):
+            later = siblings[i + 1:]
+            walked = _walk_shared(py, later, rows)
+            assert walked == _intersect_shared(py, set(py.tids), later)
+            if any(tids for tids, _at in walked.values()):
+                depths.add(len(py.pattern_po))
+            for z, cut in find_shared(py, later, rows).items():
+                assert cut == walked[z]
+            if len(py.pattern_po) < 3:
+                visit([pyz for pyz in (construct(py, pz) for pz in later) if pyz.tids])
+
+    visit(build_initial_pulists(db, table, order))
+    assert 2 in depths
+
+
+def test_narrowed_joins_of_mine_equal_the_merge(monkeypatch):
+    """mine() on sparse data over 40 items, replayed join by join: each
+    join given shared tids equals the same join over its full columns,
+    by float.hex, and both paths ran, the walk also at depth 2. A walk
+    weighted as one tid per row, not WALK_ROW_COST, is chosen often
+    enough here to reach depth 2."""
+    db, table = generate(GenParams(6000, 40, 6, 12, seed=3))
+    monkeypatch.setattr(pulist, "WALK_ROW_COST", 1)
+    taken = _paths(monkeypatch)
+    narrowed = []
+
+    def recording(py, pz, **kwargs):
+        pyz = construct(py, pz, **kwargs)
+        if kwargs["shared"] is not None:
+            narrowed.append((py, pz, kwargs, pyz))
+        return pyz
+    monkeypatch.setattr(miner, "construct", recording)
+    found, _stats = mine(db, table, Thresholds(9e3, 0.001))
+    assert found
+    assert taken["intersect"] and {len(p) for p in taken["walk"]} == {1, 2}
+    assert len(narrowed) > 1000
+    for py, pz, kwargs, pyz in narrowed:
+        plain = construct(py, pz, **{**kwargs, "shared": None})
+        assert (pyz is ABANDONED) == (plain is ABANDONED)
+        if plain is not ABANDONED:
+            assert _bits(pyz) == _bits(plain)
 
 
 @settings(max_examples=30, deadline=None)
