@@ -167,13 +167,14 @@ def cmd_gen(args) -> int:
 
 
 def _run_cell(db, table, thresholds, preset, repeats) -> MiningStats:
-    """Counters from the first run; elapsed is the median over repeats."""
+    """Counters from the first run; elapsed and each phase time are
+    their medians over repeats."""
     results, stats = mine(db, table, thresholds, MiningConfig.from_preset(preset))
-    elapsed = [stats.elapsed]
+    runs = [stats]
     for _ in range(repeats - 1):
-        _, again = mine(db, table, thresholds, MiningConfig.from_preset(preset))
-        elapsed.append(again.elapsed)
-    stats.elapsed = statistics.median(elapsed)
+        runs.append(mine(db, table, thresholds, MiningConfig.from_preset(preset))[1])
+    for name in MiningStats.TIMES:
+        setattr(stats, name, statistics.median(getattr(run, name) for run in runs))
     return stats
 
 

@@ -246,9 +246,14 @@ def serialize_results(patterns: Iterable[MinedPattern]) -> str:
 
 
 def _stats_record(stats: MiningStats) -> dict:
-    """Every MiningStats field in declaration order, elapsed in ms."""
-    record = asdict(stats)
-    record["elapsed_ms"] = record.pop("elapsed") * 1000.0
+    """Every MiningStats field in declaration order, each time in ms:
+    elapsed as elapsed_ms, a phase's <phase>_s as <phase>_ms."""
+    record = {}
+    for name, value in asdict(stats).items():
+        if name in MiningStats.TIMES:
+            name = name.removesuffix("_s") + "_ms"
+            value *= 1000.0
+        record[name] = value
     return record
 
 

@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass, fields
 from itertools import islice
 from operator import attrgetter
+from typing import ClassVar
 
 from .model import (
     Item,
@@ -104,7 +105,11 @@ _PRESET_OF = {flags: name for name, flags in PRESETS.items()}
 
 @dataclass
 class MiningStats:
-    """Instrumentation for one mining run."""
+    """Instrumentation for one mining run. The four phase times add up
+    to elapsed, apart from a few statements between them."""
+
+    # the fields that hold seconds
+    TIMES: ClassVar[tuple[str, ...]] = ("elapsed", "check_s", "scan_s", "lists_s", "search_s")
 
     preset: str = ""
     min_util: float = 0.0
@@ -117,7 +122,11 @@ class MiningStats:
     s4_cuts: int = 0
     s5_skips: int = 0
     phuis_found: int = 0
-    elapsed: float = 0.0  # seconds
+    elapsed: float = 0.0
+    check_s: float = 0.0  # check_utilities
+    scan_s: float = 0.0  # the utility column and initial_scan
+    lists_s: float = 0.0  # processing order, EUCS and root lists
+    search_s: float = 0.0  # search
 
 
 def initial_scan(
@@ -298,7 +307,9 @@ def mine(
     only changes counters and runtime, never the result set. Raises
     DatabaseValidationError as check_utilities does.
     """
+    started = time.perf_counter()
     check_utilities(db, table)
+    checked = time.perf_counter()
     if config is None:
         config = MiningConfig.from_preset("ALL")
 
@@ -307,21 +318,27 @@ def mine(
         min_util=thresholds.min_util,
         min_pro=thresholds.min_pro,
     )
-    started = time.perf_counter()
 
     utilities = db.utilities(table)
     rtwu = initial_scan(db, table, thresholds, apply_filter=config.s2_initial_filter,
                         utilities=utilities)
+    scanned = listed = time.perf_counter()
     pro_bound = thresholds.probability_bound(db.size)
     out: list[MinedPattern] = []
     if rtwu:
         order = compute_processing_order(table, rtwu)
         eucs = EUCS.zeros(order) if config.s6_eucp else None
         roots = build_initial_pulists(db, table, order, eucs, utilities=utilities)
+        listed = time.perf_counter()
         search(db, roots, thresholds, pro_bound, config, eucs, stats, out)
+    searched = time.perf_counter()
     stats.phuis_found = len(out)
 
     stats.elapsed = time.perf_counter() - started
+    stats.check_s = checked - started
+    stats.scan_s = scanned - checked
+    stats.lists_s = listed - scanned
+    stats.search_s = searched - listed
     return out, stats
 
 

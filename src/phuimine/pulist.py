@@ -23,13 +23,14 @@ entry is extended by z's own utility and probability, which Pz carries
 in its iu and ip columns, so no lookup in the list of P and no division
 is needed. The join is one two-pointer merge over the tid columns of
 Py and Pz. When both lists are long and a probe of a few Pz tids finds
-almost none in Py, the join is given the tids the two share, and the
-merge walks only the entries it keeps (see NARROW_MIN_LEN). Before a
-long Py's joins, find_shared finds those tids for all of its sparse
-partners at once: by one walk over Py's transactions, which meets every
-later item Py co-occurs with, or by one set intersection per partner,
-whichever the count of Py's rows against its partners' tids says is
-cheaper. With s1 on, the join also sums Py's probability and pu + rpu
+almost none in Py, the join is given the tids the two share and Py's
+positions of them: it gathers Pz's entries at those tids, reads Py's
+in place, and the merge walks only the entries it keeps (see
+NARROW_MIN_LEN). Before a long Py's joins, find_shared finds those
+tids for all of its sparse partners at once: by one walk over Py's
+transactions, which meets every later item Py co-occurs with, or by
+one set intersection per partner, whichever the count of Py's rows
+against its partners' tids says is cheaper. With s1 on, the join also sums Py's probability and pu + rpu
 over the matched entries; if some Py entry went unmatched and either
 sum is below its threshold, the join is abandoned: Pyz and every
 extension of it are then out of reach. The tests cross-check construct against lists built
@@ -146,9 +147,9 @@ def build_initial_pulists(
     positive utilities that follow the item in the projected
     transaction. A negative-group item's utilities go to its nu column
     and its pu column is all 0.0; every other item's go to pu, with nu
-    all 0.0. The column sums are added once per
-    list after the walk, in tid order from 0.0: the order in which
-    construct accumulates its sums.
+    all 0.0. The column sums are added once per list after the walk, in
+    tid order from 0.0: the order in which construct accumulates its
+    sums. The all-zero column is not added up: its sum is that 0.0.
 
     Given an EUCS over the same order (EUCS.zeros(order)), the same walk
     adds the transaction's positive utility over the surviving items to
@@ -202,17 +203,18 @@ def build_initial_pulists(
                 lower.append(r)
     for lst, neg in zip(lists, negative):
         # A single-item list's last item is the pattern itself, so its
-        # item columns are its own pro and signed utility columns.
+        # item columns are its own pro and signed utility columns. The
+        # all-zero column's sum stays at the +0.0 that __init__ set.
         lst.ip = lst.pro
         if neg:
             lst.pu = [0.0] * len(lst.tids)
             lst.iu = lst.nu
+            lst.sum_nu = _front_to_back(lst.nu)
         else:
             lst.nu = [0.0] * len(lst.tids)
             lst.iu = lst.pu
+            lst.sum_pu = _front_to_back(lst.pu)
         lst.sum_pro = _front_to_back(lst.pro)
-        lst.sum_pu = _front_to_back(lst.pu)
-        lst.sum_nu = _front_to_back(lst.nu)
         lst.sum_rpu = _front_to_back(lst.rpu)
     return lists
 
@@ -231,8 +233,9 @@ ABANDONED = None  # construct() result when the s1 test fires
 # When Py and Pz are both long and share few tids, the merge spends
 # nearly all of its steps on tids it then skips. Such a join is given
 # the tids both lists share and Py's positions of them (find_shared),
-# bisect locates those tids in Pz, and the merge then walks the
-# narrowed columns in lockstep, so its cost follows the overlap, not the
+# bisect locates those tids in Pz, and the merge then walks them against
+# Pz's narrowed columns, reading Py's columns at the given positions
+# rather than a copy of them, so its cost follows the overlap, not the
 # lengths (the rule of adaptive set intersection, Demaine, Lopez-Ortiz &
 # Munro, SODA 2000). Whether a join is sparse is judged by a probe:
 # NARROW_PROBES evenly spaced tids of Pz looked up in Py's tid set,
@@ -287,8 +290,9 @@ def construct(
 
     shared, when given, is find_shared's entry for Pz: the tids that Py
     and Pz share, ascending, and Py's positions of them. The join then
-    locates those tids in Pz by bisect, gathers both lists' entries
-    there, and the same merge walks the narrowed columns (see
+    locates those tids in Pz by bisect and gathers Pz's entries there;
+    the same merge walks the shared tids against those narrowed
+    columns, reading Py's own columns at the given positions (see
     NARROW_MIN_LEN above). The merge only ever acts on shared tids, in
     tid order, so the narrowed join returns the same list, bit for bit.
     Without shared the join merges the full columns.
@@ -321,7 +325,6 @@ def construct(
     s_pro = s_pu = s_nu = s_rpu = 0.0
     m_pro = m_util = 0.0
 
-    y_tids = py.tids
     y_pro = py.pro
     y_pu = py.pu
     y_nu = py.nu
@@ -330,27 +333,27 @@ def construct(
     z_rpu = pz.rpu
     z_iu = pz.iu
     z_ip = pz.ip
-    z_len = len(z_tids)
 
-    if shared is not None:
+    # the merge walks (position in Py, tid) pairs: every entry of Py, or
+    # only the shared tids at Py's positions of them, which then meet
+    # Pz's columns gathered at the same tids
+    if shared is None:
+        walk = enumerate(py.tids)
+    else:
         # map() and not a comprehension: a comprehension would read the
         # columns as closure cells, on every join, in the merge below
         z_tids, at = shared
-        y_tids = z_tids
-        z_len = len(z_tids)
-        y_pro = list(map(y_pro.__getitem__, at))
-        y_pu = list(map(y_pu.__getitem__, at))
-        y_nu = list(map(y_nu.__getitem__, at))
-        y_rpu = list(map(y_rpu.__getitem__, at))
+        walk = zip(at, z_tids)
         at = list(map(bisect_left, repeat(pz.tids), z_tids))
         z_rpu = list(map(z_rpu.__getitem__, at))
         z_iu = list(map(z_iu.__getitem__, at))
         z_ip = list(map(z_ip.__getitem__, at))
+    z_len = len(z_tids)
 
     if z_len:
         k = 0
         z_tid = z_tids[0]
-        for i, tid in enumerate(y_tids):
+        for i, tid in walk:
             if tid < z_tid:
                 continue
             if tid > z_tid:

@@ -1,9 +1,14 @@
+import json
+
 import pytest
 
 from phuimine import cli
 from phuimine.miner import mine
 
 from helpers import EXAMPLE_DB_TEXT, EXAMPLE_PTABLE_TEXT
+
+# the stats record's times: the whole run and its four phases, in ms
+TIME_FIELDS = ["elapsed_ms", "check_ms", "scan_ms", "lists_ms", "search_ms"]
 
 EXPECTED_RESULT_LINES = [
     "1 #UTIL: 96 #PROB: 2.5",
@@ -86,6 +91,17 @@ class TestMineCommand:
         assert lines[0].startswith("preset,min_util,min_pro,visited_nodes")
         assert lines[1].startswith("ALL,20,0.25,")
 
+    def test_json_stats_carry_the_phase_times(self, data_files, tmp_path):
+        db, ptable = data_files
+        stats = tmp_path / "stats.json"
+        run(["mine", "--db", db, "--ptable", ptable, "--min-util", "20",
+             "--min-pro", "0.25", "--out", str(tmp_path / "r.txt"),
+             "--stats", str(stats), "--stats-format", "json"])
+        [record] = json.loads(stats.read_text())
+        phases = [record[name] for name in TIME_FIELDS[1:]]
+        assert all(ms >= 0.0 for ms in phases)
+        assert sum(phases) <= record["elapsed_ms"]
+
     def test_stats_csv_matches_bench_row(self, data_files, tmp_path):
         db, ptable = data_files
         stats, bench = tmp_path / "stats.csv", tmp_path / "bench.csv"
@@ -97,10 +113,12 @@ class TestMineCommand:
         mined = [line.split(",") for line in stats.read_text().splitlines()]
         benched = [line.split(",") for line in bench.read_text().splitlines()]
         assert mined[0] == benched[0]
-        elapsed = mined[0].index("elapsed_ms")
+        assert mined[0][-len(TIME_FIELDS):] == TIME_FIELDS
         assert len(mined) == len(benched) == 2
-        del mined[1][elapsed], benched[1][elapsed]
-        assert mined[1] == benched[1]
+        # the times differ from run to run; every other field must match
+        timed = {mined[0].index(name) for name in TIME_FIELDS}
+        assert [v for i, v in enumerate(mined[1]) if i not in timed] == \
+            [v for i, v in enumerate(benched[1]) if i not in timed]
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         db = tmp_path / "bad.db"
@@ -387,6 +405,28 @@ class TestBenchCommand:
                     "--min-util", "20,100", "--min-pro", "0.25",
                     "--presets", "ALL", "--repeats", "3", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 3
+
+    def test_repeats_take_each_time_median(self, data_files, tmp_path, monkeypatch):
+        # three runs whose times are scripted: each time column holds its
+        # own median, the counters come from the first run
+        runs = iter([(0.004, 0.003, 0.0, 0.001), (0.002, 0.001, 0.0, 0.001),
+                     (0.009, 0.002, 0.005, 0.002)])
+
+        def scripted(*args):
+            found, stats = mine(*args)
+            stats.elapsed, stats.check_s, stats.scan_s, stats.search_s = next(runs)
+            return found, stats
+        monkeypatch.setattr(cli, "mine", scripted)
+        db, ptable = data_files
+        out = tmp_path / "bench.csv"
+        assert run(["bench", "--db", db, "--ptable", ptable, "--min-util", "20",
+                    "--min-pro", "0.25", "--presets", "ALL", "--repeats", "3",
+                    "--out", str(out)]) == 0
+        header, row = (line.split(",") for line in out.read_text().splitlines())
+        times = dict(zip(header, row))
+        assert [times[name] for name in ("elapsed_ms", "check_ms", "scan_ms", "search_ms")] \
+            == ["4", "2", "0", "1"]
+        assert times["phuis_found"] == "10"
 
     def test_prefix_sizes(self, data_files, tmp_path):
         db, ptable = data_files

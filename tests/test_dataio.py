@@ -675,17 +675,21 @@ class TestSerializeStats:
         lines = text.splitlines()
         assert lines[0] == ("preset,min_util,min_pro,visited_nodes,joins_attempted,"
                             "joins_abandoned,eucs_skips,s3_cuts,s4_cuts,s5_skips,"
-                            "phuis_found,elapsed_ms")
-        assert lines[1] == "ALL,20,0.25,0,0,0,0,0,0,0,0,0"
+                            "phuis_found,elapsed_ms,check_ms,scan_ms,lists_ms,search_ms")
+        assert lines[1] == "ALL,20,0.25,0,0,0,0,0,0,0,0,0,0,0,0,0"
 
     def test_json(self):
         stats = MiningStats(preset="ALL", min_util=20, min_pro=0.25,
-                            visited_nodes=12, phuis_found=10, elapsed=0.002)
+                            visited_nodes=12, phuis_found=10, elapsed=0.002,
+                            scan_s=0.0005, search_s=0.001)
         payload = json.loads(dataio.serialize_stats(stats, "json"))
         assert payload[0]["preset"] == "ALL"
         assert payload[0]["visited_nodes"] == 12
         assert payload[0]["elapsed_ms"] == pytest.approx(2.0)
-        assert "elapsed" not in payload[0]
+        assert payload[0]["scan_ms"] == pytest.approx(0.5)
+        assert payload[0]["search_ms"] == pytest.approx(1.0)
+        assert payload[0]["check_ms"] == payload[0]["lists_ms"] == 0.0
+        assert "elapsed" not in payload[0] and "scan_s" not in payload[0]
         assert list(payload[0]) == dataio.STATS_CSV_FIELDS
 
     def test_unknown_format(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from phuimine import dataio
 from phuimine.datagen import GenParams, generate, generate_small
-from phuimine.miner import MiningConfig, PRESETS, initial_scan, mine
+from phuimine.miner import MiningConfig, MiningStats, PRESETS, initial_scan, mine
 from phuimine.model import (
     DatabaseValidationError,
     Pattern,
@@ -149,7 +149,9 @@ class TestMine:
         r1, s1 = mine(ex_db, ex_table, TH)
         r2, s2 = mine(ex_db, ex_table, TH)
         assert dataio.serialize_results(r1) == dataio.serialize_results(r2)
-        s1.elapsed = s2.elapsed = 0.0
+        for name in MiningStats.TIMES:
+            setattr(s1, name, 0.0)
+            setattr(s2, name, 0.0)
         assert s1 == s2
 
     def test_threshold_monotonicity_on_example(self, ex_db, ex_table):
@@ -368,6 +370,37 @@ def wide_2k():
                               negative_fraction=0.2, seed=20_260_810))
 
 
+def _phases_add_up(runs):
+    """Every phase time of every run is >= 0 and their sum at most the
+    run's elapsed time; in the closest of the runs they add up to it
+    within 1 %. A run on the example takes about 0.2 ms, so one
+    preemption between the last two marks could alone take 1 % of it."""
+    gaps = []
+    for stats in runs:
+        phases = [stats.check_s, stats.scan_s, stats.lists_s, stats.search_s]
+        assert all(t >= 0.0 for t in phases)
+        assert sum(phases) <= stats.elapsed
+        gaps.append(1.0 - sum(phases) / stats.elapsed)
+    assert min(gaps) < 0.01
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_phase_times_add_up_to_elapsed(ex_db, ex_table, wide_2k, preset):
+    """check_s, scan_s, lists_s and search_s split mine()'s elapsed time,
+    on the example and on a database whose search dominates."""
+    config = MiningConfig.from_preset(preset)
+    _phases_add_up([mine(ex_db, ex_table, TH, config)[1] for _ in range(3)])
+    _found, stats = mine(*wide_2k, Thresholds(4000, 0.001), config)
+    _phases_add_up([stats])
+    assert stats.search_s > stats.check_s
+
+
+def test_phase_times_without_a_surviving_item(ex_db, ex_table):
+    runs = [mine(ex_db, ex_table, Thresholds(1e9, 0.25))[1] for _ in range(3)]
+    assert runs[0].visited_nodes == 0
+    _phases_add_up(runs)
+
+
 @pytest.mark.parametrize("preset", PRESETS)
 def test_doubled_utilities_double_the_results(wide_2k, preset):
     """Every unit utility and min_util doubled: doubling is exact in
@@ -382,9 +415,10 @@ def test_doubled_utilities_double_the_results(wide_2k, preset):
     assert found, "the thresholds must leave patterns to compare"
     assert [(m.pattern, (2 * m.utility).hex(), m.expected_support.hex()) for m in found] == [
         (m.pattern, m.utility.hex(), m.expected_support.hex()) for m in again]
-    counters = {f: v for f, v in vars(stats).items() if f not in ("elapsed", "min_util")}
+    counters = {f: v for f, v in vars(stats).items()
+                if f not in MiningStats.TIMES and f != "min_util"}
     assert counters == {f: v for f, v in vars(again_stats).items()
-                        if f not in ("elapsed", "min_util")}
+                        if f not in MiningStats.TIMES and f != "min_util"}
 
 
 @pytest.mark.parametrize("preset", PRESETS)
@@ -405,5 +439,6 @@ def test_relabelled_items_give_the_same_results(wide_2k, preset):
     assert [(tuple(2 * i + 7 for i in m.pattern.items), m.utility.hex(),
              m.expected_support.hex()) for m in found] == [
         (m.pattern.items, m.utility.hex(), m.expected_support.hex()) for m in again]
-    counters = {f: v for f, v in vars(stats).items() if f != "elapsed"}
-    assert counters == {f: v for f, v in vars(again_stats).items() if f != "elapsed"}
+    counters = {f: v for f, v in vars(stats).items() if f not in MiningStats.TIMES}
+    assert counters == {f: v for f, v in vars(again_stats).items()
+                        if f not in MiningStats.TIMES}

@@ -392,6 +392,31 @@ class TestMerge:
         kept = construct(py, pz, shared=cut, min_util=m_util, pro_bound=m_pro, la_prune=True)
         assert kept.tids == [11, 101]
 
+    def test_narrowed_join_reads_py_only_at_the_shared_positions(self):
+        # Pz shares every 16th tid of Py, all at even positions; a NaN in
+        # Py's pro, pu, nu and rpu at every odd position is never read,
+        # so the narrowed join equals the plain merge of the clean Py
+        clean = _long_list((1, 2), range(1, 4 * NARROW_MIN_LEN + 1, 2))
+        beyond = 4 * NARROW_MIN_LEN + 2
+        pz = _long_list((1, 3), clean.tids[::16] + list(range(beyond, beyond + 2 * 256, 2)))
+        cut = _cut(clean, pz)
+        assert cut is not None and cut[1] == list(range(0, len(clean), 16))
+        py = _long_list((1, 2), clean.tids)
+        for column in (py.pro, py.pu, py.nu, py.rpu):
+            column[1::2] = [math.nan] * (len(column) // 2)
+        m_pro = m_util = 0.0
+        for i in cut[1]:
+            m_pro += clean.pro[i]
+            m_util += clean.pu[i] + clean.rpu[i]
+        for bounds in ({}, {"la_prune": True},
+                       {"min_util": m_util, "pro_bound": m_pro, "la_prune": True}):
+            narrowed = construct(py, pz, shared=cut, **bounds)
+            assert _bits(narrowed) == _bits(construct(clean, pz, **bounds))
+            assert narrowed.tids == cut[0]
+        above = {"pro_bound": math.nextafter(m_pro, math.inf), "la_prune": True}
+        assert construct(py, pz, shared=cut, **above) is ABANDONED
+        assert construct(clean, pz, **above) is ABANDONED
+
 
 def _paths(monkeypatch):
     """Record the Pys that find_shared walks for and intersects for."""
