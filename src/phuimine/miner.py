@@ -49,6 +49,9 @@ from .pulist import (
     compute_processing_order,
     construct,
     find_shared,
+    gather_rpu,
+    walk_children,
+    walk_pays,
 )
 
 
@@ -122,6 +125,8 @@ class MiningStats:
     s4_cuts: int = 0
     s5_skips: int = 0
     phuis_found: int = 0
+    tids_in: int = 0  # len(Py) + len(Pz) per attempted join
+    tids_out: int = 0  # len(Pyz) per join not abandoned, s5's skips included
     elapsed: float = 0.0
     check_s: float = 0.0  # check_utilities
     scan_s: float = 0.0  # the utility column and initial_scan
@@ -172,6 +177,7 @@ def initial_scan(
 
 def search(
     db: UncertainDatabase,
+    utilities: list[float],
     extensions: list[PUList],
     thresholds: Thresholds,
     pro_bound: float,
@@ -187,9 +193,9 @@ def search(
     when both of its exact measures reach their bounds; it is extended
     unless s3/s4 rule the whole subtree out. Joined child lists with no
     supporting transaction are always discarded (they cannot describe a
-    pattern of the database). eucs is read only with s6 on; mine()
-    passes None otherwise. db is the database the root lists were built
-    from.
+    pattern of the database). eucs is read only with s6 on, once per Py
+    for all of its later siblings (EUCS.partners); mine() passes None
+    otherwise. db is the database the root lists were built from.
 
     The flags, bounds, EUCS lookup and counters are bound once here, in
     one frame; the recursion runs in the nested visit(), and the
@@ -201,12 +207,22 @@ def search(
     as its positional arguments, so a wrapper set on miner.construct sees
     each one.
 
-    Before the joins of a Py of at least NARROW_MIN_LEN tids, the tids it
-    shares with each of its sparse long partners among the later
-    siblings that s6 keeps are found at once (pulist.find_shared), by
-    one walk over Py's transactions in db or by one set intersection
-    per partner, and each of those joins is given its partner's. A
-    shorter Py's joins merge as they are.
+    A Py of at least NARROW_MIN_LEN tids first weighs, against its
+    partners (the later siblings that s6 keeps), one walk over its
+    transactions in db (pulist.walk_pays). If it walks, the walk builds
+    every child at once (pulist.walk_children), each join is given its
+    partner's child, and the children that s5 keeps get their rpu
+    column from their partners (pulist.gather_rpu). If not, the tids it
+    shares with each sparse long partner are found at once
+    (pulist.find_shared), and each of those joins is given its
+    partner's. A shorter Py's joins merge as they are. utilities is
+    db.utilities(table), as mine() formed it for the root lists.
+
+    tids_in adds len(Py) + len(Pz) over the joins attempted, and
+    tids_out len(Pyz) over the joins not abandoned, whichever way each
+    was built. Both are counted per join: a C-level sum over a Py's
+    partners costs more than one addition per join until a Py has about
+    eight of them, and most Pys have fewer.
     """
     min_util = thresholds.min_util
     s1 = config.s1_pu_prune
@@ -214,7 +230,7 @@ def search(
     s4 = config.s4_remaining_utility_bound
     s5 = config.s5_empty_or_lowpro_skip
     s6 = config.s6_eucp
-    pair = eucs.pair if s6 else None
+    s6_partners = eucs.partners if s6 else None
     emit = out.append
     # tuple.__new__ makes the named tuples without their Python-level
     # __new__, a cost paid once per emission
@@ -222,10 +238,12 @@ def search(
     # pairs counts the (Py, Pz) sibling pairs of every extended Py; the
     # joins attempted are the pairs that s6 does not skip
     visited = pairs = skipped = abandoned = low_pro = s3_cuts = s4_cuts = 0
-    rows = TransactionRows(db.items, db.sizes)
+    tids_in = tids_out = 0
+    rows = TransactionRows(db.items, utilities, db.probabilities, db.sizes)
 
     def visit(extensions: list[PUList]) -> None:
         nonlocal visited, pairs, skipped, abandoned, low_pro, s3_cuts, s4_cuts
+        nonlocal tids_in, tids_out
         visited += len(extensions)
         last = len(extensions) - 1
         for idx, py in enumerate(extensions):
@@ -244,23 +262,22 @@ def search(
             if idx == last:
                 break
 
-            y = py.pattern_po[-1]
-            later = extensions[idx + 1:]
-            cuts = None
-            if len(py.tids) >= NARROW_MIN_LEN:
-                # a loop, not a comprehension, which would make y a
-                # closure cell read on every join below
-                kept = []
-                for pz in later:
-                    if not (s6 and pair(y, pz.pattern_po[-1]) < min_util):
-                        kept.append(pz)
-                cuts = find_shared(py, kept, rows)
-            pairs += last - idx
+            partners = extensions[idx + 1:]
+            pairs += len(partners)
+            if s6:
+                kept = s6_partners(py.pattern_po[-1], partners, min_util)
+                skipped += len(partners) - len(kept)
+                partners = kept
+            y_len = len(py.tids)
+            cuts = walked = None
+            if y_len >= NARROW_MIN_LEN:
+                if walk_pays(py, partners, rows):
+                    cuts = walked = walk_children(py, partners, rows)
+                else:
+                    cuts = find_shared(py, partners)
             children: list[PUList] = []
-            for pz in later:
-                if s6 and pair(y, pz.pattern_po[-1]) < min_util:
-                    skipped += 1
-                    continue
+            for pz in partners:
+                tids_in += y_len + len(pz.tids)
                 pyz = construct(
                     py, pz,
                     min_util=min_util, pro_bound=pro_bound, la_prune=s1,
@@ -271,11 +288,14 @@ def search(
                     continue
                 if not pyz.tids:
                     continue
+                tids_out += len(pyz.tids)
                 if s5 and not pyz.sum_pro >= pro_bound:
                     low_pro += 1
                     continue
                 children.append(pyz)
             if children:
+                if walked:
+                    gather_rpu(children, partners)
                 visit(children)
 
     try:
@@ -292,6 +312,8 @@ def search(
     stats.s3_cuts += s3_cuts
     stats.s4_cuts += s4_cuts
     stats.s5_skips += low_pro
+    stats.tids_in += tids_in
+    stats.tids_out += tids_out
 
 
 def mine(
@@ -330,7 +352,7 @@ def mine(
         eucs = EUCS.zeros(order) if config.s6_eucp else None
         roots = build_initial_pulists(db, table, order, eucs, utilities=utilities)
         listed = time.perf_counter()
-        search(db, roots, thresholds, pro_bound, config, eucs, stats, out)
+        search(db, utilities, roots, thresholds, pro_bound, config, eucs, stats, out)
     searched = time.perf_counter()
     stats.phuis_found = len(out)
 

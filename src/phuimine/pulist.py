@@ -22,24 +22,28 @@ HUI-Miner join, with negative utilities split off as in FHN): Py's
 entry is extended by z's own utility and probability, which Pz carries
 in its iu and ip columns, so no lookup in the list of P and no division
 is needed. The join is one two-pointer merge over the tid columns of
-Py and Pz. When both lists are long and a probe of a few Pz tids finds
-almost none in Py, the join is given the tids the two share and Py's
-positions of them: it gathers Pz's entries at those tids, reads Py's
-in place, and the merge walks only the entries it keeps (see
-NARROW_MIN_LEN). Before a long Py's joins, find_shared finds those
-tids for all of its sparse partners at once: by one walk over Py's
-transactions, which meets every later item Py co-occurs with, or by
-one set intersection per partner, whichever the count of Py's rows
-against its partners' tids says is cheaper. With s1 on, the join also sums Py's probability and pu + rpu
-over the matched entries; if some Py entry went unmatched and either
-sum is below its threshold, the join is abandoned: Pyz and every
-extension of it are then out of reach. The tests cross-check construct against lists built
-by a direct scan of the transactions (tests/scan_reference.py).
+Py and Pz. A long Py whose partners hold many more tids than its
+transactions hold rows (walk_pays) builds all of its children in one
+walk over those transactions instead (walk_children), as EFIM's
+projected transactions and d2HUP's one scan per node do: z's row in a
+transaction of Py holds the iu and ip that Pz carries there. Each join
+then only finishes the child that the walk built. A long Py that does
+not walk probes its long partners: when a probe of a few Pz tids finds
+almost none in Py, find_shared gives the join the tids the two share
+and Py's positions of them; it gathers Pz's entries at those tids,
+reads Py's in place, and the merge walks only the entries it keeps
+(see NARROW_MIN_LEN). With s1 on, the join also sums Py's probability
+and pu + rpu over the matched entries; if some Py entry went unmatched
+and either sum is below its threshold, the join is abandoned: Pyz and
+every extension of it are then out of reach. Whichever way a join is
+built, it returns the same list, bit for bit. The tests cross-check
+construct against lists built by a direct scan of the transactions
+(tests/scan_reference.py).
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, compress, islice, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from operator import sub
 from typing import Mapping
 
@@ -110,6 +114,16 @@ class EUCS:
         ra = self.rank[a]
         rb = self.rank[b]
         return self.rows[rb][ra] if ra < rb else self.rows[ra][rb]
+
+    def partners(self, y: Item, siblings: list["PUList"], min_util: float) -> list["PUList"]:
+        """The siblings, in order, whose last item's pair rtwu with y is
+        not below min_util: the joins of Py that s6 keeps. Every
+        sibling's last item follows y in the processing order, so its
+        row holds the pair."""
+        rank = self.rank
+        rows = self.rows
+        ry = rank[y]
+        return [pz for pz in siblings if not rows[rank[pz.pattern_po[-1]]][ry] < min_util]
 
 
 def compute_processing_order(
@@ -231,37 +245,32 @@ def _front_to_back(column: list[float]) -> float:
 ABANDONED = None  # construct() result when the s1 test fires
 
 # When Py and Pz are both long and share few tids, the merge spends
-# nearly all of its steps on tids it then skips. Such a join is given
-# the tids both lists share and Py's positions of them (find_shared),
-# bisect locates those tids in Pz, and the merge then walks them against
-# Pz's narrowed columns, reading Py's columns at the given positions
-# rather than a copy of them, so its cost follows the overlap, not the
-# lengths (the rule of adaptive set intersection, Demaine, Lopez-Ortiz &
-# Munro, SODA 2000). Whether a join is sparse is judged by a probe:
-# NARROW_PROBES evenly spaced tids of Pz looked up in Py's tid set,
-# sparse iff at most NARROW_MAX_HITS of them are found. Both lists must
-# hold at least NARROW_MIN_LEN tids.
-# Measured against the plain merge, in an interleaved replay of every
-# join: the C7 family at 20k transactions (joins of about 990 tids that
-# share about 5 %) narrows 4,593 of its 4,760 joins, which then take
-# about 0.6x the time; dense data with long lists that share about half
-# their tids narrows 15 of 41,605 long joins, and a deep tree of short
-# joins none. A narrowed dense join costs about 2x its merge: length
-# alone as the rule, or an 8-tid probe, sent too many of them down this
-# path (see ROADMAP, "Measured and rejected").
-# find_shared finds the shared tids of all of a long Py's sparse
-# partners before Py's joins. One walk over Py's transactions collects,
-# for each partner's last item, the tids whose rows hold it and Py's
-# positions of them, as EFIM's projected transactions and d2HUP's one
-# scan per node do; one set intersection per partner, sorted and
-# located in Py by bisect, finds the same. A row visited by the walk
-# costs about WALK_ROW_COST tids hashed by an intersection (in process,
-# 90-150 ns against 25-60 ns), so Py is walked iff WALK_ROW_COST times
-# its rows is below its partners' tids. On the C7 family at 20k
-# transactions, whose long Pys hold about a tenth as many rows as their
-# partners hold tids, mine() then takes about 0.8x the time; weighting
-# a row as one tid made sparse data over 40 items 1.03x and the C7
-# family at 100k transactions 1.15x slower.
+# nearly all of its steps on tids it then skips. A Py of at least
+# NARROW_MIN_LEN tids therefore either walks or probes.
+# It walks (walk_pays) when WALK_ROW_COST times the rows of its
+# transactions is below the tids that its partners, the later siblings
+# that s6 keeps, hold: one walk over those rows (walk_children) builds
+# every child, and no join merges. A row visited by the walk costs about
+# WALK_ROW_COST tids stepped over or hashed by a join. The rows are
+# estimated from the sizes of NARROW_PROBES evenly spaced tids of Py: an
+# exact count at every long Py cost 0.108 s on dense data with long
+# lists, where none walked. On the C7 family at 20k transactions, 80 of
+# its roots walk and mine() takes about 0.74x the time.
+# A Py that does not walk probes each long partner: NARROW_PROBES evenly
+# spaced tids of Pz looked up in Py's tid set, sparse iff at most
+# NARROW_MAX_HITS of them are found. Such a join is given the tids both
+# lists share and Py's positions of them (find_shared), bisect locates
+# those tids in Pz, and the merge then walks them against Pz's narrowed
+# columns, reading Py's columns at the given positions rather than a
+# copy of them, so its cost follows the overlap, not the lengths (the
+# rule of adaptive set intersection, Demaine, Lopez-Ortiz & Munro, SODA
+# 2000). The C7 family at 100k transactions under ALL, where s6 leaves
+# few partners and no Py walks, spent 14 % more in search without this
+# path. Dense data with long lists that share about half their tids
+# narrows 15 of 41,605 long joins, and a deep tree of short joins none.
+# A narrowed dense join costs about 2x its merge: length alone as the
+# rule, or an 8-tid probe, sent too many of them down this path (see
+# ROADMAP, "Measured and rejected").
 NARROW_MIN_LEN = 128
 NARROW_PROBES = 16
 NARROW_MAX_HITS = 2
@@ -288,14 +297,20 @@ def construct(
       rpu = ez.rpu,  iu = ez.iu,  ip = ez.ip
     This multiplies and adds in processing order, as a direct scan does.
 
-    shared, when given, is find_shared's entry for Pz: the tids that Py
-    and Pz share, ascending, and Py's positions of them. The join then
-    locates those tids in Pz by bisect and gathers Pz's entries there;
-    the same merge walks the shared tids against those narrowed
-    columns, reading Py's own columns at the given positions (see
-    NARROW_MIN_LEN above). The merge only ever acts on shared tids, in
-    tid order, so the narrowed join returns the same list, bit for bit.
-    Without shared the join merges the full columns.
+    shared, when given, is either find_shared's entry for Pz or the
+    child that walk_children built for it. find_shared's is the tids
+    that Py and Pz share, ascending, and Py's positions of them. The
+    join then locates those tids in Pz by bisect and gathers Pz's
+    entries there; the same merge walks the shared tids against those
+    narrowed columns, reading Py's own columns at the given positions
+    (see NARROW_MIN_LEN above). The merge only ever acts on shared tids,
+    in tid order, so the narrowed join returns the same list, bit for
+    bit. A walked child holds Pyz's columns but rpu and Py's positions
+    of its tids: the join runs the s1 test on Py's entries at those
+    positions and adds up the sums, each in tid order as the merge
+    does. It leaves the child's rpu column and sum_rpu unset; search
+    gathers them (gather_rpu) once s5 keeps the child. Without shared
+    the join merges the full columns.
 
     The same walk sums, over the matched Py entries in tid order,
     m_pro = sum of ey.pro and m_util = sum of ey.pu + ey.rpu. With
@@ -339,6 +354,8 @@ def construct(
     # Pz's columns gathered at the same tids
     if shared is None:
         walk = enumerate(py.tids)
+    elif len(shared) > 2:
+        return _walked_join(py, pz, shared, min_util, pro_bound, la_prune)
     else:
         # map() and not a comprehension: a comprehension would read the
         # columns as closure cells, on every join, in the merge below
@@ -413,37 +430,129 @@ def construct(
     return out
 
 
+def _walked_join(py, pz, child, min_util, pro_bound, la_prune):
+    """construct for a child that walk_children has built: the s1 test
+    on Py's entries at the child's positions, and the sums of its
+    columns, each added front to back in tid order as the merge adds
+    them. The rpu column and sum_rpu are left unset for gather_rpu."""
+    tids, pro, pu, nu, iu, ip, at = child
+    if la_prune and len(tids) < len(py.tids):
+        y_pro = py.pro
+        y_pu = py.pu
+        y_rpu = py.rpu
+        m_pro = m_util = 0.0
+        for i in at:
+            m_pro += y_pro[i]
+            m_util += y_pu[i] + y_rpu[i]
+        if m_pro < pro_bound or m_util < min_util:
+            return ABANDONED
+    out = PUList.__new__(PUList)
+    out.pattern_po = py.pattern_po + (pz.pattern_po[-1],)
+    out.tids = tids
+    out.pro = pro
+    out.pu = pu
+    out.nu = nu
+    out.iu = iu
+    out.ip = ip
+    out.sum_pro = _front_to_back(pro)
+    out.sum_pu = _front_to_back(pu)
+    out.sum_nu = _front_to_back(nu)
+    return out
+
+
 class TransactionRows:
-    """A database's transactions by tid, for find_shared: size_of[t] is
-    the number of rows of tid t (size_of[0] is 0), and of(tids) gives
-    each tid's items in turn, cut from the items column at offsets that
-    are formed on its first call."""
+    """A database's rows by tid, for walk_pays and walk_children: the
+    database's items and probabilities columns, the utility of each row
+    (UncertainDatabase.utilities), size_of[t] the number of rows of tid
+    t (size_of[0] is 0) and bounds, formed by the first walk: the rows
+    of tid t lie at bounds[t - 1]:bounds[t]."""
 
-    __slots__ = ("items", "size_of", "_bounds")
+    __slots__ = ("items", "utilities", "probabilities", "size_of", "bounds")
 
-    def __init__(self, items: tuple[Item, ...], sizes: tuple[int, ...]):
+    def __init__(self, items: tuple[Item, ...], utilities: list[float],
+                 probabilities: tuple[float, ...], sizes: tuple[int, ...]):
         self.items = items
+        self.utilities = utilities
+        self.probabilities = probabilities
         self.size_of = (0,) + sizes
-        self._bounds: tuple[list[int], list[int]] | None = None
+        self.bounds: list[int] | None = None
 
-    def count(self, tids: list[int]) -> int:
-        """The rows that the transactions of tids hold."""
-        return sum(map(self.size_of.__getitem__, tids))
 
-    def of(self, tids: list[int]):
-        """The items of each transaction of tids, one tuple per tid."""
-        if self._bounds is None:
-            ends = list(accumulate(self.size_of))
-            self._bounds = ([0] + ends[:-1], ends)
-        begin, end = self._bounds
-        return map(self.items.__getitem__,
-                   map(slice, map(begin.__getitem__, tids), map(end.__getitem__, tids)))
+def walk_pays(py: PUList, partners: list[PUList], rows: TransactionRows) -> bool:
+    """Whether one walk over the rows of Py's transactions costs less
+    than Py's joins with partners: WALK_ROW_COST times the rows is below
+    the tids that the partners hold. The rows are estimated from the
+    sizes of NARROW_PROBES evenly spaced tids of Py, which must hold at
+    least NARROW_MIN_LEN tids."""
+    y_tids = py.tids
+    step = len(y_tids) // NARROW_PROBES
+    probed = sum(map(rows.size_of.__getitem__, y_tids[:step * NARROW_PROBES:step]))
+    return WALK_ROW_COST * probed * len(y_tids) < NARROW_PROBES * sum(map(len, partners))
+
+
+def walk_children(
+    py: PUList,
+    partners: list[PUList],
+    rows: TransactionRows,
+) -> dict[Item, tuple[list, ...]]:
+    """Every join of Py with partners (its later siblings, which share
+    all but their last item with it) by one walk over Py's transactions:
+    each partner's last item z mapped to the columns of Pyz but rpu,
+    (tids, pro, pu, nu, iu, ip), and Py's positions of those tids, as
+    construct's shared takes them.
+
+    A list's tids are exactly its pattern's supporting transactions:
+    Pz's are those of P that hold z, and Py's lie among P's, so Py and
+    Pz share exactly the tids of Py whose transaction holds z, and z's
+    row there holds the iu and ip that Pz carries at that tid. Each
+    entry is formed from Py's entry and that row by the operations of
+    construct's merge, in the same order. Rows of items that are not a
+    partner's last item are passed over. rows are the transactions of
+    the database from which the lists came.
+    """
+    bounds = rows.bounds
+    if bounds is None:
+        bounds = rows.bounds = list(accumulate(rows.size_of))
+    children = {pz.pattern_po[-1]: ([], [], [], [], [], [], []) for pz in partners}
+    get = children.get
+    items = rows.items
+    utilities = rows.utilities
+    probabilities = rows.probabilities
+    for i, tid, y_p, y_u, y_n in zip(count(), py.tids, py.pro, py.pu, py.nu):
+        for r in range(bounds[tid - 1], bounds[tid]):
+            hit = get(items[r])
+            if hit is not None:
+                tids, pro, pu, nu, iu, ip, at = hit
+                u = utilities[r]
+                p = probabilities[r]
+                tids.append(tid)
+                pro.append(y_p * p)
+                if u >= 0.0:
+                    pu.append(y_u + u)
+                    nu.append(y_n)
+                else:
+                    pu.append(y_u)
+                    nu.append(y_n + u)
+                iu.append(u)
+                ip.append(p)
+                at.append(i)
+    return children
+
+
+def gather_rpu(children: list[PUList], partners: list[PUList]) -> None:
+    """Set the rpu column and sum_rpu of each of a walked Py's children
+    (walk_children, then construct): Pyz's rpu is z's, which the partner
+    Pz carries at the same tids."""
+    by_item = {pz.pattern_po[-1]: pz for pz in partners}
+    for pyz in children:
+        pz = by_item[pyz.pattern_po[-1]]
+        pyz.rpu = list(map(pz.rpu.__getitem__, map(bisect_left, repeat(pz.tids), pyz.tids)))
+        pyz.sum_rpu = _front_to_back(pyz.rpu)
 
 
 def find_shared(
     py: PUList,
     siblings: list[PUList],
-    rows: TransactionRows,
 ) -> dict[Item, tuple[list[int], list[int]]]:
     """Py's sparse long partners among its later siblings, each mapped by
     its last item z to (the tids Py and Pz share, ascending; Py's
@@ -452,24 +561,22 @@ def find_shared(
     A partner is a sibling that, like Py, holds at least NARROW_MIN_LEN
     tids and whose probe finds at most NARROW_MAX_HITS of NARROW_PROBES
     evenly spaced tids of it in Py; a Py shorter than that has none.
-    rows are the transactions of the database from which the lists
-    came. When WALK_ROW_COST times the rows of Py's transactions is
-    below the tids the partners hold, one walk over those rows finds
-    every partner's shared tids (_walk_shared); otherwise one set
-    intersection per partner does (_intersect_shared).
+    The shared tids are one C-level set intersection with Py's tid set
+    per partner, sorted, and their positions are found in Py by bisect.
     """
     if len(py.tids) < NARROW_MIN_LEN:
         return {}
     partners = [pz for pz in siblings if len(pz.tids) >= NARROW_MIN_LEN]
     if not partners:
         return {}
-    py_set = set(py.tids)
-    partners = [pz for pz in partners if _probe_finds_few(py_set, pz.tids)]
-    if not partners:
-        return {}
-    if WALK_ROW_COST * rows.count(py.tids) < sum(map(len, partners)):
-        return _walk_shared(py, partners, rows)
-    return _intersect_shared(py, py_set, partners)
+    y_tids = py.tids
+    py_set = set(y_tids)
+    found = {}
+    for pz in partners:
+        if _probe_finds_few(py_set, pz.tids):
+            tids = sorted(py_set.intersection(pz.tids))
+            found[pz.pattern_po[-1]] = (tids, list(map(bisect_left, repeat(y_tids), tids)))
+    return found
 
 
 def _probe_finds_few(py_set: set[int], z_tids: list[int]) -> bool:
@@ -477,40 +584,3 @@ def _probe_finds_few(py_set: set[int], z_tids: list[int]) -> bool:
     in py_set."""
     step = len(z_tids) // NARROW_PROBES
     return len(py_set.intersection(z_tids[:step * NARROW_PROBES:step])) <= NARROW_MAX_HITS
-
-
-def _walk_shared(
-    py: PUList,
-    partners: list[PUList],
-    rows: TransactionRows,
-) -> dict[Item, tuple[list[int], list[int]]]:
-    """find_shared by one walk over Py's transactions. A list's tids are
-    exactly its pattern's supporting transactions: Pz's are those of P
-    that hold z, and Py's lie among P's, so Py and Pz share exactly the
-    tids of Py whose transaction holds z. Rows of other items are passed
-    over."""
-    found = {pz.pattern_po[-1]: ([], []) for pz in partners}
-    get = found.get
-    tids = py.tids
-    for i, row in enumerate(rows.of(tids)):
-        for item in row:
-            hit = get(item)
-            if hit is not None:
-                hit[0].append(tids[i])
-                hit[1].append(i)
-    return found
-
-
-def _intersect_shared(
-    py: PUList,
-    py_set: set[int],
-    partners: list[PUList],
-) -> dict[Item, tuple[list[int], list[int]]]:
-    """find_shared by one C-level set intersection with Py's tid set per
-    partner, the positions found in Py by bisect."""
-    y_tids = py.tids
-    found = {}
-    for pz in partners:
-        tids = sorted(py_set.intersection(pz.tids))
-        found[pz.pattern_po[-1]] = (tids, list(map(bisect_left, repeat(y_tids), tids)))
-    return found

@@ -4,6 +4,7 @@ import pytest
 
 from phuimine import cli
 from phuimine.miner import mine
+from phuimine.model import Thresholds
 
 from helpers import EXAMPLE_DB_TEXT, EXAMPLE_PTABLE_TEXT
 
@@ -101,6 +102,22 @@ class TestMineCommand:
         phases = [record[name] for name in TIME_FIELDS[1:]]
         assert all(ms >= 0.0 for ms in phases)
         assert sum(phases) <= record["elapsed_ms"]
+
+    def test_stats_carry_the_join_tid_counts(self, data_files, tmp_path, ex_db, ex_table):
+        db, ptable = data_files
+        stats, bench = tmp_path / "stats.json", tmp_path / "bench.csv"
+        run(["mine", "--db", db, "--ptable", ptable, "--min-util", "20",
+             "--min-pro", "0.25", "--out", str(tmp_path / "r.txt"),
+             "--stats", str(stats), "--stats-format", "json"])
+        run(["bench", "--db", db, "--ptable", ptable, "--min-util", "20",
+             "--min-pro", "0.25", "--presets", "ALL", "--out", str(bench)])
+        _found, mined = mine(ex_db, ex_table, Thresholds(20, 0.25))
+        assert 0 < mined.tids_out < mined.tids_in
+        [record] = json.loads(stats.read_text())
+        assert (record["tids_in"], record["tids_out"]) == (mined.tids_in, mined.tids_out)
+        header, row = (line.split(",") for line in bench.read_text().splitlines())
+        assert [row[header.index(name)] for name in ("tids_in", "tids_out")] == [
+            str(mined.tids_in), str(mined.tids_out)]
 
     def test_stats_csv_matches_bench_row(self, data_files, tmp_path):
         db, ptable = data_files

@@ -675,8 +675,9 @@ class TestSerializeStats:
         lines = text.splitlines()
         assert lines[0] == ("preset,min_util,min_pro,visited_nodes,joins_attempted,"
                             "joins_abandoned,eucs_skips,s3_cuts,s4_cuts,s5_skips,"
-                            "phuis_found,elapsed_ms,check_ms,scan_ms,lists_ms,search_ms")
-        assert lines[1] == "ALL,20,0.25,0,0,0,0,0,0,0,0,0,0,0,0,0"
+                            "phuis_found,tids_in,tids_out,"
+                            "elapsed_ms,check_ms,scan_ms,lists_ms,search_ms")
+        assert lines[1] == "ALL,20,0.25,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0"
 
     def test_json(self):
         stats = MiningStats(preset="ALL", min_util=20, min_pro=0.25,

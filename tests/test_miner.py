@@ -1,5 +1,8 @@
 import dataclasses
 import gc
+import importlib.util
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,7 @@ from phuimine.model import (
     make_database,
 )
 from phuimine.pulist import EUCS, build_initial_pulists, compute_processing_order
-from phuimine.verify import make_fuzz_case
+from phuimine.verify import PRESET_SEQUENCE, make_fuzz_case
 
 import measures
 from helpers import A, B, C, D, E, EXAMPLE_PHUIS, rel_close, results_map
@@ -70,6 +73,17 @@ class TestEucs:
         assert ex_eucs.pair(A, B) == 161  # rtu(T1) + rtu(T3)
         assert ex_eucs.pair(A, E) == 161
         assert ex_eucs.pair(B, A) == 161  # either argument order
+
+    def test_partners_keep_the_pairs_not_below_min_util(self, ex_db, ex_table, ex_eucs):
+        # the example's order is A, D, B, E, C; A pairs with D at 107,
+        # with B and E at 161 and with C at 78: a bound on a pair keeps it
+        order = compute_processing_order(ex_table, initial_scan(ex_db, ex_table, TH))
+        lists = build_initial_pulists(ex_db, ex_table, order)
+        y, later = lists[0].pattern_po[-1], lists[1:]
+        for min_util in (0.0, 78.0, 79.0, 107.0, 108.0, 161.0, 162.0):
+            kept = ex_eucs.partners(y, later, min_util)
+            assert kept == [pz for pz in later if ex_eucs.pair(y, pz.pattern_po[-1]) >= min_util]
+        assert [pz.pattern_po for pz in ex_eucs.partners(y, later, 161.0)] == [(B,), (E,)]
 
     def test_absent_pair_is_zero(self):
         # items 1 and 3 never share a transaction; 2 shares one with each
@@ -304,6 +318,42 @@ PINNED_COUNTERS = {
         "ALL": (361, 512, 45, 0, 0, 0, 118, 361),
     },
 }
+
+
+def _perfbench_workloads():
+    """perfbench's workload definitions (perfbench/workloads.py), read
+    from the checkout without putting perfbench on the path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["c7-wide", "c7-scan", "dense-deep", "fuzz-verify"])
+def test_join_tid_counts_equal_the_recorded_ones(workload):
+    """The tids that the joins read and keep, as the library counts them,
+    equal those that perfbench's traced runs counted around every
+    construct call (perfbench/expected.json): on fuzz-verify summed over
+    the mine() calls of its 240 check_instance calls. On c7-wide most
+    joins are walked, so a walked join counts as a merged one does."""
+    workloads = _perfbench_workloads()
+    expected = json.loads((Path(workloads.__file__).parent / "expected.json").read_text())
+    w = workloads.WORKLOADS[workload]
+    runs = []
+    if w.is_fuzz:
+        for seed in range(w.fuzz_cases):
+            case = make_fuzz_case(seed)
+            for thresholds in case.thresholds_list:
+                for preset in PRESET_SEQUENCE:
+                    runs.append(mine(case.db, case.table, thresholds,
+                                     MiningConfig.from_preset(preset))[1])
+    else:
+        db, table = workloads.dataset(w)
+        runs.append(mine(db, table, workloads.thresholds(w))[1])
+    counted = (sum(s.tids_in for s in runs), sum(s.tids_out for s in runs))
+    recorded = expected[workload]["counters"]
+    assert counted == (recorded["tids_in"], recorded["tids_out"])
 
 
 @pytest.fixture(scope="module")

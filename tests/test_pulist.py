@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phuimine import miner, pulist
+from phuimine import miner
 from phuimine.datagen import GenParams, generate, generate_small
-from phuimine.miner import initial_scan, mine
+from phuimine.miner import MiningConfig, initial_scan, mine
 from phuimine.model import (
     Pattern,
     Thresholds,
     Transaction,
     TransactionEntry,
+    UncertainDatabase,
     UtilityTable,
     make_database,
 )
@@ -26,9 +27,10 @@ from phuimine.pulist import (
     compute_processing_order,
     construct,
     find_shared,
+    gather_rpu,
     PUList,
-    _intersect_shared,
-    _walk_shared,
+    walk_children,
+    walk_pays,
 )
 
 import measures
@@ -228,42 +230,48 @@ def _long_list(pattern_po, tids):
 
 def _rows(*lists):
     """The transactions of a database under hand-made lists of one
-    prefix: transaction t, from 1 to the largest tid, holds the last
-    item of every list that holds t, so that each list's tids are the
-    transactions of its last item."""
+    prefix: transaction t, from 1 to the largest tid, holds a row of the
+    last item of every list that holds t, with that list's iu and ip at
+    t, so that each list's tids are the transactions of its last item
+    and its item columns are that item's rows."""
     rows = [[] for _ in range(max((t for lst in lists for t in lst.tids), default=0))]
     for lst in lists:
-        for t in lst.tids:
-            rows[t - 1].append(lst.pattern_po[-1])
-    return TransactionRows(tuple(chain.from_iterable(map(sorted, rows))),
-                           tuple(map(len, rows)))
+        for t, u, p in zip(lst.tids, lst.iu, lst.ip):
+            rows[t - 1].append((lst.pattern_po[-1], u, p))
+    items, utilities, probabilities = zip(*chain.from_iterable(map(sorted, rows)))
+    return TransactionRows(items, list(utilities), probabilities, tuple(map(len, rows)))
 
 
 def _cut(py, pz):
-    """find_shared's entry for Pz as Py's only later sibling, over
-    _rows: None unless Pz is a sparse partner. The walk over Py's
-    transactions and the set intersection must find the same tids and
-    positions, whichever find_shared chose."""
-    rows = _rows(py, pz)
-    walked = _walk_shared(py, [pz], rows)
-    assert walked == _intersect_shared(py, set(py.tids), [pz])
-    cut = find_shared(py, [pz], rows).get(pz.pattern_po[-1])
-    assert cut is None or cut == walked[pz.pattern_po[-1]]
-    return cut
+    """find_shared's entry for Pz as Py's only later sibling: None
+    unless Pz is a sparse partner."""
+    return find_shared(py, [pz]).get(pz.pattern_po[-1])
 
 
-def _joins_alike(py, pz, cut=None, **bounds):
-    """construct given Pz's cut (by default _cut's) equal, bit for bit,
-    to construct without one; returns the cut, None for a join that
-    merges its full columns."""
+def _walked(py, pz, rows, **bounds):
+    """construct given the child that the walk over Py's transactions in
+    rows builds for Pz, with its rpu gathered unless it is abandoned."""
+    child = walk_children(py, [pz], rows)[pz.pattern_po[-1]]
+    pyz = construct(py, pz, shared=child, **bounds)
+    if pyz is not ABANDONED:
+        gather_rpu([pyz], [pz])
+    return pyz
+
+
+def _joins_alike(py, pz, cut=None, rows=None, **bounds):
+    """construct given Pz's cut (by default _cut's), and given the child
+    that the walk over rows (by default _rows's) builds, each equal, bit
+    for bit, to construct without either; returns the cut, None for a
+    join that merges its full columns."""
     if cut is None:
         cut = _cut(py, pz)
-    narrowed = construct(py, pz, shared=cut, **bounds)
     plain = construct(py, pz, **bounds)
-    if plain is ABANDONED:
-        assert narrowed is ABANDONED
-    else:
-        assert narrowed is not ABANDONED and _bits(narrowed) == _bits(plain)
+    walked = _walked(py, pz, rows or _rows(py, pz), **bounds)
+    for other in (construct(py, pz, shared=cut, **bounds), walked):
+        if plain is ABANDONED:
+            assert other is ABANDONED
+        else:
+            assert other is not ABANDONED and _bits(other) == _bits(plain)
     return cut
 
 
@@ -418,52 +426,60 @@ class TestMerge:
         assert construct(clean, pz, **above) is ABANDONED
 
 
-def _paths(monkeypatch):
-    """Record the Pys that find_shared walks for and intersects for."""
-    taken = {"walk": [], "intersect": []}
-
-    def recorder(name, fn):
-        def recording(py, *args):
-            taken[name].append(py.pattern_po)
-            return fn(py, *args)
-        return recording
-    monkeypatch.setattr(pulist, "_walk_shared", recorder("walk", pulist._walk_shared))
-    monkeypatch.setattr(pulist, "_intersect_shared",
-                        recorder("intersect", pulist._intersect_shared))
-    return taken
-
-
 class TestFindShared:
-    def test_no_sparse_partner_walks_nothing(self, monkeypatch):
+    def test_no_sparse_partner_walks_nothing(self):
         # a long Py whose later siblings are a dense long list (the
-        # probe finds it in Py) and a short sparse one: no partner, so
-        # neither path runs, and both joins merge their full columns
-        taken = _paths(monkeypatch)
+        # probe finds it in Py) and a short sparse one: no sparse
+        # partner, so find_shared narrows no join, and the partners hold
+        # fewer tids than WALK_ROW_COST times Py's rows, so Py does not
+        # walk; both joins merge their full columns
         py = _long_list((1, 2), range(1, 4 * NARROW_MIN_LEN + 1))
         dense = _long_list((1, 3), range(1, 4 * NARROW_MIN_LEN + 1, 2))
         short = _long_list((1, 4), range(4 * NARROW_MIN_LEN + 1,
                                          4 * NARROW_MIN_LEN + NARROW_MIN_LEN))
-        assert find_shared(py, [dense, short], _rows(py, dense, short)) == {}
-        assert taken == {"walk": [], "intersect": []}
+        assert find_shared(py, [dense, short]) == {}
+        assert not walk_pays(py, [dense, short], _rows(py, dense, short))
+        for pz in (dense, short):
+            assert _joins_alike(py, pz) is None
 
     @pytest.mark.parametrize("extra", [0, 1])
-    def test_rows_against_partner_tids(self, monkeypatch, extra):
+    def test_rows_against_partner_tids(self, extra):
         # Py's transactions hold one row of y each and one of z in each
-        # of the 2 shared tids: 2 * NARROW_MIN_LEN + 2 rows. A partner of
-        # exactly WALK_ROW_COST times that many tids is intersected; of
-        # one tid more, walked
-        taken = _paths(monkeypatch)
+        # of the 2 shared tids, which are not probed: every probed tid
+        # holds one row, so Py's rows are estimated at len(Py). A partner
+        # of exactly WALK_ROW_COST times that many tids is not walked; of
+        # one tid more, it is. The walk and find_shared find the same
+        # shared tids at the same positions of Py
         py = _long_list((1, 2), range(1, 4 * NARROW_MIN_LEN + 1, 2))
-        n_rows = 2 * NARROW_MIN_LEN + 2
         beyond = 4 * NARROW_MIN_LEN + 2
-        pz = _long_list((1, 3), [1, 3] + list(range(
-            beyond, beyond + 2 * (WALK_ROW_COST * n_rows - 2 + extra), 2)))
+        pz = _long_list((1, 3), [3, 5] + list(range(
+            beyond, beyond + 2 * (WALK_ROW_COST * len(py) - 2 + extra), 2)))
         rows = _rows(py, pz)
-        assert rows.count(py.tids) == n_rows
-        assert len(pz) == WALK_ROW_COST * n_rows + extra
-        assert find_shared(py, [pz], rows) == {3: ([1, 3], [0, 1])}
-        assert taken == ({"walk": [(1, 2)], "intersect": []} if extra
-                         else {"walk": [], "intersect": [(1, 2)]})
+        assert [rows.size_of[t] for t in py.tids[:4]] == [1, 2, 2, 1]
+        assert len(pz) == WALK_ROW_COST * len(py) + extra
+        assert walk_pays(py, [pz], rows) == bool(extra)
+        assert find_shared(py, [pz]) == {3: ([3, 5], [1, 2])}
+        child = walk_children(py, [pz], rows)[3]
+        assert (child[0], child[-1]) == ([3, 5], [1, 2])
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_the_rule_reads_the_sizes_of_the_probed_tids(self, shift):
+        # Py of 16 * 16 tids: every 16th, the probed ones when shift is
+        # 0, lies in a transaction of 9 rows, every other in one of 1.
+        # Probed, the big ones estimate 9 rows per tid, and a partner of
+        # WALK_ROW_COST * 9 * len(Py) tids is not walked, one of a tid
+        # more is; unprobed, they estimate 1 row per tid, and both are
+        n = NARROW_PROBES * 16
+        py = _long_list((1, 2), range(1, n + 1))
+        big = set(py.tids[shift::16])
+        fillers = [_long_list((1, k), sorted(big)) for k in range(10, 18)]
+        for tids in (WALK_ROW_COST * 9 * n, WALK_ROW_COST * 9 * n + 1):
+            pz = _long_list((1, 3), range(n + 1, n + 1 + tids))
+            rows = _rows(py, pz, *fillers)
+            assert [rows.size_of[t] for t in py.tids[:32]] == (
+                [9] + [1] * 15 + [9] + [1] * 15 if shift == 0 else
+                [1] + [9] + [1] * 14 + [1] + [9] + [1] * 14)
+            assert walk_pays(py, [pz], rows) == (shift == 1 or tids > WALK_ROW_COST * 9 * n)
 
 
 def _s1_reference(py, pz, min_util, pro_bound):
@@ -524,24 +540,24 @@ def test_narrowed_joins_equal_the_scan_and_the_merge(seed, util_frac, pro_frac):
     """Long, sparse lists: 3,000 transactions over 40 items, where every
     single-item list holds a few hundred tids and most pairs share about
     a tenth of them. Every join of two roots, given the cut that
-    find_shared finds for it, equals the join without one bit for bit,
-    and each narrowed one equals the scan. With s1 on, at drawn
-    thresholds and at thresholds on and just above the matched sums,
-    both abandon alike."""
+    find_shared finds for it, or the child that a walk over Py's rows
+    builds, equals the join without either bit for bit, and each
+    narrowed one equals the scan. With s1 on, at drawn thresholds and at
+    thresholds on and just above the matched sums, all abandon alike."""
     db, table = generate(GenParams(n_transactions=3000, n_items=40, avg_tx_len=4,
                                    max_tx_len=8, seed=seed))
     order, roots = _unpruned_roots(db, table)
     total_rtu = sum(measures.redefined_transaction_utility(tx, table)
                     for tx in db.transactions)
     drawn = (util_frac * total_rtu, pro_frac * db.size)
-    rows = TransactionRows(db.items, db.sizes)
+    rows = TransactionRows(db.items, db.utilities(table), db.probabilities, db.sizes)
     narrowed = 0
     for i, py in enumerate(roots):
-        cuts = find_shared(py, roots[i + 1:], rows)
+        cuts = find_shared(py, roots[i + 1:])
         for pz in roots[i + 1:]:
             cut = cuts.get(pz.pattern_po[-1])
             if cut is not None:
-                _joins_alike(py, pz, cut)
+                _joins_alike(py, pz, cut, rows)
                 narrowed += 1
                 scan = build_pulist_by_scan(db, table, order, py.pattern_po + pz.pattern_po[-1:])
                 assert lists_match(construct(py, pz, shared=cut), scan)
@@ -553,72 +569,163 @@ def test_narrowed_joins_equal_the_scan_and_the_merge(seed, util_frac, pro_frac):
                 (m_util, math.nextafter(m_pro, math.inf)),
             ):
                 if cut is not None:
-                    _joins_alike(py, pz, cut, min_util=min_util, pro_bound=pro_bound,
+                    _joins_alike(py, pz, cut, rows, min_util=min_util, pro_bound=pro_bound,
                                  la_prune=True)
     assert narrowed >= len(roots) * (len(roots) - 1) // 4
 
 
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 10_000), apply_filter=st.booleans(),
-       util_frac=st.floats(0.22, 0.26))
-def test_the_walk_finds_what_the_intersection_finds(seed, apply_filter, util_frac):
-    """Sparse generated databases, with the s2 filter on (at these
-    thresholds it drops up to half of the 16 items, whose rows stay in
-    the transactions) and off: for every Py at depths 1 to 3 and all of
-    its later siblings, one walk over Py's transactions finds the shared
-    tids and Py positions that one set intersection per sibling finds,
-    and find_shared gives each sparse partner the same."""
-    db, table = generate(GenParams(n_transactions=2000, n_items=16, avg_tx_len=4,
-                                   max_tx_len=8, seed=seed))
+def _relabelled_with_zero_units(db, table, zeros):
+    """db and table with every item id i relabelled 2i + 7, and the
+    units of the two positive items of largest id set to zeros."""
+    items, quantities, probabilities, sizes = db.columns
+    units = {2 * i + 7: u for i, u in table.entries.items()}
+    for item, zero in zip(sorted(i for i, u in units.items() if u > 0)[-2:], zeros):
+        units[item] = zero
+    return (UncertainDatabase([2 * i + 7 for i in items], quantities, probabilities, sizes),
+            UtilityTable(units))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10_000), dropped=st.integers(1, 5),
+       zeros=st.sampled_from([(0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0)]),
+       util_frac=st.floats(0.0, 0.05), pro_frac=st.floats(0.0, 0.05))
+def test_walked_children_equal_the_merge(seed, dropped, zeros, util_frac, pro_frac):
+    """Sparse generated databases with item ids relabelled 2i + 7, a
+    third of the items in the negative group, units of 0.0 and -0.0,
+    and the `dropped` positive items of least rtwu left out of the
+    processing order, as s2 leaves items out, their rows staying in the
+    transactions: for every Py at depths 1 to 3,
+    the walk over Py's transactions builds, for each later sibling Pz,
+    the child that construct turns into the merge's Pyz, equal by
+    float.hex in all seven columns and four sums once gather_rpu has
+    added rpu. With s1 on, at drawn thresholds and at thresholds on and
+    just above the matched sums, both abandon the same joins."""
+    db, table = _relabelled_with_zero_units(*generate(GenParams(
+        n_transactions=2000, n_items=16, avg_tx_len=4, max_tx_len=8,
+        negative_fraction=0.33, seed=seed)), zeros)
+    rtwu = initial_scan(db, table, Thresholds(0.0, 0.0), apply_filter=False)
+    out = sorted((i for i, u in table.entries.items() if u > 0), key=rtwu.get)[:dropped]
+    order = compute_processing_order(table, {i: r for i, r in rtwu.items() if i not in out})
     total_rtu = sum(measures.redefined_transaction_utility(tx, table)
                     for tx in db.transactions)
-    order = compute_processing_order(table, initial_scan(
-        db, table, Thresholds(util_frac * total_rtu, 0.0), apply_filter=apply_filter))
-    rows = TransactionRows(db.items, db.sizes)
-    depths = set()
+    drawn = (util_frac * total_rtu, pro_frac * db.size)
+    utilities = db.utilities(table)
+    rows = TransactionRows(db.items, utilities, db.probabilities, db.sizes)
+    seen = {"depths": set(), "negative": 0, "abandoned": 0, "zero": 0}
 
     def visit(siblings):
         for i, py in enumerate(siblings):
             later = siblings[i + 1:]
-            walked = _walk_shared(py, later, rows)
-            assert walked == _intersect_shared(py, set(py.tids), later)
-            if any(tids for tids, _at in walked.values()):
-                depths.add(len(py.pattern_po))
-            for z, cut in find_shared(py, later, rows).items():
-                assert cut == walked[z]
+            children = walk_children(py, later, rows)
+            for pz in later:
+                child = children[pz.pattern_po[-1]]
+                plain = construct(py, pz)
+                walked = construct(py, pz, shared=child)
+                gather_rpu([walked], [pz])
+                assert _bits(walked) == _bits(plain)
+                if walked.tids:
+                    seen["depths"].add(len(py.pattern_po))
+                    seen["negative"] += min(walked.iu) < 0
+                    seen["zero"] += 0.0 in walked.iu
+                _fires, m_pro, m_util = _s1_reference(py, pz, 0.0, 0.0)
+                for min_util, pro_bound in (
+                    drawn,
+                    (m_util, m_pro),
+                    (math.nextafter(m_util, math.inf), m_pro),
+                    (m_util, math.nextafter(m_pro, math.inf)),
+                ):
+                    bounds = {"min_util": min_util, "pro_bound": pro_bound, "la_prune": True}
+                    merged = construct(py, pz, **bounds)
+                    walked = construct(py, pz, shared=child, **bounds)
+                    assert (walked is ABANDONED) == (merged is ABANDONED)
+                    seen["abandoned"] += walked is ABANDONED
             if len(py.pattern_po) < 3:
                 visit([pyz for pyz in (construct(py, pz) for pz in later) if pyz.tids])
 
-    visit(build_initial_pulists(db, table, order))
-    assert 2 in depths
+    visit(build_initial_pulists(db, table, order, utilities=utilities))
+    assert seen["depths"] == {1, 2, 3}
+    assert seen["negative"] and seen["zero"] and seen["abandoned"], seen
+
+
+def _replayed_joins(monkeypatch, db, table, thresholds, config=None):
+    """mine()'s joins, each as (py, pz, its keywords, its result), and
+    its results. Its stats count the joins, and the tids they read and
+    keep, as the calls recorded here do."""
+    joins = []
+
+    def recording(py, pz, **kwargs):
+        pyz = construct(py, pz, **kwargs)
+        joins.append((py, pz, kwargs, pyz))
+        return pyz
+    monkeypatch.setattr(miner, "construct", recording)
+    found, stats = mine(db, table, thresholds, config)
+    monkeypatch.undo()
+    assert stats.joins_attempted == len(joins)
+    assert stats.tids_in == sum(len(py) + len(pz) for py, pz, _kwargs, _pyz in joins)
+    assert stats.tids_out == sum(len(pyz) for _py, _pz, _kwargs, pyz in joins if pyz is not None)
+    return joins, found
+
+
+def _equals_the_merge(py, pz, kwargs, pyz):
+    """A join given shared equals the same join over the full columns, by
+    float.hex; a walked child gets its rpu first, which search gives it
+    only once s5 keeps it."""
+    plain = construct(py, pz, **{**kwargs, "shared": None})
+    assert (pyz is ABANDONED) == (plain is ABANDONED)
+    if plain is not ABANDONED:
+        if len(kwargs["shared"]) > 2:
+            gather_rpu([pyz], [pz])
+        assert _bits(pyz) == _bits(plain)
+
+
+def _given(joins, walked):
+    """The joins given a narrowed cut, or with walked a walked child."""
+    return [join for join in joins if join[2]["shared"] is not None
+            and (len(join[2]["shared"]) > 2) == walked]
 
 
 def test_narrowed_joins_of_mine_equal_the_merge(monkeypatch):
     """mine() on sparse data over 40 items, replayed join by join: each
-    join given shared tids equals the same join over its full columns,
-    by float.hex, and both paths ran, the walk also at depth 2. A walk
-    weighted as one tid per row, not WALK_ROW_COST, is chosen often
-    enough here to reach depth 2."""
+    join given the shared tids that find_shared found equals the same
+    join over its full columns, by float.hex, and other Pys walked in
+    the same run."""
     db, table = generate(GenParams(6000, 40, 6, 12, seed=3))
-    monkeypatch.setattr(pulist, "WALK_ROW_COST", 1)
-    taken = _paths(monkeypatch)
-    narrowed = []
-
-    def recording(py, pz, **kwargs):
-        pyz = construct(py, pz, **kwargs)
-        if kwargs["shared"] is not None:
-            narrowed.append((py, pz, kwargs, pyz))
-        return pyz
-    monkeypatch.setattr(miner, "construct", recording)
-    found, _stats = mine(db, table, Thresholds(9e3, 0.001))
+    joins, found = _replayed_joins(monkeypatch, db, table, Thresholds(9e3, 0.001))
     assert found
-    assert taken["intersect"] and {len(p) for p in taken["walk"]} == {1, 2}
-    assert len(narrowed) > 1000
-    for py, pz, kwargs, pyz in narrowed:
-        plain = construct(py, pz, **{**kwargs, "shared": None})
-        assert (pyz is ABANDONED) == (plain is ABANDONED)
-        if plain is not ABANDONED:
-            assert _bits(pyz) == _bits(plain)
+    narrowed = _given(joins, walked=False)
+    assert len(narrowed) > 1000 and _given(joins, walked=True)
+    for join in narrowed:
+        _equals_the_merge(*join)
+
+
+@pytest.fixture(scope="module")
+def walked_cases():
+    """Databases where long Pys walk: at depths 1 and 2, and 27 times."""
+    return [(*generate(GenParams(4000, 20, 5, 8, seed=3)), Thresholds(4e4, 0.001)),
+            (*generate(GenParams(4000, 40, 4, 8, seed=5)), Thresholds(1e4, 0.001))]
+
+
+@pytest.mark.parametrize("preset", ["ALL", "P1234", "P123", "P12", "NONE"])
+def test_walked_joins_of_mine_equal_the_merge(monkeypatch, walked_cases, preset):
+    """mine() replayed join by join under each preset: every join given a
+    walked child equals construct without shared, by float.hex, s1
+    abandons the same joins, and the results are those of a mine() in
+    which every join merges its full columns."""
+    depths = set()
+    config = MiningConfig.from_preset(preset)
+    for db, table, thresholds in walked_cases:
+        joins, found = _replayed_joins(monkeypatch, db, table, thresholds, config)
+        walked = _given(joins, walked=True)
+        assert walked
+        depths |= {len(py.pattern_po) for py, _pz, _kwargs, _pyz in walked}
+        for join in walked:
+            _equals_the_merge(*join)
+        monkeypatch.setattr(miner, "NARROW_MIN_LEN", 10 ** 9)
+        merged, _stats = mine(db, table, thresholds, config)
+        monkeypatch.undo()
+        assert [(m.pattern, m.utility.hex(), m.expected_support.hex()) for m in found] == [
+            (m.pattern, m.utility.hex(), m.expected_support.hex()) for m in merged]
+    assert depths == {1, 2}
 
 
 @settings(max_examples=30, deadline=None)
