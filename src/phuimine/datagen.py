@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .model import Transaction, UncertainDatabase, UtilityTable, make_database
+from .model import UncertainDatabase, UtilityTable
 
 
 @dataclass(frozen=True)
@@ -118,18 +118,18 @@ def generate(params: GenParams) -> tuple[UncertainDatabase, UtilityTable]:
         for _ in range(params.n_transactions)
     ]
 
-    # Phase 3: transaction contents.
-    transactions = []
-    for tid, length in enumerate(lengths, start=1):
-        chosen = sorted(rng.sample(items, length))
-        # per item: its quantity, then its probability, drawn in that order
-        transactions.append(Transaction(tid, [
-            (item, rng.randint(1, params.max_quantity),
-             item_probability[item] if item_probability is not None else _open_unit(rng))
-            for item in chosen
-        ]))
+    # Phase 3: transaction contents, appended to the database's columns.
+    row_items, quantities, probabilities = [], [], []
+    for length in lengths:
+        for item in sorted(rng.sample(items, length)):
+            # per item: its quantity, then its probability, drawn in that order
+            row_items.append(item)
+            quantities.append(rng.randint(1, params.max_quantity))
+            probabilities.append(
+                item_probability[item] if item_probability is not None else _open_unit(rng))
 
-    return make_database(transactions), UtilityTable(table_entries)
+    return (UncertainDatabase(row_items, quantities, probabilities, lengths),
+            UtilityTable(table_entries))
 
 
 # Probability palette for small instances: multiples of 1/8 in (0, 1].
@@ -165,12 +165,14 @@ def generate_small(
         table_entries[item] = -mag if item in negative_items else mag
 
     len_cap = min(10, n_items)
-    transactions = []
-    for tid in range(1, n_tx + 1):
+    row_items, quantities, probabilities, sizes = [], [], [], []
+    for _ in range(n_tx):
         length = rng.randint(1, len_cap)
-        chosen = sorted(rng.sample(items, length))
-        transactions.append(Transaction(tid, [
-            (item, rng.randint(1, 5), rng.choice(_SMALL_PROBS)) for item in chosen
-        ]))
+        sizes.append(length)
+        for item in sorted(rng.sample(items, length)):
+            row_items.append(item)
+            quantities.append(rng.randint(1, 5))
+            probabilities.append(rng.choice(_SMALL_PROBS))
 
-    return make_database(transactions), UtilityTable(table_entries)
+    return (UncertainDatabase(row_items, quantities, probabilities, sizes),
+            UtilityTable(table_entries))

@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from decimal import Decimal
 from functools import partial
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterable
 
 from .miner import MiningStats
@@ -221,12 +221,11 @@ def _six_digits(x: float) -> str:
 
 
 def serialize_database(db: UncertainDatabase) -> str:
-    lines = []
-    for tx in db.transactions:
-        lines.append(" ".join(
-            f"{item}:{quantity}:{_exact_decimal(probability)}"
-            for item, quantity, probability in tx.rows
-        ))
+    """The database file of `db`, one line per transaction, written
+    straight from its columns."""
+    tokens = map("{}:{}:{}".format, db.items, db.quantities,
+                 map(_exact_decimal, db.probabilities))
+    lines = [" ".join(islice(tokens, size)) for size in db.sizes]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

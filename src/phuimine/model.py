@@ -22,10 +22,10 @@ check_utilities, which mine() and the oracle call first, checks a
 database against its table.
 
 All types are immutable after construction and safe to share across
-threads. UncertainDatabase caches what it derives: a database that
-make_database built forms its columns on first use, and one built from
-columns forms its transactions view on first use. Two threads that
-race there each build equal values, and one of them is kept, so
+threads. Every database holds its columns from the moment it is built,
+whichever way it is built; only its transactions view is formed later,
+on first use, and then cached. Two threads that race to form the view
+each build an equal one, and one of them is kept, so
 `db.transactions is db.transactions` need not hold across threads.
 """
 
@@ -164,11 +164,11 @@ class UncertainDatabase:
     UncertainDatabase(items, quantities, probabilities, sizes) checks
     the columns as Transaction checks its rows: every transaction
     non-empty, its items ascending. parse_database builds one from
-    checked chunks of lines and prefix(n) from a prefix of the columns,
-    neither checking again; unpickling runs the checks again, on the
-    columns alone. make_database keeps the Transactions it is given as
-    the transactions view and forms the columns from them on first use;
-    a database built from columns forms the view on first use.
+    checked chunks of lines, prefix(n) from a prefix of the columns and
+    make_database from checked Transactions, none checking again;
+    unpickling runs the checks again, on the columns alone. Every
+    database holds its columns from the start; its transactions view is
+    formed from them on first use.
 
     The size (number of transactions) is fixed at load time and is the
     |D| used in the probability bound, even if later processing drops
@@ -176,8 +176,7 @@ class UncertainDatabase:
     """
 
     # items, quantities and probabilities hold one entry per row, sizes
-    # one per transaction; a database that make_database built has them
-    # unset until first use, when __getattr__ forms them from the view
+    # one per transaction
     __slots__ = _COLUMNS + ("_transactions", "item_quantity")
 
     def __init__(self, items: Iterable[Item], quantities: Iterable[int],
@@ -191,31 +190,20 @@ class UncertainDatabase:
             raise ValueError(f"transaction {sizes.index(min(sizes)) + 1} is empty")
         if sizes and not _rules_hold(*rows, set(accumulate(sizes))):
             _raise_broken_rule(*rows, set(accumulate(sizes)))
-        self._set(columns, None, _item_totals(*rows[:2]))
+        self._set(columns)
 
-    def _set(self, columns, transactions, item_quantity) -> None:
-        for name, column in zip(_COLUMNS, columns or ()):
+    def _set(self, columns) -> None:
+        for name, column in zip(_COLUMNS, map(tuple, columns)):
             object.__setattr__(self, name, column)
-        object.__setattr__(self, "_transactions", transactions)
-        object.__setattr__(self, "item_quantity", item_quantity)
+        object.__setattr__(self, "_transactions", None)
+        object.__setattr__(self, "item_quantity", _item_totals(self.items, self.quantities))
 
     @classmethod
     def _of_checked(cls, items, quantities, probabilities, sizes) -> "UncertainDatabase":
         """A database of columns that are known to keep every rule."""
         db = object.__new__(cls)
-        columns = tuple(map(tuple, (items, quantities, probabilities, sizes)))
-        db._set(columns, None, _item_totals(*columns[:2]))
+        db._set((items, quantities, probabilities, sizes))
         return db
-
-    def __getattr__(self, name: str):
-        """A column not yet formed: form all four from the transactions."""
-        if name not in _COLUMNS:
-            raise AttributeError(name)
-        groups = tuple(map(attrgetter("rows"), self._transactions))
-        rows = tuple(chain.from_iterable(groups))
-        self._set((*(tuple(map(itemgetter(k), rows)) for k in range(3)), tuple(map(len, groups))),
-                  self._transactions, self.item_quantity)
-        return object.__getattribute__(self, name)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: a database is immutable")
@@ -244,8 +232,8 @@ class UncertainDatabase:
 
     @property
     def transactions(self) -> tuple[Transaction, ...]:
-        """The Transactions, a read-only view: make_database keeps the
-        ones it was given; otherwise they are formed once, on first use."""
+        """The Transactions, a read-only view of the columns, formed on
+        first use and cached."""
         if self._transactions is None:
             rows = zip(self.items, self.quantities, self.probabilities)
             object.__setattr__(self, "_transactions", tuple(map(
@@ -274,8 +262,6 @@ class UncertainDatabase:
 
     @property
     def size(self) -> int:
-        if self._transactions is not None:
-            return len(self._transactions)
         return len(self.sizes)
 
 
@@ -371,14 +357,15 @@ def check_utilities(db: UncertainDatabase, table: UtilityTable) -> None:
 
 
 def make_database(transactions: Iterable[Transaction]) -> UncertainDatabase:
-    """The database of the Transactions, whose tids must run 1..n. It
-    keeps them as its transactions view; its columns are formed from
-    them on first use."""
+    """The database of the Transactions, whose tids must run 1..n: their
+    rows, which each Transaction checked when built, become its columns
+    at once. It keeps no reference to them; its transactions view is
+    formed from the columns."""
     transactions = tuple(transactions)
     for pos, tx in enumerate(transactions, start=1):
         if tx.tid != pos:
             raise ValueError(f"tid {tx.tid} at position {pos}; tids must be 1..n")
-    rows = tuple(chain.from_iterable(map(attrgetter("rows"), transactions)))
-    db = object.__new__(UncertainDatabase)
-    db._set(None, transactions, _item_totals(map(itemgetter(0), rows), map(itemgetter(1), rows)))
-    return db
+    groups = tuple(map(attrgetter("rows"), transactions))
+    rows = tuple(chain.from_iterable(groups))
+    return UncertainDatabase._of_checked(*(map(itemgetter(k), rows) for k in range(3)),
+                                         map(len, groups))

@@ -3,8 +3,8 @@
 These are the slow-but-obvious definitions of utility, expected
 support, (redefined) transaction utility and the pattern acceptance
 predicate. The test suite uses them as ground truth against the
-list-based miner and the oracle; they read transactions through the
-TransactionEntry view, tx.entries.
+list-based miner and the oracle; they read each transaction's rows,
+tx.rows, as (item, quantity, probability) tuples.
 
 All database-wide sums accumulate in ascending tid order so results
 are bit-deterministic.
@@ -30,15 +30,15 @@ class PatternNotInTransactionError(ValueError):
 
 def item_utility(item: Item, tx: Transaction, table: UtilityTable) -> float:
     """Utility of one item in one transaction: unit utility x quantity."""
-    entry = next((e for e in tx.entries if e.item == item), None)
-    if entry is None:
+    quantity = next((q for i, q, _p in tx.rows if i == item), None)
+    if quantity is None:
         raise ItemNotInTransactionError(f"item {item} not in transaction {tx.tid}")
-    return table.entries[item] * entry.quantity
+    return table.entries[item] * quantity
 
 
 def pattern_utility_in_tx(pattern: Pattern, tx: Transaction, table: UtilityTable) -> float:
     """Sum of member-item utilities; the pattern must be contained in tx."""
-    present = {e.item for e in tx.entries}
+    present = {i for i, _q, _p in tx.rows}
     if not set(pattern.items) <= present:
         raise PatternNotInTransactionError(
             f"pattern {pattern.items} not contained in transaction {tx.tid}"
@@ -51,14 +51,14 @@ def pattern_utility(pattern: Pattern, db: UncertainDatabase, table: UtilityTable
     want = set(pattern.items)
     total = 0.0
     for tx in db.transactions:
-        if want <= {e.item for e in tx.entries}:
+        if want <= {i for i, _q, _p in tx.rows}:
             total += pattern_utility_in_tx(pattern, tx, table)
     return total
 
 
 def pattern_probability_in_tx(pattern: Pattern, tx: Transaction) -> float:
     """Product of member-item existence probabilities."""
-    probs = {e.item: e.probability for e in tx.entries}
+    probs = {i: p for i, _q, p in tx.rows}
     if not set(pattern.items) <= probs.keys():
         raise PatternNotInTransactionError(
             f"pattern {pattern.items} not contained in transaction {tx.tid}"
@@ -74,14 +74,14 @@ def expected_support(pattern: Pattern, db: UncertainDatabase) -> float:
     want = set(pattern.items)
     total = 0.0
     for tx in db.transactions:
-        if want <= {e.item for e in tx.entries}:
+        if want <= {i for i, _q, _p in tx.rows}:
             total += pattern_probability_in_tx(pattern, tx)
     return total
 
 
 def transaction_utility(tx: Transaction, table: UtilityTable) -> float:
     """Sum of all item utilities in the transaction, negatives included."""
-    return sum(table.entries[e.item] * e.quantity for e in tx.entries)
+    return sum(table.entries[i] * q for i, q, _p in tx.rows)
 
 
 def redefined_transaction_utility(tx: Transaction, table: UtilityTable) -> float:
@@ -91,9 +91,9 @@ def redefined_transaction_utility(tx: Transaction, table: UtilityTable) -> float
     weight behind the anti-monotone rtwu bound.
     """
     return sum(
-        table.entries[e.item] * e.quantity
-        for e in tx.entries
-        if table.entries[e.item] >= 0
+        table.entries[i] * q
+        for i, q, _p in tx.rows
+        if table.entries[i] >= 0
     )
 
 
@@ -104,7 +104,7 @@ def rtwu(pattern: Pattern, db: UncertainDatabase, table: UtilityTable) -> float:
     want = set(pattern.items)
     total = 0.0
     for tx in db.transactions:
-        if want <= {e.item for e in tx.entries}:
+        if want <= {i for i, _q, _p in tx.rows}:
             total += redefined_transaction_utility(tx, table)
     return total
 

@@ -12,7 +12,7 @@ import pytest
 from phuimine import dataio, verify
 from phuimine.datagen import GenParams, generate
 from phuimine.miner import MiningConfig, initial_scan, mine
-from phuimine.model import Pattern, Thresholds, make_database
+from phuimine.model import Pattern, Thresholds
 from phuimine.oracle import qualifying_patterns
 from phuimine.pulist import (
     build_initial_pulists,
@@ -221,7 +221,7 @@ def test_c7_scalability_shape():
         thresholds = Thresholds(1_000_000, 0.001)
         prefixes = [20_000, 40_000, 60_000, 80_000, 100_000]
         elapsed = {}
-        heads = [make_database(db.transactions[:prefix]) for prefix in prefixes]
+        heads = [db.prefix(prefix) for prefix in prefixes]
         for preset in COUNTER_PRESETS:
             config = MiningConfig.from_preset(preset)
             # each prefix timed as the least of three runs, made in turn

@@ -5,7 +5,7 @@ import pytest
 
 from phuimine import dataio
 from phuimine.datagen import GenParams, generate, generate_small, _SMALL_PROBS
-from phuimine.model import check_utilities
+from phuimine.model import check_utilities, make_database
 
 
 def test_same_seed_same_output():
@@ -44,16 +44,16 @@ def test_value_ranges():
                                    negative_fraction=0.25, seed=5))
     assert all(-400 <= u <= 800 and u == int(u) and u != 0 for u in table.entries.values())
     for tx in db.transactions:
-        for e in tx.entries:
-            assert 0.0 < e.probability < 1.0
-            assert 1 <= e.quantity <= 5
+        for _item, quantity, probability in tx.rows:
+            assert 0.0 < probability < 1.0
+            assert 1 <= quantity <= 5
 
 
 def test_mean_length_within_ten_percent():
     params = GenParams(n_transactions=10_000, n_items=60, avg_tx_len=6.0,
                        max_tx_len=20, seed=9)
     db, _ = generate(params)
-    mean = sum(len(tx.entries) for tx in db.transactions) / db.size
+    mean = sum(len(tx.rows) for tx in db.transactions) / db.size
     assert abs(mean - 6.0) / 6.0 < 0.10
 
 
@@ -68,8 +68,8 @@ def test_per_item_probability_mode():
                                per_item_probability=True))
     by_item: dict[int, set[float]] = {}
     for tx in db.transactions:
-        for e in tx.entries:
-            by_item.setdefault(e.item, set()).add(e.probability)
+        for item, _quantity, probability in tx.rows:
+            by_item.setdefault(item, set()).add(probability)
     assert all(len(ps) == 1 for ps in by_item.values())
 
 
@@ -117,9 +117,9 @@ def test_small_generator_validates_and_uses_palette():
         check_utilities(db, table)
         assert db.size <= 30 and len(db.item_universe) <= 12
         for tx in db.transactions:
-            assert len(tx.entries) <= 10
-            for e in tx.entries:
-                assert e.probability in _SMALL_PROBS
+            assert len(tx.rows) <= 10
+            for _item, _quantity, probability in tx.rows:
+                assert probability in _SMALL_PROBS
 
 
 def test_small_generator_deterministic():
@@ -131,6 +131,15 @@ def _digest(db, table) -> str:
     h.update(b"\0")
     h.update(dataio.serialize_ptable(table).encode())
     return h.hexdigest()
+
+
+def _rebuilt(db) -> list:
+    """(database, hash, item_quantity) of `db` built again from its
+    transactions view and from its database file: the generators build
+    columns, and the other two builders must agree with them."""
+    others = [make_database(db.transactions),
+              dataio.parse_database(dataio.serialize_database(db))]
+    return [(other, hash(other), other.item_quantity) for other in others]
 
 
 # sha256 of the serialized database and table: the generators' output
@@ -150,7 +159,9 @@ def _digest(db, table) -> str:
      "8276f6454ba1fc3bf06bb56233aba05c379f9b9ef24bca111155eb9ac0233138"),
 ], ids=["c7-20k", "dense", "per-item-probability", "all-positive"])
 def test_generate_output_pinned(params, digest):
-    assert _digest(*generate(params)) == digest
+    db, table = generate(params)
+    assert _digest(db, table) == digest
+    assert _rebuilt(db) == [(db, hash(db), db.item_quantity)] * 2
 
 
 @pytest.mark.parametrize("seed, kwargs, digest", [
@@ -162,4 +173,6 @@ def test_generate_output_pinned(params, digest):
      "1f6a12f22b16fd909200fa2cd8616cc78e50209d68574b7b735771e851eb2f37"),
 ])
 def test_generate_small_output_pinned(seed, kwargs, digest):
-    assert _digest(*generate_small(seed, **kwargs)) == digest
+    db, table = generate_small(seed, **kwargs)
+    assert _digest(db, table) == digest
+    assert _rebuilt(db) == [(db, hash(db), db.item_quantity)] * 2

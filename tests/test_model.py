@@ -209,12 +209,12 @@ class TestColumns:
 
     def test_transactions_view(self, ex_db):
         # built once, from the columns, and equal to the Transactions
-        # that make_database keeps
+        # that make_database turned into columns
         assert ex_db.transactions is ex_db.transactions
         assert all(type(tx) is Transaction for tx in ex_db.transactions)
         txs = tuple(Transaction(tx.tid, tx.rows) for tx in ex_db.transactions)
         again = make_database(txs)
-        assert again.transactions is txs and again == ex_db
+        assert again.transactions == txs and again == ex_db
 
     def test_utilities_column(self, ex_db, ex_table):
         us = ex_db.utilities(ex_table)
