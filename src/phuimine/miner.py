@@ -136,23 +136,20 @@ class MiningStats:
 
 def initial_scan(
     db: UncertainDatabase,
-    table: UtilityTable,
+    utilities: list[float],
     thresholds: Thresholds,
     *,
     apply_filter: bool = True,
-    utilities: list[float] | None = None,
 ) -> dict[Item, float]:
     """First database pass: {item: rtwu} for the surviving items.
 
     With the filter on (s2), an item survives only if its expected
     support reaches min_pro * |D| and its rtwu reaches min_util; with it
-    off every occurring item survives. utilities is db.utilities(table),
-    formed here unless given. The walk reads the columns transaction by
-    transaction: rtu adds the positive utilities in row order, rtwu and
-    the probabilities are added per item in tid order.
+    off every occurring item survives. utilities is the database's
+    utility column, db.utilities(table). The walk reads the columns
+    transaction by transaction: rtu adds the positive utilities in row
+    order, rtwu and the probabilities are added per item in tid order.
     """
-    if utilities is None:
-        utilities = db.utilities(table)
     acc: dict[Item, list[float]] = {i: [0.0, 0.0] for i in sorted(db.item_universe)}
     us = iter(utilities)
     rows = zip(db.items, db.probabilities)
@@ -342,15 +339,14 @@ def mine(
     )
 
     utilities = db.utilities(table)
-    rtwu = initial_scan(db, table, thresholds, apply_filter=config.s2_initial_filter,
-                        utilities=utilities)
+    rtwu = initial_scan(db, utilities, thresholds, apply_filter=config.s2_initial_filter)
     scanned = listed = time.perf_counter()
     pro_bound = thresholds.probability_bound(db.size)
     out: list[MinedPattern] = []
     if rtwu:
         order = compute_processing_order(table, rtwu)
         eucs = EUCS.zeros(order) if config.s6_eucp else None
-        roots = build_initial_pulists(db, table, order, eucs, utilities=utilities)
+        roots = build_initial_pulists(db, utilities, order, eucs)
         listed = time.perf_counter()
         search(db, utilities, roots, thresholds, pro_bound, config, eucs, stats, out)
     searched = time.perf_counter()

@@ -12,11 +12,15 @@ seven tid-sorted parallel columns:
   iu    utility of the pattern's last item there,
   ip    existence probability of the pattern's last item there.
 
-The single-item lists come from the miner's second database scan, one
-walk over the transactions that projects each onto the surviving items
-in processing order, appends to the item columns directly and, for s6,
-also fills the item-pair matrix, EUCS, whose rank-indexed layout only
-this module reads and writes.
+The processing order puts every positive-group item (unit utility not
+below 0) before every negative-group one and records how many lead it,
+so the sign rule is applied once, where the order is made. The
+single-item lists come from the miner's second database scan, one walk
+over the database's utility column and its other columns that projects
+each transaction onto the surviving items in processing order, files
+each utility under pu or nu by its item's rank, appends to the item
+columns directly and, for s6, also fills the item-pair matrix, EUCS,
+whose rank-indexed layout only this module reads and writes.
 The list of Pyz is built from the lists of Py and Pz alone (the
 HUI-Miner join, with negative utilities split off as in FHN): Py's
 entry is extended by z's own utility and probability, which Pz carries
@@ -27,18 +31,19 @@ transactions hold rows (walk_pays) builds all of its children in one
 walk over those transactions instead (walk_children), as EFIM's
 projected transactions and d2HUP's one scan per node do: z's row in a
 transaction of Py holds the iu and ip that Pz carries there. Each join
-then only finishes the child that the walk built. A long Py that does
-not walk probes its long partners: when a probe of a few Pz tids finds
-almost none in Py, find_shared gives the join the tids the two share
-and Py's positions of them; it gathers Pz's entries at those tids,
-reads Py's in place, and the merge walks only the entries it keeps
-(see NARROW_MIN_LEN). With s1 on, the join also sums Py's probability
-and pu + rpu over the matched entries; if some Py entry went unmatched
-and either sum is below its threshold, the join is abandoned: Pyz and
-every extension of it are then out of reach. Whichever way a join is
-built, it returns the same list, bit for bit. The tests cross-check
-construct against lists built by a direct scan of the transactions
-(tests/scan_reference.py).
+then takes the child that the walk built in place of the merge's
+columns, and it passes the same s1 test and list assembly as a merged
+child. A long Py that does not walk probes its long partners: when a
+probe of a few Pz tids finds almost none in Py, find_shared gives the
+join the tids the two share and Py's positions of them; it gathers
+Pz's entries at those tids, reads Py's in place, and the merge walks
+only the entries it keeps (see NARROW_MIN_LEN). With s1 on, the join
+also sums Py's probability and pu + rpu over the matched entries; if
+some Py entry went unmatched and either sum is below its threshold,
+the join is abandoned: Pyz and every extension of it are then out of
+reach. Whichever way a join is built, it returns the same list, bit
+for bit. The tests cross-check construct against lists built by a
+direct scan of the transactions (tests/scan_reference.py).
 """
 
 from bisect import bisect_left
@@ -53,10 +58,13 @@ from .model import Item, UncertainDatabase, UtilityTable
 @dataclass(frozen=True)
 class ProcessingOrder:
     """Total item order: positive-group items first, rtwu-ascending
-    within each group, ties broken by ascending id."""
+    within each group, ties broken by ascending id. The first positives
+    items of ordered_items form the positive group: an item is in the
+    negative group iff its rank is at least positives."""
 
     ordered_items: tuple[Item, ...]
     rank: Mapping[Item, int]
+    positives: int
 
 
 class PUList:
@@ -132,38 +140,41 @@ def compute_processing_order(
 ) -> ProcessingOrder:
     """Order the surviving items: every positive-group item precedes
     every negative-group item; within a group ascending rtwu, ties by
-    ascending id."""
+    ascending id. An item is in the negative group iff its unit utility
+    is below 0; the order counts the positive group's items."""
     units = table.entries
     # Zero-utility items count as positive: they contribute nothing
-    # either way and this keeps the item ordering total.
-    items = sorted(item_rtwu, key=lambda i: (units[i] < 0, item_rtwu[i], i))
-    return ProcessingOrder(tuple(items), {it: r for r, it in enumerate(items)})
+    # either way and this keeps the item ordering total. A unit of -0.0
+    # is not below 0 either.
+    negative = {i: units[i] < 0 for i in item_rtwu}
+    items = sorted(item_rtwu, key=lambda i: (negative[i], item_rtwu[i], i))
+    return ProcessingOrder(tuple(items), {it: r for r, it in enumerate(items)},
+                           len(items) - sum(negative.values()))
 
 
 def build_initial_pulists(
     db: UncertainDatabase,
-    table: UtilityTable,
+    utilities: list[float],
     order: ProcessingOrder,
     eucs: EUCS | None = None,
-    *,
-    utilities: list[float] | None = None,
 ) -> list[PUList]:
     """The roots of the search: one list per surviving item, in processing
     order, none empty (every item initial_scan keeps occurs somewhere).
 
+    utilities is the database's utility column, db.utilities(table).
     One walk over the database's columns, zipped once into (rank,
     utility, probability) rows, drops the rows of items that did not
     survive and takes each transaction's remaining rows, sorted; ranks
     are unique within a transaction, so the rows sort by rank alone.
-    utilities is db.utilities(table), formed here unless given. One
-    reverse pass per transaction appends each entry to its item's
+    One reverse pass per transaction appends each entry to its item's
     columns and carries the suffix of positive utilities: rpu sums the
     positive utilities that follow the item in the projected
-    transaction. A negative-group item's utilities go to its nu column
-    and its pu column is all 0.0; every other item's go to pu, with nu
-    all 0.0. The column sums are added once per list after the walk, in
-    tid order from 0.0: the order in which construct accumulates its
-    sums. The all-zero column is not added up: its sum is that 0.0.
+    transaction. A negative-group item's utilities (its rank is at least
+    order.positives) go to its nu column and its pu column is all 0.0;
+    every other item's go to pu, with nu all 0.0. The column sums are
+    added once per list after the walk, in tid order from 0.0: the order
+    in which construct accumulates its sums. The all-zero column is not
+    added up: its sum is that 0.0.
 
     Given an EUCS over the same order (EUCS.zeros(order)), the same walk
     adds the transaction's positive utility over the surviving items to
@@ -171,8 +182,6 @@ def build_initial_pulists(
     pair that never co-occurs keeps its 0.0.
     """
     pair_rtwu = eucs.rows if eucs is not None else None
-    if utilities is None:
-        utilities = db.utilities(table)
     rows = zip(map(order.rank.get, db.items), utilities, db.probabilities)
     sizes = db.sizes
     if len(order.rank) < len(db.item_quantity):
@@ -186,13 +195,11 @@ def build_initial_pulists(
     lists = [PUList((item,)) for item in order.ordered_items]
     # a negative-group item's utilities are its nu column, every other
     # item's its pu column (u has the sign of the unit, quantities being
-    # positive, and a unit of 0.0 or -0.0 counts as positive); the other
-    # column is all zeros, filled once the walk is done
-    units = table.entries
-    negative = [units[item] < 0 for item in order.ordered_items]
+    # positive); the other column, all zeros, is filled after the walk
+    positives = order.positives
     appends = [(lst.tids.append, lst.pro.append,
-                (lst.nu if neg else lst.pu).append, lst.rpu.append)
-               for lst, neg in zip(lists, negative)]
+                (lst.nu if r >= positives else lst.pu).append, lst.rpu.append)
+               for r, lst in enumerate(lists)]
     # the tids as one list of ints made up front: ints made one by one
     # inside the walk lie scattered between its other objects, and every
     # join reads them (the c7-wide benchmark's search took 1.08x as long)
@@ -215,12 +222,12 @@ def build_initial_pulists(
                 for q in lower:
                     row[q] += suffix
                 lower.append(r)
-    for lst, neg in zip(lists, negative):
+    for r, lst in enumerate(lists):
         # A single-item list's last item is the pattern itself, so its
         # item columns are its own pro and signed utility columns. The
         # all-zero column's sum stays at the +0.0 that __init__ set.
         lst.ip = lst.pro
-        if neg:
+        if r >= positives:
             lst.pu = [0.0] * len(lst.tids)
             lst.iu = lst.nu
             lst.sum_nu = _front_to_back(lst.nu)
@@ -284,7 +291,7 @@ def construct(
     min_util: float = 0.0,
     pro_bound: float = 0.0,
     la_prune: bool = False,
-    shared: tuple[list[int], list[int]] | None = None,
+    shared: tuple[list, ...] | None = None,
 ) -> PUList | None:
     """Join the lists of Py = P + y and Pz = P + z into the list of Pyz.
 
@@ -306,11 +313,14 @@ def construct(
     (see NARROW_MIN_LEN above). The merge only ever acts on shared tids,
     in tid order, so the narrowed join returns the same list, bit for
     bit. A walked child holds Pyz's columns but rpu and Py's positions
-    of its tids: the join runs the s1 test on Py's entries at those
-    positions and adds up the sums, each in tid order as the merge
-    does. It leaves the child's rpu column and sum_rpu unset; search
-    gathers them (gather_rpu) once s5 keeps the child. Without shared
-    the join merges the full columns.
+    of its tids: the join takes those columns in place of the merge's,
+    adds up their sums and, when the s1 test reads them, the matched
+    sums over Py's entries at those positions, each in tid order as the
+    merge does; the same s1 test and the same list assembly follow. Its
+    rpu column and sum_rpu are None until search gathers them
+    (gather_rpu) once s5 keeps the child, so a child that missed the
+    gather raises rather than read a bound of 0.0 into s4. Without
+    shared the join merges the full columns.
 
     The same walk sums, over the matched Py entries in tid order,
     m_pro = sum of ey.pro and m_util = sum of ey.pu + ey.rpu. With
@@ -327,90 +337,100 @@ def construct(
     holds them is made only after the s1 test, so an abandoned join
     allocates none.
     """
-    # one name per statement, here and for Py's and Pz's columns below:
-    # a multiple assignment of more than three names builds and unpacks a
-    # tuple, a cost paid on every join
-    o_tids = []
-    o_pro = []
-    o_pu = []
-    o_nu = []
-    o_rpu = []
-    o_iu = []
-    o_ip = []
-    s_pro = s_pu = s_nu = s_rpu = 0.0
-    m_pro = m_util = 0.0
-
     y_pro = py.pro
     y_pu = py.pu
-    y_nu = py.nu
     y_rpu = py.rpu
-    z_tids = pz.tids
-    z_rpu = pz.rpu
-    z_iu = pz.iu
-    z_ip = pz.ip
+    m_pro = m_util = 0.0
+    if shared is None or len(shared) == 2:
+        # one name per statement, here and for the columns below: a
+        # multiple assignment of more than three names builds and unpacks
+        # a tuple, a cost paid on every join
+        o_tids = []
+        o_pro = []
+        o_pu = []
+        o_nu = []
+        o_rpu = []
+        o_iu = []
+        o_ip = []
+        s_pro = s_pu = s_nu = s_rpu = 0.0
+        y_nu = py.nu
+        z_tids = pz.tids
+        z_rpu = pz.rpu
+        z_iu = pz.iu
+        z_ip = pz.ip
 
-    # the merge walks (position in Py, tid) pairs: every entry of Py, or
-    # only the shared tids at Py's positions of them, which then meet
-    # Pz's columns gathered at the same tids
-    if shared is None:
-        walk = enumerate(py.tids)
-    elif len(shared) > 2:
-        return _walked_join(py, pz, shared, min_util, pro_bound, la_prune)
-    else:
-        # map() and not a comprehension: a comprehension would read the
-        # columns as closure cells, on every join, in the merge below
-        z_tids, at = shared
-        walk = zip(at, z_tids)
-        at = list(map(bisect_left, repeat(pz.tids), z_tids))
-        z_rpu = list(map(z_rpu.__getitem__, at))
-        z_iu = list(map(z_iu.__getitem__, at))
-        z_ip = list(map(z_ip.__getitem__, at))
-    z_len = len(z_tids)
+        # the merge walks (position in Py, tid) pairs: every entry of Py,
+        # or only the shared tids at Py's positions of them, which then
+        # meet Pz's columns gathered at the same tids
+        if shared is None:
+            walk = enumerate(py.tids)
+        else:
+            # map() and not a comprehension: a comprehension would read
+            # the columns as closure cells, on every join, in the merge
+            z_tids, at = shared
+            walk = zip(at, z_tids)
+            at = list(map(bisect_left, repeat(pz.tids), z_tids))
+            z_rpu = list(map(z_rpu.__getitem__, at))
+            z_iu = list(map(z_iu.__getitem__, at))
+            z_ip = list(map(z_ip.__getitem__, at))
+        z_len = len(z_tids)
 
-    if z_len:
-        k = 0
-        z_tid = z_tids[0]
-        for i, tid in walk:
-            if tid < z_tid:
-                continue
-            if tid > z_tid:
-                k += 1
-                while k < z_len and z_tids[k] < tid:
+        if z_len:
+            k = 0
+            z_tid = z_tids[0]
+            for i, tid in walk:
+                if tid < z_tid:
+                    continue
+                if tid > z_tid:
                     k += 1
+                    while k < z_len and z_tids[k] < tid:
+                        k += 1
+                    if k == z_len:
+                        break
+                    z_tid = z_tids[k]
+                    if tid < z_tid:
+                        continue
+                y_p = y_pro[i]
+                y_u = y_pu[i]
+                m_pro += y_p
+                m_util += y_u + y_rpu[i]
+                u = z_iu[k]
+                p = z_ip[k]
+                pro = y_p * p
+                pu = y_u
+                nu = y_nu[i]
+                if u >= 0.0:
+                    pu += u
+                else:
+                    nu += u
+                rpu = z_rpu[k]
+                o_tids.append(tid)
+                o_pro.append(pro)
+                o_pu.append(pu)
+                o_nu.append(nu)
+                o_rpu.append(rpu)
+                o_iu.append(u)
+                o_ip.append(p)
+                s_pro += pro
+                s_pu += pu
+                s_nu += nu
+                s_rpu += rpu
+                k += 1
                 if k == z_len:
                     break
                 z_tid = z_tids[k]
-                if tid < z_tid:
-                    continue
-            y_p = y_pro[i]
-            y_u = y_pu[i]
-            m_pro += y_p
-            m_util += y_u + y_rpu[i]
-            u = z_iu[k]
-            p = z_ip[k]
-            pro = y_p * p
-            pu = y_u
-            nu = y_nu[i]
-            if u >= 0.0:
-                pu += u
-            else:
-                nu += u
-            rpu = z_rpu[k]
-            o_tids.append(tid)
-            o_pro.append(pro)
-            o_pu.append(pu)
-            o_nu.append(nu)
-            o_rpu.append(rpu)
-            o_iu.append(u)
-            o_ip.append(p)
-            s_pro += pro
-            s_pu += pu
-            s_nu += nu
-            s_rpu += rpu
-            k += 1
-            if k == z_len:
-                break
-            z_tid = z_tids[k]
+    else:
+        # the child that walk_children built, with Py's positions of its
+        # tids; the matched sums are added only for the s1 test to read
+        o_tids, o_pro, o_pu, o_nu, o_iu, o_ip, at = shared
+        o_rpu = s_rpu = None
+        s_pro = _front_to_back(o_pro)
+        s_pu = _front_to_back(o_pu)
+        s_nu = _front_to_back(o_nu)
+        if la_prune and len(o_tids) < len(py.tids):
+            for i in at:
+                m_pro += y_pro[i]
+                m_util += y_pu[i] + y_rpu[i]
     if (la_prune and len(o_tids) < len(py.tids)
             and (m_pro < pro_bound or m_util < min_util)):
         return ABANDONED
@@ -427,36 +447,6 @@ def construct(
     out.sum_pu = s_pu
     out.sum_nu = s_nu
     out.sum_rpu = s_rpu
-    return out
-
-
-def _walked_join(py, pz, child, min_util, pro_bound, la_prune):
-    """construct for a child that walk_children has built: the s1 test
-    on Py's entries at the child's positions, and the sums of its
-    columns, each added front to back in tid order as the merge adds
-    them. The rpu column and sum_rpu are left unset for gather_rpu."""
-    tids, pro, pu, nu, iu, ip, at = child
-    if la_prune and len(tids) < len(py.tids):
-        y_pro = py.pro
-        y_pu = py.pu
-        y_rpu = py.rpu
-        m_pro = m_util = 0.0
-        for i in at:
-            m_pro += y_pro[i]
-            m_util += y_pu[i] + y_rpu[i]
-        if m_pro < pro_bound or m_util < min_util:
-            return ABANDONED
-    out = PUList.__new__(PUList)
-    out.pattern_po = py.pattern_po + (pz.pattern_po[-1],)
-    out.tids = tids
-    out.pro = pro
-    out.pu = pu
-    out.nu = nu
-    out.iu = iu
-    out.ip = ip
-    out.sum_pro = _front_to_back(pro)
-    out.sum_pu = _front_to_back(pu)
-    out.sum_nu = _front_to_back(nu)
     return out
 
 

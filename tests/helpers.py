@@ -68,8 +68,8 @@ def _unpruned_roots(db, table):
     """Processing order and single-item lists of the full enumeration:
     no s2 filter, every occurring item kept."""
     order = compute_processing_order(
-        table, initial_scan(db, table, Thresholds(0.0, 0.0), apply_filter=False))
-    return order, build_initial_pulists(db, table, order)
+        table, initial_scan(db, db.utilities(table), Thresholds(0.0, 0.0), apply_filter=False))
+    return order, build_initial_pulists(db, db.utilities(table), order)
 
 
 def attempted_joins(db, table):

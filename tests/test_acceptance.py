@@ -143,14 +143,15 @@ def test_c2_intermediate_values():
         db, table = example_db(), example_table()
         assert measures.redefined_transaction_utility(db.transactions[1], table) == 26
 
-        rtwu = initial_scan(db, table, Thresholds(20, 0.25))
+        rtwu = initial_scan(db, db.utilities(table), Thresholds(20, 0.25))
         assert rtwu == {A: 185, B: 259, C: 202, D: 231, E: 285}
         assert measures.rtwu(Pattern.of([A, B, E]), db, table) == 161
 
         order = compute_processing_order(table, rtwu)
         assert order.ordered_items == (A, D, B, E, C)
 
-        lists = dict(zip(order.ordered_items, build_initial_pulists(db, table, order)))
+        roots = build_initial_pulists(db, db.utilities(table), order)
+        lists = dict(zip(order.ordered_items, roots))
         c_entries = entries_of(lists[C])
         expected_c = [(2, 0.75, 0.0, -2.0, 0.0), (3, 0.70, 0.0, -4.0, 0.0),
                       (4, 0.90, 0.0, -2.0, 0.0), (5, 0.95, 0.0, -8.0, 0.0)]

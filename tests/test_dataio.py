@@ -253,16 +253,17 @@ def test_parsed_and_constructed_databases_agree(n, seed, s2):
                 rtu += table.entries[item] * quantity
         for item, _q, _p in tx.rows:
             by_rows[item] = by_rows.get(item, 0.0) + rtu
-    unfiltered = initial_scan(parsed, table, Thresholds(0.0, 0.0), apply_filter=False)
+    utilities = parsed.utilities(table)
+    unfiltered = initial_scan(parsed, utilities, Thresholds(0.0, 0.0), apply_filter=False)
     assert {i: w.hex() for i, w in unfiltered.items()} == {
         i: by_rows[i].hex() for i in sorted(by_rows)}
     thresholds = Thresholds(rng.choice([0.0, 50.0, 400.0]), rng.choice([0.0, 0.01, 0.05]))
-    rtwu = initial_scan(parsed, table, thresholds, apply_filter=s2)
+    rtwu = initial_scan(parsed, utilities, thresholds, apply_filter=s2)
     if not rtwu:
         return
     order = compute_processing_order(table, rtwu)
     eucs = EUCS.zeros(order)
-    roots = build_initial_pulists(parsed, table, order, eucs)
+    roots = build_initial_pulists(parsed, utilities, order, eucs)
     assert _float_hex_lists(roots, eucs) == _float_hex_lists(*_roots_from_rows(db, table, order))
 
 

@@ -32,31 +32,33 @@ TH = Thresholds(20, 0.25)
 
 class TestInitialScan:
     def test_example_all_items_survive(self, ex_db, ex_table):
-        assert initial_scan(ex_db, ex_table, TH) == {A: 185, B: 259, C: 202, D: 231, E: 285}
+        assert initial_scan(ex_db, ex_db.utilities(ex_table), TH) == {
+            A: 185, B: 259, C: 202, D: 231, E: 285}
 
     def test_high_min_util_keeps_b_and_e(self, ex_db, ex_table):
-        assert set(initial_scan(ex_db, ex_table, Thresholds(250, 0.25))) == {B, E}
+        assert set(initial_scan(ex_db, ex_db.utilities(ex_table), Thresholds(250, 0.25))) == {B, E}
 
     def test_drops_an_item_on_expected_support_alone(self, ex_db, ex_table):
         # bound 0.5 * 5 = 2.5: D's expected support is 2.4, while A and B
         # sit exactly on the bound (2.5); every rtwu passes min_util 0
-        survivors = initial_scan(ex_db, ex_table, Thresholds(0, 0.5))
+        survivors = initial_scan(ex_db, ex_db.utilities(ex_table), Thresholds(0, 0.5))
         assert set(survivors) == {A, B, C, E}
 
-    def test_empty_database(self, ex_table):
-        assert initial_scan(make_database([]), ex_table, TH) == {}
+    def test_empty_database(self):
+        assert initial_scan(make_database([]), [], TH) == {}
 
     def test_filter_off_keeps_everything(self, ex_db, ex_table):
-        survivors = initial_scan(ex_db, ex_table, Thresholds(1e9, 1.0), apply_filter=False)
+        survivors = initial_scan(ex_db, ex_db.utilities(ex_table), Thresholds(1e9, 1.0),
+                                 apply_filter=False)
         assert set(survivors) == {A, B, C, D, E}
 
 
 def eucs_of(db, table, thresholds, *, apply_filter=True):
     """The EUCS that the list-building walk fills, as mine() builds it."""
     order = compute_processing_order(
-        table, initial_scan(db, table, thresholds, apply_filter=apply_filter))
+        table, initial_scan(db, db.utilities(table), thresholds, apply_filter=apply_filter))
     eucs = EUCS.zeros(order)
-    build_initial_pulists(db, table, order, eucs)
+    build_initial_pulists(db, db.utilities(table), order, eucs)
     return eucs
 
 
@@ -77,8 +79,9 @@ class TestEucs:
     def test_partners_keep_the_pairs_not_below_min_util(self, ex_db, ex_table, ex_eucs):
         # the example's order is A, D, B, E, C; A pairs with D at 107,
         # with B and E at 161 and with C at 78: a bound on a pair keeps it
-        order = compute_processing_order(ex_table, initial_scan(ex_db, ex_table, TH))
-        lists = build_initial_pulists(ex_db, ex_table, order)
+        order = compute_processing_order(
+            ex_table, initial_scan(ex_db, ex_db.utilities(ex_table), TH))
+        lists = build_initial_pulists(ex_db, ex_db.utilities(ex_table), order)
         y, later = lists[0].pattern_po[-1], lists[1:]
         for min_util in (0.0, 78.0, 79.0, 107.0, 108.0, 161.0, 162.0):
             kept = ex_eucs.partners(y, later, min_util)

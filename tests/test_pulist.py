@@ -55,30 +55,38 @@ def ex_order(ex_table):
 
 @pytest.fixture(scope="module")
 def ex_lists(ex_db, ex_table, ex_order):
-    return dict(zip(ex_order.ordered_items, build_initial_pulists(ex_db, ex_table, ex_order)))
+    roots = build_initial_pulists(ex_db, ex_db.utilities(ex_table), ex_order)
+    return dict(zip(ex_order.ordered_items, roots))
 
 
 class TestProcessingOrder:
     def test_example_order(self, ex_order):
         # positives ascending rtwu (a d b e), then the negative item c
         assert ex_order.ordered_items == (A, D, B, E, C)
+        assert ex_order.positives == 4
 
     def test_all_positive_plain_ascending(self):
         table = UtilityTable({1: 2.0, 2: 3.0, 3: 1.0})
         order = compute_processing_order(table, {1: 50.0, 2: 10.0, 3: 30.0})
         assert order.ordered_items == (2, 3, 1)
+        assert order.positives == 3
 
     def test_tie_breaks_by_id(self):
-        table = UtilityTable({4: 2.0, 2: 3.0})
-        order = compute_processing_order(table, {4: 10.0, 2: 10.0})
-        assert order.ordered_items == (2, 4)
+        # in either group: all positive, then all negative
+        for sign, positives in ((1.0, 2), (-1.0, 0)):
+            table = UtilityTable({4: 2.0 * sign, 2: 3.0 * sign})
+            order = compute_processing_order(table, {4: 10.0, 2: 10.0})
+            assert order.ordered_items == (2, 4)
+            assert order.positives == positives
 
     def test_zero_utility_counts_as_positive_group(self):
-        # a zero-utility item sorts with the positives even when a
-        # negative item has lower rtwu
-        table = UtilityTable({1: 0.0, 2: -3.0})
-        order = compute_processing_order(table, {1: 10.0, 2: 5.0})
-        assert order.ordered_items == (1, 2)
+        # a zero-utility item, of either sign, sorts with the positives
+        # even when a negative item has lower rtwu
+        for unit in (0.0, -0.0):
+            table = UtilityTable({1: unit, 2: -3.0})
+            order = compute_processing_order(table, {1: 10.0, 2: 5.0})
+            assert order.ordered_items == (1, 2)
+            assert order.positives == 1
 
     def test_rank_matches_sequence(self, ex_order):
         for idx, item in enumerate(ex_order.ordered_items):
@@ -123,8 +131,8 @@ class TestInitialLists:
                             Transaction(2, ((1, 3, 1.0),))])
         table = UtilityTable({1: unit, 2: -3.0})
         order = compute_processing_order(
-            table, initial_scan(db, table, Thresholds(0.0, 0.0), apply_filter=False))
-        zero, negative = build_initial_pulists(db, table, order)
+            table, initial_scan(db, db.utilities(table), Thresholds(0.0, 0.0), apply_filter=False))
+        zero, negative = build_initial_pulists(db, db.utilities(table), order)
         assert (zero.pattern_po, negative.pattern_po) == ((1,), (2,))
         assert [x.hex() for x in zero.pu] == [(unit * 2).hex(), (unit * 3).hex()]
         assert [x.hex() for x in zero.nu] == [(0.0).hex()] * 2
@@ -189,8 +197,8 @@ class TestConstruct:
         ])
         table = UtilityTable({1: 3.0, 2: 4.0})
         order = compute_processing_order(
-            table, initial_scan(db, table, Thresholds(0.0, 0.0), apply_filter=False))
-        first, second = build_initial_pulists(db, table, order)
+            table, initial_scan(db, db.utilities(table), Thresholds(0.0, 0.0), apply_filter=False))
+        first, second = build_initial_pulists(db, db.utilities(table), order)
         joined = construct(first, second)
         assert joined.tids == []
         assert (joined.sum_pro, joined.sum_pu, joined.sum_nu, joined.sum_rpu) == (0.0,) * 4
@@ -254,7 +262,11 @@ def _walked(py, pz, rows, **bounds):
     child = walk_children(py, [pz], rows)[pz.pattern_po[-1]]
     pyz = construct(py, pz, shared=child, **bounds)
     if pyz is not ABANDONED:
+        # None until the gather, so that a child that missed it raises
+        # at s4 rather than read a bound of 0.0
+        assert pyz.rpu is None and pyz.sum_rpu is None
         gather_rpu([pyz], [pz])
+        assert len(pyz.rpu) == len(pyz.tids) and isinstance(pyz.sum_rpu, float)
     return pyz
 
 
@@ -603,7 +615,7 @@ def test_walked_children_equal_the_merge(seed, dropped, zeros, util_frac, pro_fr
     db, table = _relabelled_with_zero_units(*generate(GenParams(
         n_transactions=2000, n_items=16, avg_tx_len=4, max_tx_len=8,
         negative_fraction=0.33, seed=seed)), zeros)
-    rtwu = initial_scan(db, table, Thresholds(0.0, 0.0), apply_filter=False)
+    rtwu = initial_scan(db, db.utilities(table), Thresholds(0.0, 0.0), apply_filter=False)
     out = sorted((i for i, u in table.entries.items() if u > 0), key=rtwu.get)[:dropped]
     order = compute_processing_order(table, {i: r for i, r in rtwu.items() if i not in out})
     total_rtu = sum(measures.redefined_transaction_utility(tx, table)
@@ -621,6 +633,7 @@ def test_walked_children_equal_the_merge(seed, dropped, zeros, util_frac, pro_fr
                 child = children[pz.pattern_po[-1]]
                 plain = construct(py, pz)
                 walked = construct(py, pz, shared=child)
+                assert walked.rpu is None and walked.sum_rpu is None
                 gather_rpu([walked], [pz])
                 assert _bits(walked) == _bits(plain)
                 if walked.tids:
@@ -642,7 +655,7 @@ def test_walked_children_equal_the_merge(seed, dropped, zeros, util_frac, pro_fr
             if len(py.pattern_po) < 3:
                 visit([pyz for pyz in (construct(py, pz) for pz in later) if pyz.tids])
 
-    visit(build_initial_pulists(db, table, order, utilities=utilities))
+    visit(build_initial_pulists(db, utilities, order))
     assert seen["depths"] == {1, 2, 3}
     assert seen["negative"] and seen["zero"] and seen["abandoned"], seen
 
@@ -740,8 +753,8 @@ def test_initial_sums_add_columns_front_to_back(seed):
                                     max_tx_len=7, seed=seed))
     for db, table in (dyadic, non_dyadic):
         order = compute_processing_order(
-            table, initial_scan(db, table, Thresholds(0.0, 0.0), apply_filter=False))
-        for lst in build_initial_pulists(db, table, order):
+            table, initial_scan(db, db.utilities(table), Thresholds(0.0, 0.0), apply_filter=False))
+        for lst in build_initial_pulists(db, db.utilities(table), order):
             for column, total in ((lst.pro, lst.sum_pro), (lst.pu, lst.sum_pu),
                                   (lst.nu, lst.sum_nu), (lst.rpu, lst.sum_rpu)):
                 expected = 0.0
@@ -766,8 +779,8 @@ def test_initial_lists_are_the_roots(seed, apply_filter, util_frac, min_pro):
                         for tx in db.transactions)
         thresholds = Thresholds(util_frac * total_rtu, min_pro)
         order = compute_processing_order(
-            table, initial_scan(db, table, thresholds, apply_filter=apply_filter))
-        roots = build_initial_pulists(db, table, order)
+            table, initial_scan(db, db.utilities(table), thresholds, apply_filter=apply_filter))
+        roots = build_initial_pulists(db, db.utilities(table), order)
         assert tuple(lst.pattern_po for lst in roots) == tuple(
             (item,) for item in order.ordered_items)
         for lst in roots:
@@ -805,7 +818,7 @@ class TestJoinScanEquivalence:
 def _all_reachable_lists(db, table):
     """Every non-empty list in the enumeration, by scan construction."""
     order = compute_processing_order(
-        table, initial_scan(db, table, Thresholds(0.0, 0.0), apply_filter=False))
+        table, initial_scan(db, db.utilities(table), Thresholds(0.0, 0.0), apply_filter=False))
     from phuimine.oracle import enumerate_supported
 
     out = []
