@@ -44,7 +44,6 @@ from .pulist import (
     EUCS,
     NARROW_MIN_LEN,
     PUList,
-    TransactionRows,
     build_initial_pulists,
     compute_processing_order,
     construct,
@@ -177,7 +176,6 @@ def search(
     utilities: list[float],
     extensions: list[PUList],
     thresholds: Thresholds,
-    pro_bound: float,
     config: MiningConfig,
     eucs: EUCS | None,
     stats: MiningStats,
@@ -192,7 +190,8 @@ def search(
     supporting transaction are always discarded (they cannot describe a
     pattern of the database). eucs is read only with s6 on, once per Py
     for all of its later siblings (EUCS.partners); mine() passes None
-    otherwise. db is the database the root lists were built from.
+    otherwise. db is the database the root lists were built from; the
+    probability bound is thresholds.probability_bound(db.size).
 
     The flags, bounds, EUCS lookup and counters are bound once here, in
     one frame; the recursion runs in the nested visit(), and the
@@ -204,16 +203,18 @@ def search(
     as its positional arguments, so a wrapper set on miner.construct sees
     each one.
 
-    A Py of at least NARROW_MIN_LEN tids first weighs, against its
-    partners (the later siblings that s6 keeps), one walk over its
-    transactions in db (pulist.walk_pays). If it walks, the walk builds
-    every child at once (pulist.walk_children), each join is given its
-    partner's child, and the children that s5 keeps get their rpu
-    column from their partners (pulist.gather_rpu). If not, the tids it
-    shares with each sparse long partner are found at once
-    (pulist.find_shared), and each of those joins is given its
-    partner's. A shorter Py's joins merge as they are. utilities is
-    db.utilities(table), as mine() formed it for the root lists.
+    Only here is a Py told long or short. A Py of at least
+    NARROW_MIN_LEN tids first weighs, against its partners (the later
+    siblings that s6 keeps), one walk over its transactions in db
+    (pulist.walk_pays). If it walks, the walk reads db's columns and
+    row offsets (db.bounds) and builds every child at once
+    (pulist.walk_children), each join is given its partner's child, and
+    the children that s5 keeps get their rpu column from their partners
+    (pulist.gather_rpu). If not, the tids it shares with each sparse
+    long partner are found at once (pulist.find_shared), and each of
+    those joins is given its partner's. A shorter Py's joins merge as
+    they are. utilities is db.utilities(table), as mine() formed it for
+    the root lists.
 
     tids_in adds len(Py) + len(Pz) over the joins attempted, and
     tids_out len(Pyz) over the joins not abandoned, whichever way each
@@ -222,6 +223,7 @@ def search(
     eight of them, and most Pys have fewer.
     """
     min_util = thresholds.min_util
+    pro_bound = thresholds.probability_bound(db.size)
     s1 = config.s1_pu_prune
     s3 = config.s3_probability_bound
     s4 = config.s4_remaining_utility_bound
@@ -236,7 +238,6 @@ def search(
     # joins attempted are the pairs that s6 does not skip
     visited = pairs = skipped = abandoned = low_pro = s3_cuts = s4_cuts = 0
     tids_in = tids_out = 0
-    rows = TransactionRows(db.items, utilities, db.probabilities, db.sizes)
 
     def visit(extensions: list[PUList]) -> None:
         nonlocal visited, pairs, skipped, abandoned, low_pro, s3_cuts, s4_cuts
@@ -268,8 +269,8 @@ def search(
             y_len = len(py.tids)
             cuts = walked = None
             if y_len >= NARROW_MIN_LEN:
-                if walk_pays(py, partners, rows):
-                    cuts = walked = walk_children(py, partners, rows)
+                if walk_pays(py, partners, db):
+                    cuts = walked = walk_children(py, partners, db, utilities)
                 else:
                     cuts = find_shared(py, partners)
             children: list[PUList] = []
@@ -341,14 +342,13 @@ def mine(
     utilities = db.utilities(table)
     rtwu = initial_scan(db, utilities, thresholds, apply_filter=config.s2_initial_filter)
     scanned = listed = time.perf_counter()
-    pro_bound = thresholds.probability_bound(db.size)
     out: list[MinedPattern] = []
     if rtwu:
         order = compute_processing_order(table, rtwu)
         eucs = EUCS.zeros(order) if config.s6_eucp else None
         roots = build_initial_pulists(db, utilities, order, eucs)
         listed = time.perf_counter()
-        search(db, utilities, roots, thresholds, pro_bound, config, eucs, stats, out)
+        search(db, utilities, roots, thresholds, config, eucs, stats, out)
     searched = time.perf_counter()
     stats.phuis_found = len(out)
 

@@ -23,10 +23,11 @@ database against its table.
 
 All types are immutable after construction and safe to share across
 threads. Every database holds its columns from the moment it is built,
-whichever way it is built; only its transactions view is formed later,
-on first use, and then cached. Two threads that race to form the view
-each build an equal one, and one of them is kept, so
-`db.transactions is db.transactions` need not hold across threads.
+whichever way it is built; only its transactions view and its row
+offsets (bounds) are formed later, on first use, and then cached. Two
+threads that race to form either each build an equal one, and one of
+them is kept, so `db.transactions is db.transactions` need not hold
+across threads, nor `db.bounds is db.bounds`.
 """
 
 import math
@@ -167,8 +168,9 @@ class UncertainDatabase:
     checked chunks of lines, prefix(n) from a prefix of the columns and
     make_database from checked Transactions, none checking again;
     unpickling runs the checks again, on the columns alone. Every
-    database holds its columns from the start; its transactions view is
-    formed from them on first use.
+    database holds its columns from the start; its transactions view and
+    its row offsets (bounds: the rows of tid t lie at
+    bounds[t - 1]:bounds[t]) are formed from them on first use.
 
     The size (number of transactions) is fixed at load time and is the
     |D| used in the probability bound, even if later processing drops
@@ -177,7 +179,7 @@ class UncertainDatabase:
 
     # items, quantities and probabilities hold one entry per row, sizes
     # one per transaction
-    __slots__ = _COLUMNS + ("_transactions", "item_quantity")
+    __slots__ = _COLUMNS + ("_transactions", "_bounds", "item_quantity")
 
     def __init__(self, items: Iterable[Item], quantities: Iterable[int],
                  probabilities: Iterable[float], sizes: Iterable[int]) -> None:
@@ -196,6 +198,7 @@ class UncertainDatabase:
         for name, column in zip(_COLUMNS, map(tuple, columns)):
             object.__setattr__(self, name, column)
         object.__setattr__(self, "_transactions", None)
+        object.__setattr__(self, "_bounds", None)
         object.__setattr__(self, "item_quantity", _item_totals(self.items, self.quantities))
 
     @classmethod
@@ -240,6 +243,15 @@ class UncertainDatabase:
                 tuple.__new__, repeat(Transaction),
                 zip(count(1), map(tuple, map(islice, repeat(rows), self.sizes))))))
         return self._transactions
+
+    @property
+    def bounds(self) -> tuple[int, ...]:
+        """The row offsets, a leading 0 and then each transaction's end:
+        the rows of tid t lie at bounds[t - 1]:bounds[t]. Formed on
+        first use and cached."""
+        if self._bounds is None:
+            object.__setattr__(self, "_bounds", tuple(accumulate(self.sizes, initial=0)))
+        return self._bounds
 
     def prefix(self, n: int) -> "UncertainDatabase":
         """The database of the first n transactions, cut from the columns."""

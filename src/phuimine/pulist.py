@@ -186,11 +186,11 @@ def build_initial_pulists(
     sizes = db.sizes
     if len(order.rank) < len(db.item_quantity):
         # keep the rows of surviving items; a transaction keeps as many
-        # as the running count of kept rows grows over its own rows
+        # as the running count of kept rows grows over its own rows,
+        # which lie between its offsets in db.bounds
         kept = list(map(order.rank.__contains__, db.items))
         rows = compress(rows, kept)
-        at = list(map(list(accumulate(kept, initial=0)).__getitem__,
-                      accumulate(sizes, initial=0)))
+        at = list(map(list(accumulate(kept, initial=0)).__getitem__, db.bounds))
         sizes = list(map(sub, at[1:], at))
     lists = [PUList((item,)) for item in order.ordered_items]
     # a negative-group item's utilities are its nu column, every other
@@ -450,40 +450,24 @@ def construct(
     return out
 
 
-class TransactionRows:
-    """A database's rows by tid, for walk_pays and walk_children: the
-    database's items and probabilities columns, the utility of each row
-    (UncertainDatabase.utilities), size_of[t] the number of rows of tid
-    t (size_of[0] is 0) and bounds, formed by the first walk: the rows
-    of tid t lie at bounds[t - 1]:bounds[t]."""
-
-    __slots__ = ("items", "utilities", "probabilities", "size_of", "bounds")
-
-    def __init__(self, items: tuple[Item, ...], utilities: list[float],
-                 probabilities: tuple[float, ...], sizes: tuple[int, ...]):
-        self.items = items
-        self.utilities = utilities
-        self.probabilities = probabilities
-        self.size_of = (0,) + sizes
-        self.bounds: list[int] | None = None
-
-
-def walk_pays(py: PUList, partners: list[PUList], rows: TransactionRows) -> bool:
-    """Whether one walk over the rows of Py's transactions costs less
-    than Py's joins with partners: WALK_ROW_COST times the rows is below
-    the tids that the partners hold. The rows are estimated from the
-    sizes of NARROW_PROBES evenly spaced tids of Py, which must hold at
-    least NARROW_MIN_LEN tids."""
+def walk_pays(py: PUList, partners: list[PUList], db: UncertainDatabase) -> bool:
+    """Whether one walk over the rows of Py's transactions in db costs
+    less than Py's joins with partners: WALK_ROW_COST times the rows is
+    below the tids that the partners hold. The rows are estimated from
+    the sizes in db of NARROW_PROBES evenly spaced tids of Py, which
+    must hold at least NARROW_PROBES tids; search asks only of a Py of
+    NARROW_MIN_LEN tids or more."""
     y_tids = py.tids
     step = len(y_tids) // NARROW_PROBES
-    probed = sum(map(rows.size_of.__getitem__, y_tids[:step * NARROW_PROBES:step]))
+    probed = sum(db.sizes[t - 1] for t in y_tids[:step * NARROW_PROBES:step])
     return WALK_ROW_COST * probed * len(y_tids) < NARROW_PROBES * sum(map(len, partners))
 
 
 def walk_children(
     py: PUList,
     partners: list[PUList],
-    rows: TransactionRows,
+    db: UncertainDatabase,
+    utilities: list[float],
 ) -> dict[Item, tuple[list, ...]]:
     """Every join of Py with partners (its later siblings, which share
     all but their last item with it) by one walk over Py's transactions:
@@ -497,17 +481,15 @@ def walk_children(
     row there holds the iu and ip that Pz carries at that tid. Each
     entry is formed from Py's entry and that row by the operations of
     construct's merge, in the same order. Rows of items that are not a
-    partner's last item are passed over. rows are the transactions of
-    the database from which the lists came.
+    partner's last item are passed over. db is the database from which
+    the lists came, whose bounds locate each transaction's rows, and
+    utilities its utility column, db.utilities(table).
     """
-    bounds = rows.bounds
-    if bounds is None:
-        bounds = rows.bounds = list(accumulate(rows.size_of))
     children = {pz.pattern_po[-1]: ([], [], [], [], [], [], []) for pz in partners}
     get = children.get
-    items = rows.items
-    utilities = rows.utilities
-    probabilities = rows.probabilities
+    items = db.items
+    probabilities = db.probabilities
+    bounds = db.bounds
     for i, tid, y_p, y_u, y_n in zip(count(), py.tids, py.pro, py.pu, py.nu):
         for r in range(bounds[tid - 1], bounds[tid]):
             hit = get(items[r])
@@ -548,14 +530,13 @@ def find_shared(
     its last item z to (the tids Py and Pz share, ascending; Py's
     positions of them), as construct's shared takes them.
 
-    A partner is a sibling that, like Py, holds at least NARROW_MIN_LEN
-    tids and whose probe finds at most NARROW_MAX_HITS of NARROW_PROBES
-    evenly spaced tids of it in Py; a Py shorter than that has none.
-    The shared tids are one C-level set intersection with Py's tid set
-    per partner, sorted, and their positions are found in Py by bisect.
+    A partner is a sibling that holds at least NARROW_MIN_LEN tids and
+    whose probe finds at most NARROW_MAX_HITS of NARROW_PROBES evenly
+    spaced tids of it in Py. Py's own length is not tested here: search
+    asks only of a Py of NARROW_MIN_LEN tids or more. The shared tids
+    are one C-level set intersection with Py's tid set per partner,
+    sorted, and their positions are found in Py by bisect.
     """
-    if len(py.tids) < NARROW_MIN_LEN:
-        return {}
     partners = [pz for pz in siblings if len(pz.tids) >= NARROW_MIN_LEN]
     if not partners:
         return {}

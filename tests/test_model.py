@@ -186,6 +186,9 @@ class TestColumns:
         assert ex_db.probabilities[-4:] == (1.0, 0.95, 0.6, 1.0)
         assert all(type(c) is tuple for c in (ex_db.items, ex_db.quantities,
                                                ex_db.probabilities, ex_db.sizes))
+        # the rows of tid t lie at bounds[t - 1]:bounds[t]; formed once
+        assert ex_db.bounds == (0, 4, 7, 11, 13, 17)
+        assert ex_db.bounds is ex_db.bounds
 
     def test_constructor_checks_the_columns(self):
         assert UncertainDatabase([1, 2], [1, 1], [0.5, 1.0], [1, 1]).size == 2
@@ -228,6 +231,7 @@ class TestColumns:
         assert head == old and hash(head) == hash(old)
         assert head.item_quantity == old.item_quantity and head.size == n
         assert head.transactions == old.transactions
+        assert head.bounds == ex_db.bounds[:n + 1]
 
     @pytest.mark.parametrize("n", [-1, 6])
     def test_prefix_outside_the_database(self, ex_db, n):
@@ -235,10 +239,13 @@ class TestColumns:
             ex_db.prefix(n)
 
     def test_pickle_holds_the_columns_only(self, ex_db):
+        ex_db.bounds  # formed, and still not pickled
         data = pickle.dumps(ex_db)
-        assert b"Transaction" not in data and b"item_quantity" not in data
+        assert (b"Transaction" not in data and b"item_quantity" not in data
+                and b"_bounds" not in data)
         again = pickle.loads(data)
         assert again == ex_db and again.item_quantity == ex_db.item_quantity
+        assert again.bounds == ex_db.bounds
         assert again.transactions == ex_db.transactions
 
     @pytest.mark.parametrize("column, values, match", [

@@ -22,7 +22,6 @@ from phuimine.pulist import (
     NARROW_MIN_LEN,
     NARROW_PROBES,
     WALK_ROW_COST,
-    TransactionRows,
     build_initial_pulists,
     compute_processing_order,
     construct,
@@ -237,17 +236,21 @@ def _long_list(pattern_po, tids):
 
 
 def _rows(*lists):
-    """The transactions of a database under hand-made lists of one
-    prefix: transaction t, from 1 to the largest tid, holds a row of the
-    last item of every list that holds t, with that list's iu and ip at
-    t, so that each list's tids are the transactions of its last item
-    and its item columns are that item's rows."""
+    """A database under hand-made lists of one prefix, and its utility
+    column, as (db, utilities): transaction t, from 1 to the largest
+    tid, holds a row of the last item of every list that holds t, with
+    that list's iu and ip at t, so that each list's tids are the
+    transactions of its last item and its item columns are that item's
+    rows. A tid that no list holds is a transaction of no row, which
+    only the unchecked constructor takes; every quantity is 1."""
     rows = [[] for _ in range(max((t for lst in lists for t in lst.tids), default=0))]
     for lst in lists:
         for t, u, p in zip(lst.tids, lst.iu, lst.ip):
             rows[t - 1].append((lst.pattern_po[-1], u, p))
     items, utilities, probabilities = zip(*chain.from_iterable(map(sorted, rows)))
-    return TransactionRows(items, list(utilities), probabilities, tuple(map(len, rows)))
+    db = UncertainDatabase._of_checked(items, [1] * len(items), probabilities,
+                                       map(len, rows))
+    return db, list(utilities)
 
 
 def _cut(py, pz):
@@ -258,8 +261,9 @@ def _cut(py, pz):
 
 def _walked(py, pz, rows, **bounds):
     """construct given the child that the walk over Py's transactions in
-    rows builds for Pz, with its rpu gathered unless it is abandoned."""
-    child = walk_children(py, [pz], rows)[pz.pattern_po[-1]]
+    rows, a (db, utilities) pair, builds for Pz, with its rpu gathered
+    unless it is abandoned."""
+    child = walk_children(py, [pz], *rows)[pz.pattern_po[-1]]
     pyz = construct(py, pz, shared=child, **bounds)
     if pyz is not ABANDONED:
         # None until the gather, so that a child that missed it raises
@@ -272,9 +276,9 @@ def _walked(py, pz, rows, **bounds):
 
 def _joins_alike(py, pz, cut=None, rows=None, **bounds):
     """construct given Pz's cut (by default _cut's), and given the child
-    that the walk over rows (by default _rows's) builds, each equal, bit
-    for bit, to construct without either; returns the cut, None for a
-    join that merges its full columns."""
+    that the walk over rows, a (db, utilities) pair (by default _rows's),
+    builds, each equal, bit for bit, to construct without either;
+    returns the cut, None for a join that merges its full columns."""
     if cut is None:
         cut = _cut(py, pz)
     plain = construct(py, pz, **bounds)
@@ -370,15 +374,31 @@ class TestMerge:
         assert construct(py, pz, shared=cut).tids == [11, 101]
 
     @pytest.mark.parametrize("length", [NARROW_MIN_LEN - 1, NARROW_MIN_LEN])
-    def test_length_threshold(self, length):
-        # Py of `length` tids, Pz of NARROW_MIN_LEN tids, sharing one tid
+    def test_length_threshold(self, monkeypatch, length):
+        # Py of `length` tids, Pz of NARROW_MIN_LEN tids, sharing one
+        # tid, as the roots of a search in either order: search tells a
+        # long Py from a short one, and find_shared probes only long
+        # partners, so a join is given shared tids iff both lists hold
+        # NARROW_MIN_LEN tids or more; each equals the merge
         shorter = _long_list((1, 2), range(1, 2 * length + 1, 2))
         longer = _long_list((1, 3), [1] + list(range(2, 2 * NARROW_MIN_LEN, 2)))
         assert len(longer) == NARROW_MIN_LEN
-        for py, pz in ((shorter, longer), (longer, shorter)):
-            cut = _joins_alike(py, pz)
-            assert (cut is not None) == (length >= NARROW_MIN_LEN)
-            assert construct(py, pz, shared=cut).tids == [1]
+        db, utilities = _rows(shorter, longer)
+        joins = []
+
+        def recording(py, pz, **kwargs):
+            joins.append((py, pz, kwargs))
+            return construct(py, pz, **kwargs)
+        monkeypatch.setattr(miner, "construct", recording)
+        for roots in ([shorter, longer], [longer, shorter]):
+            miner.search(db, utilities, roots, Thresholds(0.0, 0.0),
+                         MiningConfig.from_preset("NONE"), None, miner.MiningStats(), [])
+        monkeypatch.undo()
+        assert [(py, pz) for py, pz, _kwargs in joins] == [(shorter, longer), (longer, shorter)]
+        for py, pz, kwargs in joins:
+            assert (kwargs["shared"] is not None) == (length >= NARROW_MIN_LEN)
+            _joins_alike(py, pz, kwargs["shared"])
+            assert construct(py, pz, **kwargs).tids == [1]
 
     def test_probe_decides_the_path_not_the_result(self):
         # Pz of 16 * 16 tids, sampled at every 16th position. Against
@@ -450,7 +470,7 @@ class TestFindShared:
         short = _long_list((1, 4), range(4 * NARROW_MIN_LEN + 1,
                                          4 * NARROW_MIN_LEN + NARROW_MIN_LEN))
         assert find_shared(py, [dense, short]) == {}
-        assert not walk_pays(py, [dense, short], _rows(py, dense, short))
+        assert not walk_pays(py, [dense, short], _rows(py, dense, short)[0])
         for pz in (dense, short):
             assert _joins_alike(py, pz) is None
 
@@ -466,12 +486,12 @@ class TestFindShared:
         beyond = 4 * NARROW_MIN_LEN + 2
         pz = _long_list((1, 3), [3, 5] + list(range(
             beyond, beyond + 2 * (WALK_ROW_COST * len(py) - 2 + extra), 2)))
-        rows = _rows(py, pz)
-        assert [rows.size_of[t] for t in py.tids[:4]] == [1, 2, 2, 1]
+        db, utilities = _rows(py, pz)
+        assert [db.sizes[t - 1] for t in py.tids[:4]] == [1, 2, 2, 1]
         assert len(pz) == WALK_ROW_COST * len(py) + extra
-        assert walk_pays(py, [pz], rows) == bool(extra)
+        assert walk_pays(py, [pz], db) == bool(extra)
         assert find_shared(py, [pz]) == {3: ([3, 5], [1, 2])}
-        child = walk_children(py, [pz], rows)[3]
+        child = walk_children(py, [pz], db, utilities)[3]
         assert (child[0], child[-1]) == ([3, 5], [1, 2])
 
     @pytest.mark.parametrize("shift", [0, 1])
@@ -487,11 +507,11 @@ class TestFindShared:
         fillers = [_long_list((1, k), sorted(big)) for k in range(10, 18)]
         for tids in (WALK_ROW_COST * 9 * n, WALK_ROW_COST * 9 * n + 1):
             pz = _long_list((1, 3), range(n + 1, n + 1 + tids))
-            rows = _rows(py, pz, *fillers)
-            assert [rows.size_of[t] for t in py.tids[:32]] == (
+            db, _utilities = _rows(py, pz, *fillers)
+            assert [db.sizes[t - 1] for t in py.tids[:32]] == (
                 [9] + [1] * 15 + [9] + [1] * 15 if shift == 0 else
                 [1] + [9] + [1] * 14 + [1] + [9] + [1] * 14)
-            assert walk_pays(py, [pz], rows) == (shift == 1 or tids > WALK_ROW_COST * 9 * n)
+            assert walk_pays(py, [pz], db) == (shift == 1 or tids > WALK_ROW_COST * 9 * n)
 
 
 def _s1_reference(py, pz, min_util, pro_bound):
@@ -562,7 +582,7 @@ def test_narrowed_joins_equal_the_scan_and_the_merge(seed, util_frac, pro_frac):
     total_rtu = sum(measures.redefined_transaction_utility(tx, table)
                     for tx in db.transactions)
     drawn = (util_frac * total_rtu, pro_frac * db.size)
-    rows = TransactionRows(db.items, db.utilities(table), db.probabilities, db.sizes)
+    rows = (db, db.utilities(table))
     narrowed = 0
     for i, py in enumerate(roots):
         cuts = find_shared(py, roots[i + 1:])
@@ -622,13 +642,12 @@ def test_walked_children_equal_the_merge(seed, dropped, zeros, util_frac, pro_fr
                     for tx in db.transactions)
     drawn = (util_frac * total_rtu, pro_frac * db.size)
     utilities = db.utilities(table)
-    rows = TransactionRows(db.items, utilities, db.probabilities, db.sizes)
     seen = {"depths": set(), "negative": 0, "abandoned": 0, "zero": 0}
 
     def visit(siblings):
         for i, py in enumerate(siblings):
             later = siblings[i + 1:]
-            children = walk_children(py, later, rows)
+            children = walk_children(py, later, db, utilities)
             for pz in later:
                 child = children[pz.pattern_po[-1]]
                 plain = construct(py, pz)
