@@ -127,8 +127,8 @@ class MiningStats:
     tids_in: int = 0  # len(Py) + len(Pz) per attempted join
     tids_out: int = 0  # len(Pyz) per join not abandoned, s5's skips included
     elapsed: float = 0.0
-    check_s: float = 0.0  # check_utilities
-    scan_s: float = 0.0  # the utility column and initial_scan
+    check_s: float = 0.0  # check_utilities, which forms the utility column
+    scan_s: float = 0.0  # initial_scan
     lists_s: float = 0.0  # processing order, EUCS and root lists
     search_s: float = 0.0  # search
 
@@ -213,8 +213,8 @@ def search(
     (pulist.gather_rpu). If not, the tids it shares with each sparse
     long partner are found at once (pulist.find_shared), and each of
     those joins is given its partner's. A shorter Py's joins merge as
-    they are. utilities is db.utilities(table), as mine() formed it for
-    the root lists.
+    they are. utilities is db.utilities(table), as check_utilities
+    formed it for mine() and the root lists.
 
     tids_in adds len(Py) + len(Pz) over the joins attempted, and
     tids_out len(Pyz) over the joins not abandoned, whichever way each
@@ -328,7 +328,7 @@ def mine(
     DatabaseValidationError as check_utilities does.
     """
     started = time.perf_counter()
-    check_utilities(db, table)
+    utilities = check_utilities(db, table)
     checked = time.perf_counter()
     if config is None:
         config = MiningConfig.from_preset("ALL")
@@ -339,7 +339,6 @@ def mine(
         min_pro=thresholds.min_pro,
     )
 
-    utilities = db.utilities(table)
     rtwu = initial_scan(db, utilities, thresholds, apply_filter=config.s2_initial_filter)
     scanned = listed = time.perf_counter()
     out: list[MinedPattern] = []

@@ -12,22 +12,28 @@ Transactions, entries, patterns and results are named tuples: each
 equals its plain tuple.
 
 Each type checks its own rules once, when it is built, and raises
-ValueError: _rules_hold holds the occurrence rules over columns, and
-_raise_broken_rule names the first one broken, for a Transaction, a
-TransactionEntry, a database built from columns or all the rows of a
-parsed chunk of lines, which sorted_columns checks at once; a
-transaction is non-empty; a database's tids run 1..n; a table's ids are
->= 0 and its utilities finite; thresholds have their ranges.
+ValueError: _check_types holds the type rules of a row's values (item
+ids and quantities are ints, probabilities floats or ints, by exact
+type) for a Transaction, a TransactionEntry and a database built from
+columns; _rules_hold holds the occurrence rules over columns, and
+_raise_broken_rule names the first one broken, for the same three and
+for all the rows of a parsed chunk of lines, which sorted_columns checks
+at once; a transaction is non-empty; a database's tids run 1..n; a
+table's ids are ints >= 0 and its utilities finite floats or ints
+within 2**53; thresholds have their ranges. The type rules
+refuse what the text formats would write back as another value, or as
+text that does not parse: a bool, a float item id, a Fraction.
 check_utilities, which mine() and the oracle call first, checks a
-database against its table.
+database against its table and returns its utility column.
 
 All types are immutable after construction and safe to share across
-threads. Every database holds its columns from the moment it is built,
-whichever way it is built; only its transactions view and its row
-offsets (bounds) are formed later, on first use, and then cached. Two
-threads that race to form either each build an equal one, and one of
-them is kept, so `db.transactions is db.transactions` need not hold
-across threads, nor `db.bounds is db.bounds`.
+threads. Every database holds its four columns and its item set from
+the moment it is built, whichever way it is built; only its
+transactions view and its row offsets (bounds) are formed later, on
+first use, and then cached. Two threads that race to form either each
+build an equal one, and one of them is kept, so
+`db.transactions is db.transactions` need not hold across threads, nor
+`db.bounds is db.bounds`.
 """
 
 import math
@@ -43,13 +49,14 @@ Item = int  # non-negative integer identifier
 
 class TransactionEntry(namedtuple("TransactionEntry", "item quantity probability")):
     """One occurrence, equal to its plain row; checked when built or
-    by _replace. _make stays unchecked: Transaction.entries uses it to
-    view rows that Transaction has already checked."""
+    by _replace, as the one row of a Transaction. _make stays
+    unchecked: Transaction.entries uses it to view rows that Transaction
+    has already checked."""
 
     __slots__ = ()
 
     def __new__(cls, item: Item, quantity: int, probability: float) -> "TransactionEntry":
-        _check_rows(((item, quantity, probability),))
+        Transaction(1, ((item, quantity, probability),))
         return tuple.__new__(cls, (item, quantity, probability))
 
     def _replace(self, **changes) -> "TransactionEntry":
@@ -88,13 +95,25 @@ def _raise_broken_rule(items, quantities, probabilities, starts=frozenset()) -> 
                              else f"items must ascend, got {item} after {prev}")
 
 
-def _check_rows(rows: tuple[tuple[Item, int, float], ...]) -> None:
-    """Raise ValueError for the first occurrence rule that the (item,
-    quantity, probability) rows of one transaction break; only a failure
-    walks the rows."""
-    items, quantities, probabilities = zip(*rows, strict=True)
-    if not _rules_hold(items, quantities, probabilities):
-        _raise_broken_rule(items, quantities, probabilities)
+# The exact types of the values that the text formats write back as
+# they are; a bool, a float item id or a Fraction would become text that
+# parses to another value, or not at all. Per column (items, quantities,
+# probabilities, sizes): its values' name and types.
+_INT, _REAL = frozenset({int}), frozenset({int, float})
+_TYPES = (("item id", _INT), ("quantity", _INT), ("probability", _REAL), ("size", _INT))
+
+
+def _check_types(*columns: tuple) -> None:
+    """Raise ValueError unless each value of the columns (items,
+    quantities, probabilities and, for a database, sizes) has one of its
+    column's exact types: an int, or for a probability a float or an
+    int. One C-level pass per column; only a failure looks for the value
+    to name. The parser's values come from int() and float(), so
+    sorted_columns does not call this."""
+    for (name, types), column in zip(_TYPES, columns):
+        if not types.issuperset(map(type, column)):
+            value = next(v for v in column if type(v) not in types)
+            raise ValueError(f"{name} must not be a {type(value).__name__}, got {value!r}")
 
 
 class Transaction(namedtuple("Transaction", "tid rows")):
@@ -102,7 +121,13 @@ class Transaction(namedtuple("Transaction", "tid rows")):
     probability) tuple per occurrence, from any iterable of triples;
     equal to the plain tuple (tid, rows). Checked when built, by
     _replace and when unpickled; _make and tuple.__new__ stay unchecked,
-    for rows that are known to keep every rule."""
+    for rows that are known to keep every rule.
+
+    A ValueError names the first type or occurrence rule that the rows
+    break. The types are tested by two C-level passes, as _check_types
+    would test them but without its loop over the columns, since a
+    Transaction is small and often built; only a failure walks the rows.
+    """
 
     __slots__ = ()
 
@@ -110,7 +135,12 @@ class Transaction(namedtuple("Transaction", "tid rows")):
         rows = tuple(map(tuple, entries))
         if not rows:
             raise ValueError(f"transaction {tid} is empty")
-        _check_rows(rows)
+        items, quantities, probabilities = zip(*rows, strict=True)
+        if not (_INT.issuperset(map(type, items + quantities))
+                and _REAL.issuperset(map(type, probabilities))
+                and _rules_hold(items, quantities, probabilities)):
+            _check_types(items, quantities, probabilities)
+            _raise_broken_rule(items, quantities, probabilities)
         return tuple.__new__(cls, (tid, rows))
 
     def _replace(self, **changes) -> "Transaction":
@@ -142,15 +172,6 @@ def sorted_columns(first_tid: int, items: list[Item], quantities: list[int],
     return items, quantities, probabilities
 
 
-def _item_totals(items: Iterable[Item], quantities: Iterable[int]) -> dict[Item, int]:
-    """Each item's summed quantity, keyed in order of first occurrence."""
-    totals: dict[Item, int] = {}
-    get = totals.get
-    for item, quantity in zip(items, quantities):
-        totals[item] = get(item, 0) + quantity
-    return totals
-
-
 _COLUMNS = ("items", "quantities", "probabilities", "sizes")
 
 
@@ -158,19 +179,20 @@ class UncertainDatabase:
     """Transactions stored as whole-database columns: every occurrence's
     item, quantity and probability, transaction after transaction, and
     each transaction's number of rows (its size). The tids are the
-    positions 1..n. Each occurring item's total quantity is derived when
-    the database is built; equality and hashing look at the columns
-    alone.
+    positions 1..n. Equality and hashing look at the columns alone.
+
+    A database holds its four columns and its item set (item_universe),
+    both formed when it is built, and two views formed from the columns
+    on first use and then cached: its transactions and its row offsets
+    (bounds: the rows of tid t lie at bounds[t - 1]:bounds[t]).
 
     UncertainDatabase(items, quantities, probabilities, sizes) checks
-    the columns as Transaction checks its rows: every transaction
-    non-empty, its items ascending. parse_database builds one from
-    checked chunks of lines, prefix(n) from a prefix of the columns and
-    make_database from checked Transactions, none checking again;
-    unpickling runs the checks again, on the columns alone. Every
-    database holds its columns from the start; its transactions view and
-    its row offsets (bounds: the rows of tid t lie at
-    bounds[t - 1]:bounds[t]) are formed from them on first use.
+    the columns as Transaction checks its rows: every item id, quantity
+    and size an int, every probability a float or an int, every
+    transaction non-empty, its items ascending. parse_database builds
+    one from checked chunks of lines, prefix(n) from a prefix of the
+    columns and make_database from checked Transactions, none checking
+    again; unpickling runs the checks again, on the columns alone.
 
     The size (number of transactions) is fixed at load time and is the
     |D| used in the probability bound, even if later processing drops
@@ -179,12 +201,13 @@ class UncertainDatabase:
 
     # items, quantities and probabilities hold one entry per row, sizes
     # one per transaction
-    __slots__ = _COLUMNS + ("_transactions", "_bounds", "item_quantity")
+    __slots__ = _COLUMNS + ("item_universe", "_transactions", "_bounds")
 
     def __init__(self, items: Iterable[Item], quantities: Iterable[int],
                  probabilities: Iterable[float], sizes: Iterable[int]) -> None:
         columns = tuple(map(tuple, (items, quantities, probabilities, sizes)))
         *rows, sizes = columns
+        _check_types(*columns)
         if set(map(len, rows)) - {sum(sizes)}:
             raise ValueError(f"columns of {', '.join(map(str, map(len, rows)))} rows "
                              f"for transactions of {sum(sizes)}")
@@ -195,11 +218,11 @@ class UncertainDatabase:
         self._set(columns)
 
     def _set(self, columns) -> None:
-        for name, column in zip(_COLUMNS, map(tuple, columns)):
-            object.__setattr__(self, name, column)
-        object.__setattr__(self, "_transactions", None)
-        object.__setattr__(self, "_bounds", None)
-        object.__setattr__(self, "item_quantity", _item_totals(self.items, self.quantities))
+        """Fill the slots in their order: the four columns, the item set,
+        and the two views, not formed yet."""
+        columns = tuple(map(tuple, columns))
+        for name, value in zip(self.__slots__, (*columns, frozenset(columns[0]), None, None)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _of_checked(cls, items, quantities, probabilities, sizes) -> "UncertainDatabase":
@@ -268,11 +291,6 @@ class UncertainDatabase:
         return list(map(mul, map(table.entries.__getitem__, self.items), self.quantities))
 
     @property
-    def item_universe(self) -> frozenset[Item]:
-        """The items that occur in the transactions."""
-        return frozenset(self.item_quantity)
-
-    @property
     def size(self) -> int:
         return len(self.sizes)
 
@@ -280,12 +298,18 @@ class UncertainDatabase:
 @dataclass(frozen=True)
 class UtilityTable:
     """Signed unit utility per item (may be negative, zero or positive);
-    item ids must be >= 0 and every utility finite."""
+    item ids must be ints >= 0 and every utility a finite float or an
+    int within 2**53 (which a float holds exactly), so that the table
+    file writes each back as it is."""
 
     entries: Mapping[Item, float]
 
     def __post_init__(self) -> None:
         for item, u in self.entries.items():
+            # a float holds every int within 2**53 exactly, but not every one beyond
+            if type(item) is not int or type(u) not in _REAL or type(u) is int and abs(u) > 2**53:
+                raise ValueError(f"an entry must be an int item id and a float utility or an "
+                                 f"int one within 2**53, got {item!r}: {u!r}")
             if item < 0:
                 raise ValueError(f"item id must be >= 0, got {item}")
             if not math.isfinite(u):
@@ -339,10 +363,12 @@ class DatabaseValidationError(ValueError):
     """Raised by check_utilities for a database its table cannot mine."""
 
 
-def check_utilities(db: UncertainDatabase, table: UtilityTable) -> None:
-    """Check a database against its utility table, in O(items): every
-    occurring item needs a unit utility, and S, the sum over items of
-    |u| x (total quantity), must be at most half the largest float.
+def check_utilities(db: UncertainDatabase, table: UtilityTable) -> list[float]:
+    """Check a database against its utility table and return its utility
+    column, db.utilities(table): every occurring item needs a unit
+    utility, and S, the sum over rows of |unit utility x quantity|, must
+    be at most half the largest float. The column is formed in one pass
+    over the rows and S added up over it at C level.
 
     That bound is enough: each utility sum the miner or the oracle forms
     (a pattern's utility, pu, nu and rpu, a transaction's rtu, an item's
@@ -352,20 +378,21 @@ def check_utilities(db: UncertainDatabase, table: UtilityTable) -> None:
 
     Raises DatabaseValidationError.
     """
-    units = table.entries
-    missing = sorted(i for i in db.item_quantity if i not in units)
+    missing = sorted(db.item_universe - table.entries.keys())
     if missing:
         raise DatabaseValidationError(f"invalid database: {len(missing)} item(s) missing "
                                       f"from utility table, first {missing[:5]}")
     limit = sys.float_info.max / 2
     try:
-        total = sum(abs(units[i]) * q for i, q in db.item_quantity.items())
+        utilities = db.utilities(table)
+        total = sum(map(abs, utilities))
     except OverflowError:  # a quantity too large to become a float
         total = math.inf
     if not total <= limit:
         raise DatabaseValidationError(
             f"invalid database: summed |utility| x quantity, {total}, is not finite "
             f"or above {limit} (half the largest float)")
+    return utilities
 
 
 def make_database(transactions: Iterable[Transaction]) -> UncertainDatabase:

@@ -48,8 +48,7 @@ direct scan of the transactions (tests/scan_reference.py).
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, compress, count, islice, repeat
-from operator import sub
+from itertools import compress, count, islice, repeat
 from typing import Mapping
 
 from .model import Item, UncertainDatabase, UtilityTable
@@ -184,14 +183,12 @@ def build_initial_pulists(
     pair_rtwu = eucs.rows if eucs is not None else None
     rows = zip(map(order.rank.get, db.items), utilities, db.probabilities)
     sizes = db.sizes
-    if len(order.rank) < len(db.item_quantity):
+    if len(order.rank) < len(db.item_universe):
         # keep the rows of surviving items; a transaction keeps as many
-        # as the running count of kept rows grows over its own rows,
-        # which lie between its offsets in db.bounds
+        # rows as the flags of its own rows count
         kept = list(map(order.rank.__contains__, db.items))
         rows = compress(rows, kept)
-        at = list(map(list(accumulate(kept, initial=0)).__getitem__, db.bounds))
-        sizes = list(map(sub, at[1:], at))
+        sizes = list(map(sum, map(islice, repeat(iter(kept)), db.sizes)))
     lists = [PUList((item,)) for item in order.ordered_items]
     # a negative-group item's utilities are its nu column, every other
     # item's its pu column (u has the sign of the unit, quantities being

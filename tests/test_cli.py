@@ -272,11 +272,14 @@ class TestOracleCommand:
 @pytest.mark.parametrize("db_text, ptable_text", [
     # every occurrence is finite, their sum is not
     ("1:1:0.5 2:1:0.5\n", "1:1e308 2:1e308\n"),
+    # the sum is finite, 1e308, and above half the largest float
+    ("1:1:0.5 2:1:0.5\n", "1:5e307 2:5e307\n"),
     # one occurrence is not finite
     ("1:10000000000:0.5 2:1:0.5\n", "1:1e300 2:1\n"),
     # item 9 has no unit utility
     ("9:1:0.5\n", EXAMPLE_PTABLE_TEXT),
-], ids=["summed-overflow", "occurrence-overflow", "item-missing-from-table"])
+], ids=["summed-overflow", "summed-above-limit", "occurrence-overflow",
+        "item-missing-from-table"])
 def test_table_that_cannot_mine_database_is_data_error(tmp_path, capsys, command,
                                                        db_text, ptable_text):
     db, ptable = tmp_path / "x.db", tmp_path / "x.ptable"

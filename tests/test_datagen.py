@@ -134,12 +134,12 @@ def _digest(db, table) -> str:
 
 
 def _rebuilt(db) -> list:
-    """(database, hash, item_quantity) of `db` built again from its
+    """(database, hash, item_universe) of `db` built again from its
     transactions view and from its database file: the generators build
     columns, and the other two builders must agree with them."""
     others = [make_database(db.transactions),
               dataio.parse_database(dataio.serialize_database(db))]
-    return [(other, hash(other), other.item_quantity) for other in others]
+    return [(other, hash(other), other.item_universe) for other in others]
 
 
 # sha256 of the serialized database and table: the generators' output
@@ -161,7 +161,7 @@ def _rebuilt(db) -> list:
 def test_generate_output_pinned(params, digest):
     db, table = generate(params)
     assert _digest(db, table) == digest
-    assert _rebuilt(db) == [(db, hash(db), db.item_quantity)] * 2
+    assert _rebuilt(db) == [(db, hash(db), db.item_universe)] * 2
 
 
 @pytest.mark.parametrize("seed, kwargs, digest", [
@@ -175,4 +175,4 @@ def test_generate_output_pinned(params, digest):
 def test_generate_small_output_pinned(seed, kwargs, digest):
     db, table = generate_small(seed, **kwargs)
     assert _digest(db, table) == digest
-    assert _rebuilt(db) == [(db, hash(db), db.item_quantity)] * 2
+    assert _rebuilt(db) == [(db, hash(db), db.item_universe)] * 2

@@ -3,7 +3,8 @@ import math
 import random
 from contextlib import contextmanager
 from decimal import Decimal
-from itertools import product
+from fractions import Fraction
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 from phuimine import dataio
 from phuimine.datagen import GenParams, generate, generate_small
 from phuimine.miner import MiningStats, initial_scan
-from phuimine.model import (MinedPattern, Pattern, Thresholds, Transaction, UtilityTable,
-                            make_database)
+from phuimine.model import (MinedPattern, Pattern, Thresholds, Transaction,
+                            UncertainDatabase, UtilityTable, make_database)
 from phuimine.pulist import EUCS, build_initial_pulists, compute_processing_order
 
 from helpers import EXAMPLE_DB_TEXT, EXAMPLE_PTABLE_TEXT
@@ -238,7 +239,7 @@ def test_parsed_and_constructed_databases_agree(n, seed, s2):
         assert parsed == db and hash(parsed) == hash(db)
         assert (parsed.items, parsed.quantities, parsed.probabilities, parsed.sizes) == (
             db.items, db.quantities, db.probabilities, db.sizes)
-        assert parsed.item_quantity == db.item_quantity
+        assert parsed.item_universe == db.item_universe
         assert parsed.transactions == db.transactions
         assert all(type(tx) is Transaction for tx in parsed.transactions)
         again = make_database(parsed.transactions)
@@ -697,6 +698,64 @@ class TestSerializeStats:
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="unknown stats format"):
             dataio.serialize_stats(MiningStats(), "xml")
+
+
+# Values of the types that a caller might hand a checked constructor in
+# place of an int or a float; the odd one replaces one drawn value.
+_ODD = st.one_of(st.booleans(), st.floats(0, 40), st.fractions(0, 40),
+                 st.decimals(0, 40, places=2), st.integers(-2**70, 2**70))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.lists(st.tuples(st.integers(0, 2**70), st.integers(1, 2**70),
+                                        st.one_of(st.floats(0, 1, exclude_min=True),
+                                                  st.just(1))),
+                              min_size=1, max_size=4, unique_by=lambda row: row[0]),
+                     max_size=4),
+       odd=st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(0, 15), _ODD)))
+def test_every_accepted_database_round_trips(rows, odd):
+    """Every database that the checked constructors accept, from columns
+    or from Transactions, serializes to text that parses back equal."""
+    txs = [sorted(tx) for tx in rows]
+    columns = [[row[k] for tx in txs for row in tx] for k in range(3)] + [list(map(len, txs))]
+    if odd is not None and columns[odd[0]]:
+        column, at, value = odd
+        columns[column][at % len(columns[column])] = value
+    flat = list(zip(*columns[:3]))
+    ends = list(accumulate(map(len, txs)))
+    builds = [lambda: UncertainDatabase(*columns),
+              lambda: make_database(Transaction(tid, flat[a:b]) for tid, a, b
+                                    in zip(range(1, len(ends) + 1), [0, *ends], ends))]
+    for build in builds:
+        try:
+            db = build()
+        except ValueError:
+            continue
+        assert dataio.parse_database(dataio.serialize_database(db)) == db
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=st.dictionaries(st.integers(0, 2**70),
+                               st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                         st.integers(-2**70, 2**70),
+                                         # where floats no longer hold every int
+                                         st.integers(2**53, 2**54)),
+                               max_size=4),
+       odd=st.one_of(st.none(), st.tuples(st.booleans(), _ODD | st.floats() | st.integers())))
+def test_every_accepted_table_round_trips(entries, odd):
+    """Every table that UtilityTable accepts serializes to text that
+    parses back equal."""
+    if odd is not None:
+        as_id, value = odd
+        if as_id:
+            entries[value] = 1.0
+        else:
+            entries[0] = value
+    try:
+        table = UtilityTable(entries)
+    except ValueError:
+        return
+    assert dataio.parse_ptable(dataio.serialize_ptable(table)) == table
 
 
 class TestRoundTrip:

@@ -1,4 +1,5 @@
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -21,7 +22,8 @@ from helpers import EXAMPLE_DB_TEXT, example_db
 
 
 def test_example_database_validates(ex_db, ex_table):
-    check_utilities(ex_db, ex_table)
+    # and the check returns the utility column that mine() goes on with
+    assert check_utilities(ex_db, ex_table) == ex_db.utilities(ex_table)
 
 
 def test_duplicate_item_is_reported():
@@ -70,9 +72,14 @@ def test_overflowing_occurrence_utility_reported(quantity):
 def test_overflowing_utility_sum_reported():
     # every occurrence is finite, their sum is not
     tx = Transaction(1, [TransactionEntry(1, 1, 0.5), TransactionEntry(2, 1, 0.5)])
+    db = make_database([tx])
     with pytest.raises(DatabaseValidationError, match="not finite"):
-        check_utilities(make_database([tx]), UtilityTable({1: 1e308, 2: 1e308}))
-    check_utilities(make_database([tx]), UtilityTable({1: 1e307, 2: -1e307}))
+        check_utilities(db, UtilityTable({1: 1e308, 2: 1e308}))
+    # a finite sum above half the largest float (about 8.99e307), and one below
+    with pytest.raises(DatabaseValidationError, match=r"9e\+307, is not finite or above"):
+        check_utilities(db, UtilityTable({1: 4.5e307, 2: 4.5e307}))
+    for table in UtilityTable({1: 4.4e307, 2: 4.4e307}), UtilityTable({1: 1e307, 2: -1e307}):
+        assert check_utilities(db, table) == db.utilities(table)
 
 
 def _entry(item=1, quantity=1, probability=0.5):
@@ -91,9 +98,33 @@ def _entry(item=1, quantity=1, probability=0.5):
      "tids must be 1..n"),
     (lambda: UtilityTable({1: 2.0, 2: float("nan")}), "utility must be finite"),
     (lambda: UtilityTable({-1: 5.0}), "item id must be >= 0"),
+    # values that the text formats would not write back as they are
+    (lambda: _entry(quantity=True), "quantity must not be a bool, got True"),
+    (lambda: _entry(quantity=1.5), "quantity must not be a float, got 1.5"),
+    (lambda: _entry(item=1.0), "item id must not be a float, got 1.0"),
+    (lambda: _entry(item=True), "item id must not be a bool, got True"),
+    (lambda: _entry(probability=Fraction(1, 2)), "probability must not be a Fraction"),
+    (lambda: _entry(probability=True), "probability must not be a bool, got True"),
+    (lambda: Transaction(1, [(1, 1, 0.5), (2, True, 0.5)]), "quantity must not be a bool"),
+    (lambda: Transaction(1, [(1.0, 1, 0.5)]), "item id must not be a float"),
+    (lambda: Transaction(1, [(1, 1, Fraction(1, 2))]), "probability must not be a Fraction"),
+    (lambda: Transaction(1, [(1, 1, 0.5)])._replace(rows=((True, 1, 0.5),)),
+     "item id must not be a bool"),
+    (lambda: UtilityTable({1: Fraction(1, 2)}), r"float utility .*, got 1: Fraction\(1, 2\)"),
+    (lambda: UtilityTable({1: True}), "a float utility or an int one .*, got 1: True"),
+    (lambda: UtilityTable({1.5: 2.0}), "an int item id .*, got 1.5: 2.0"),
+    (lambda: UtilityTable({True: 2.0}), "an int item id .*, got True: 2.0"),
+    # a float holds every int up to 2**53 exactly, but not 2**53 + 1
+    (lambda: UtilityTable({1: 2**53 + 1}), r"an int one within 2\*\*53, got 1: 9007199254740993"),
+    (lambda: UtilityTable({1: 10**400}), r"an int one within 2\*\*53"),
 ], ids=["negative-item", "zero-quantity", "zero-probability", "probability-above-one",
         "empty-transaction", "duplicate-item", "descending-items", "tid-gap",
-        "non-finite-utility", "negative-table-id"])
+        "non-finite-utility", "negative-table-id", "bool-quantity", "float-quantity",
+        "float-item", "bool-item", "fraction-probability", "bool-probability",
+        "transaction-bool-quantity", "transaction-float-item",
+        "transaction-fraction-probability", "replace-bool-item", "fraction-utility",
+        "bool-utility", "float-table-id", "bool-table-id", "inexact-int-utility",
+        "huge-int-utility"])
 def test_invalid_value_raises_when_built(build, match):
     with pytest.raises(ValueError, match=match):
         build()
@@ -169,10 +200,6 @@ def test_item_universe_from_occurrences(ex_db):
     assert ex_db.item_universe == frozenset({1, 2, 3, 4, 5})
 
 
-def test_item_quantity_totals(ex_db):
-    assert ex_db.item_quantity == {1: 12, 2: 8, 3: 8, 4: 8, 5: 11}
-
-
 def test_database_equality_and_hash_ignore_derived_totals(ex_db):
     again = example_db()
     assert again == ex_db and hash(again) == hash(ex_db)
@@ -200,7 +227,15 @@ class TestColumns:
         (([1, 1], [1, 1], [0.5, 0.5], [1, 0, 1]), "transaction 2 is empty"),
         (([1, 2], [1, 1], [0.5, 0.5], [1]), "columns of 2, 2, 2 rows for transactions of 1"),
         (([1, 2], [1], [0.5, 0.5], [2]), "columns of 2, 1, 2 rows"),
-    ], ids=["zero-probability", "descending-items", "empty", "sizes-short", "column-short"])
+        (([1, 2], [1, True], [0.5, 0.5], [2]), "quantity must not be a bool, got True"),
+        (([1, 2], [1.5, 1], [0.5, 0.5], [2]), "quantity must not be a float, got 1.5"),
+        (([True, 2], [1, 1], [0.5, 0.5], [2]), "item id must not be a bool, got True"),
+        (([1.0, 2], [1, 1], [0.5, 0.5], [2]), "item id must not be a float, got 1.0"),
+        (([1, 2], [1, 1], [0.5, Fraction(1, 2)], [2]), "probability must not be a Fraction"),
+        (([1, 2], [1, 1], [0.5, 0.5], [1.0, 1]), "size must not be a float, got 1.0"),
+    ], ids=["zero-probability", "descending-items", "empty", "sizes-short", "column-short",
+            "bool-quantity", "float-quantity", "bool-item", "float-item",
+            "fraction-probability", "float-size"])
     def test_constructor_names_the_broken_rule(self, columns, match):
         with pytest.raises(ValueError, match=match):
             UncertainDatabase(*columns)
@@ -229,7 +264,7 @@ class TestColumns:
         head = ex_db.prefix(n)
         old = make_database(ex_db.transactions[:n])
         assert head == old and hash(head) == hash(old)
-        assert head.item_quantity == old.item_quantity and head.size == n
+        assert head.item_universe == old.item_universe and head.size == n
         assert head.transactions == old.transactions
         assert head.bounds == ex_db.bounds[:n + 1]
 
@@ -241,10 +276,10 @@ class TestColumns:
     def test_pickle_holds_the_columns_only(self, ex_db):
         ex_db.bounds  # formed, and still not pickled
         data = pickle.dumps(ex_db)
-        assert (b"Transaction" not in data and b"item_quantity" not in data
+        assert (b"Transaction" not in data and b"item_universe" not in data
                 and b"_bounds" not in data)
         again = pickle.loads(data)
-        assert again == ex_db and again.item_quantity == ex_db.item_quantity
+        assert again == ex_db and again.item_universe == ex_db.item_universe
         assert again.bounds == ex_db.bounds
         assert again.transactions == ex_db.transactions
 
@@ -252,7 +287,12 @@ class TestColumns:
         ("probabilities", (0.5, 0.0, 0.25), "probability must be in"),
         ("items", (2, 1, 3), "items must ascend, got 1 after 2"),
         ("sizes", (2, 0, 1), "transaction 2 is empty"),
-    ], ids=["zero-probability", "descending-items", "empty"])
+        ("quantities", (1, True, 1), "quantity must not be a bool, got True"),
+        ("items", (1, 2.0, 3), "item id must not be a float, got 2.0"),
+        ("probabilities", (0.5, Fraction(1, 2), 0.25), "probability must not be a Fraction"),
+        ("sizes", (2.0, 1), "size must not be a float, got 2.0"),
+    ], ids=["zero-probability", "descending-items", "empty", "bool-quantity", "float-item",
+            "fraction-probability", "float-size"])
     def test_unpickling_checks_the_columns(self, column, values, match):
         columns = {"items": (1, 2, 3), "quantities": (1, 1, 1),
                    "probabilities": (0.5, 0.5, 0.25), "sizes": (2, 1)}
@@ -272,7 +312,7 @@ class TestTransactionRows:
 
     def test_pickle_round_trip(self, ex_db):
         again = pickle.loads(pickle.dumps(ex_db))
-        assert again == ex_db and again.item_quantity == ex_db.item_quantity
+        assert again == ex_db and again.item_universe == ex_db.item_universe
         tx = ex_db.transactions[0]
         again = pickle.loads(pickle.dumps(tx))
         assert again == tx and type(again) is Transaction
