@@ -49,9 +49,9 @@ Item = int  # non-negative integer identifier
 
 class TransactionEntry(namedtuple("TransactionEntry", "item quantity probability")):
     """One occurrence, equal to its plain row; checked when built or
-    by _replace, as the one row of a Transaction. _make stays
-    unchecked: Transaction.entries uses it to view rows that Transaction
-    has already checked."""
+    by _replace, as the one row of a Transaction. _make and
+    tuple.__new__ stay unchecked: Transaction.entries uses tuple.__new__
+    to view rows that Transaction has already checked."""
 
     __slots__ = ()
 
@@ -103,17 +103,19 @@ _INT, _REAL = frozenset({int}), frozenset({int, float})
 _TYPES = (("item id", _INT), ("quantity", _INT), ("probability", _REAL), ("size", _INT))
 
 
-def _check_types(*columns: tuple) -> None:
-    """Raise ValueError unless each value of the columns (items,
-    quantities, probabilities and, for a database, sizes) has one of its
-    column's exact types: an int, or for a probability a float or an
-    int. One C-level pass per column; only a failure looks for the value
-    to name. The parser's values come from int() and float(), so
+def _check_types(items, quantities, probabilities, sizes=()) -> None:
+    """Raise ValueError unless each value of the columns (tuples of
+    items, quantities, probabilities and, for a database, sizes) has one
+    of its column's exact types: an int, or for a probability a float or an
+    int. Two C-level passes, one over the int columns and one over the
+    probabilities; only a failure looks for the column and the value to
+    name. The parser's values come from int() and float(), so
     sorted_columns does not call this."""
-    for (name, types), column in zip(_TYPES, columns):
-        if not types.issuperset(map(type, column)):
-            value = next(v for v in column if type(v) not in types)
-            raise ValueError(f"{name} must not be a {type(value).__name__}, got {value!r}")
+    if not (_INT.issuperset(map(type, items + quantities + sizes))
+            and _REAL.issuperset(map(type, probabilities))):
+        for (name, types), column in zip(_TYPES, (items, quantities, probabilities, sizes)):
+            for value in (v for v in column if type(v) not in types):
+                raise ValueError(f"{name} must not be a {type(value).__name__}, got {value!r}")
 
 
 class Transaction(namedtuple("Transaction", "tid rows")):
@@ -121,13 +123,8 @@ class Transaction(namedtuple("Transaction", "tid rows")):
     probability) tuple per occurrence, from any iterable of triples;
     equal to the plain tuple (tid, rows). Checked when built, by
     _replace and when unpickled; _make and tuple.__new__ stay unchecked,
-    for rows that are known to keep every rule.
-
-    A ValueError names the first type or occurrence rule that the rows
-    break. The types are tested by two C-level passes, as _check_types
-    would test them but without its loop over the columns, since a
-    Transaction is small and often built; only a failure walks the rows.
-    """
+    for rows that are known to keep every rule. A ValueError names the
+    first type or occurrence rule that the rows break."""
 
     __slots__ = ()
 
@@ -136,10 +133,8 @@ class Transaction(namedtuple("Transaction", "tid rows")):
         if not rows:
             raise ValueError(f"transaction {tid} is empty")
         items, quantities, probabilities = zip(*rows, strict=True)
-        if not (_INT.issuperset(map(type, items + quantities))
-                and _REAL.issuperset(map(type, probabilities))
-                and _rules_hold(items, quantities, probabilities)):
-            _check_types(items, quantities, probabilities)
+        _check_types(items, quantities, probabilities)
+        if not _rules_hold(items, quantities, probabilities):
             _raise_broken_rule(items, quantities, probabilities)
         return tuple.__new__(cls, (tid, rows))
 
@@ -149,7 +144,7 @@ class Transaction(namedtuple("Transaction", "tid rows")):
 
     @property
     def entries(self) -> tuple[TransactionEntry, ...]:
-        return tuple(map(TransactionEntry._make, self.rows))
+        return tuple(map(tuple.__new__, repeat(TransactionEntry), self.rows))
 
 
 def sorted_columns(first_tid: int, items: list[Item], quantities: list[int],
@@ -218,11 +213,11 @@ class UncertainDatabase:
         self._set(columns)
 
     def _set(self, columns) -> None:
-        """Fill the slots in their order: the four columns, the item set,
-        and the two views, not formed yet."""
-        columns = tuple(map(tuple, columns))
-        for name, value in zip(self.__slots__, (*columns, frozenset(columns[0]), None, None)):
-            object.__setattr__(self, name, value)
+        for name, column in zip(_COLUMNS, map(tuple, columns)):
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "item_universe", frozenset(self.items))
+        object.__setattr__(self, "_transactions", None)
+        object.__setattr__(self, "_bounds", None)
 
     @classmethod
     def _of_checked(cls, items, quantities, probabilities, sizes) -> "UncertainDatabase":
@@ -280,10 +275,9 @@ class UncertainDatabase:
         """The database of the first n transactions, cut from the columns."""
         if not 0 <= n <= self.size:
             raise ValueError(f"prefix of {n} transactions outside 0..{self.size}")
-        items, quantities, probabilities, sizes = self.columns
-        end = sum(sizes[:n])
-        return UncertainDatabase._of_checked(items[:end], quantities[:end],
-                                             probabilities[:end], sizes[:n])
+        end = sum(self.sizes[:n])
+        return UncertainDatabase._of_checked(self.items[:end], self.quantities[:end],
+                                             self.probabilities[:end], self.sizes[:n])
 
     def utilities(self, table: "UtilityTable") -> list[float]:
         """Every row's utility, unit utility x quantity, as one column.
