@@ -7,7 +7,6 @@ from .model import (
     Pattern,
     Thresholds,
     Transaction,
-    TransactionEntry,
     UncertainDatabase,
     UtilityTable,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "Pattern",
     "Thresholds",
     "Transaction",
-    "TransactionEntry",
     "UncertainDatabase",
     "UtilityTable",
     "brute_force_mine",

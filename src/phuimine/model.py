@@ -5,26 +5,28 @@ occurrence's item, quantity and probability, transaction after
 transaction, plus each transaction's size; the tids are the positions
 1..n. Its transactions view gives the same data as Transaction records,
 named tuples (tid, rows) whose rows are plain (item, quantity,
-probability) tuples; Transaction.entries views them as
-TransactionEntry, with named fields. Unit utilities (signed, e.g.
-profit per unit) live in a utility table, read as table.entries[item].
-Transactions, entries, patterns and results are named tuples: each
-equals its plain tuple.
+probability) tuples: a row is the one checked record of an occurrence.
+Unit utilities (signed, e.g. profit per unit) live in a utility table,
+read as table.entries[item]; the table keeps its own copy of the
+mapping it is given. Transactions, patterns and results are named
+tuples: each equals its plain tuple.
 
 Each type checks its own rules once, when it is built, and raises
 ValueError: _check_types holds the type rules of a row's values (item
-ids and quantities are ints, probabilities floats or ints, by exact
-type) for a Transaction, a TransactionEntry and a database built from
-columns; _rules_hold holds the occurrence rules over columns, and
-_raise_broken_rule names the first one broken, for the same three and
+ids and quantities are ints of at most 4,300 digits, probabilities
+floats or ints, by exact type) for a Transaction and a database built
+from columns; _rules_hold holds the occurrence rules over columns, and
+_raise_broken_rule names the first one broken, for the same two and
 for all the rows of a parsed chunk of lines, which sorted_columns checks
 at once; a transaction is non-empty; a database's tids run 1..n; a
-table's ids are ints >= 0 and its utilities finite floats or ints
-within 2**53; thresholds have their ranges. The type rules
-refuse what the text formats would write back as another value, or as
-text that does not parse: a bool, a float item id, a Fraction.
-check_utilities, which mine() and the oracle call first, checks a
-database against its table and returns its utility column.
+table's ids are ints >= 0 of at most 4,300 digits and its utilities
+finite floats or ints within 2**53; thresholds have their ranges. The
+type rules refuse what the text formats would write back as another
+value, or could not write at all: a bool, a float item id, a Fraction,
+an int longer than Python writes as text. check_utilities, which
+mine() and the oracle call first, checks a database against its table
+and returns its utility column. No message writes an int too long for
+text: _text gives its size instead.
 
 All types are immutable after construction and safe to share across
 threads. Every database holds its four columns and its item set from
@@ -47,21 +49,9 @@ from typing import Iterable, Mapping, NamedTuple
 Item = int  # non-negative integer identifier
 
 
-class TransactionEntry(namedtuple("TransactionEntry", "item quantity probability")):
-    """One occurrence, equal to its plain row; checked when built or
-    by _replace, as the one row of a Transaction. _make and
-    tuple.__new__ stay unchecked: Transaction.entries uses tuple.__new__
-    to view rows that Transaction has already checked."""
-
-    __slots__ = ()
-
-    def __new__(cls, item: Item, quantity: int, probability: float) -> "TransactionEntry":
-        Transaction(1, ((item, quantity, probability),))
-        return tuple.__new__(cls, (item, quantity, probability))
-
-    def _replace(self, **changes) -> "TransactionEntry":
-        """A copy with the named fields changed, checked as when built."""
-        return TransactionEntry(*super()._replace(**changes))
+# The record type of Transaction.entries alone: a row with named fields,
+# not checked again. It goes with that view (see Transaction.entries).
+_Entry = namedtuple("_Entry", "item quantity probability")
 
 
 def _rules_hold(items, quantities, probabilities, starts=frozenset()) -> bool:
@@ -84,11 +74,11 @@ def _raise_broken_rule(items, quantities, probabilities, starts=frozenset()) -> 
     _rules_hold has found that they break one."""
     for item, quantity, probability in zip(items, quantities, probabilities):
         if item < 0:
-            raise ValueError(f"item id must be >= 0, got {item}")
+            raise ValueError(f"item id must be >= 0, got {_text(item)}")
         if quantity < 1:
-            raise ValueError(f"quantity must be >= 1, got {quantity}")
+            raise ValueError(f"quantity must be >= 1, got {_text(quantity)}")
         if not 0.0 < probability <= 1.0:
-            raise ValueError(f"probability must be in (0, 1], got {probability}")
+            raise ValueError(f"probability must be in (0, 1], got {_text(probability)}")
     for at, prev, item in zip(count(1), items, items[1:]):
         if item <= prev and at not in starts:
             raise ValueError(f"duplicate item {item} in transaction" if item == prev
@@ -101,21 +91,34 @@ def _raise_broken_rule(items, quantities, probabilities, starts=frozenset()) -> 
 # probabilities, sizes): its values' name and types.
 _INT, _REAL = frozenset({int}), frozenset({int, float})
 _TYPES = (("item id", _INT), ("quantity", _INT), ("probability", _REAL), ("size", _INT))
+# Python writes an int as text, and int() reads one, of at most 4,300
+# digits by default: an item id or quantity of more has no text form.
+_BIG = 10**4300
+
+
+def _text(v) -> str:
+    """repr(v), or for an int too long to write as text, its size."""
+    return f"a {v.bit_length()}-bit int" if type(v) is int and abs(v) >= _BIG else repr(v)
 
 
 def _check_types(items, quantities, probabilities, sizes=()) -> None:
     """Raise ValueError unless each value of the columns (tuples of
     items, quantities, probabilities and, for a database, sizes) has one
     of its column's exact types: an int, or for a probability a float or an
-    int. Two C-level passes, one over the int columns and one over the
-    probabilities; only a failure looks for the column and the value to
-    name. The parser's values come from int() and float(), so
-    sorted_columns does not call this."""
-    if not (_INT.issuperset(map(type, items + quantities + sizes))
-            and _REAL.issuperset(map(type, probabilities))):
+    int; and every int of the item, quantity and size columns has fewer
+    digits than _BIG. Three C-level passes, two over the int columns
+    joined (their types, their max) and one over the probabilities; only
+    a failure looks for the column and the value to name. A negative int
+    breaks an occurrence rule, whose message writes it through _text. The
+    parser's values come from int() and float(), so sorted_columns does
+    not call this."""
+    if not (_INT.issuperset(map(type, ints := items + quantities + sizes))
+            and max(ints or (0,)) < _BIG and _REAL.issuperset(map(type, probabilities))):
         for (name, types), column in zip(_TYPES, (items, quantities, probabilities, sizes)):
             for value in (v for v in column if type(v) not in types):
                 raise ValueError(f"{name} must not be a {type(value).__name__}, got {value!r}")
+            for value in (v for v in column if type(v) is int and v >= _BIG):
+                raise ValueError(f"{name} must have at most 4300 digits, got {_text(value)}")
 
 
 class Transaction(namedtuple("Transaction", "tid rows")):
@@ -143,8 +146,13 @@ class Transaction(namedtuple("Transaction", "tid rows")):
         return Transaction(*super()._replace(**changes))
 
     @property
-    def entries(self) -> tuple[TransactionEntry, ...]:
-        return tuple(map(tuple.__new__, repeat(TransactionEntry), self.rows))
+    def entries(self) -> tuple[_Entry, ...]:
+        """The rows as named tuples with the fields item, quantity and
+        probability, each equal to its row. Kept only because perfbench
+        reads .item, .quantity, .probability and len() through it; read
+        tx.rows instead. ROADMAP item 5's benchmark change deletes this
+        view and its record type."""
+        return tuple(map(tuple.__new__, repeat(_Entry), self.rows))
 
 
 def sorted_columns(first_tid: int, items: list[Item], quantities: list[int],
@@ -183,11 +191,12 @@ class UncertainDatabase:
 
     UncertainDatabase(items, quantities, probabilities, sizes) checks
     the columns as Transaction checks its rows: every item id, quantity
-    and size an int, every probability a float or an int, every
-    transaction non-empty, its items ascending. parse_database builds
-    one from checked chunks of lines, prefix(n) from a prefix of the
-    columns and make_database from checked Transactions, none checking
-    again; unpickling runs the checks again, on the columns alone.
+    and size an int of at most 4,300 digits, every probability a float
+    or an int, every transaction non-empty, its items ascending.
+    parse_database builds one from checked chunks of lines, prefix(n)
+    from a prefix of the columns and make_database from checked
+    Transactions, none checking again; unpickling runs the checks
+    again, on the columns alone.
 
     The size (number of transactions) is fixed at load time and is the
     |D| used in the probability bound, even if later processing drops
@@ -205,7 +214,7 @@ class UncertainDatabase:
         _check_types(*columns)
         if set(map(len, rows)) - {sum(sizes)}:
             raise ValueError(f"columns of {', '.join(map(str, map(len, rows)))} rows "
-                             f"for transactions of {sum(sizes)}")
+                             f"for transactions of {_text(sum(sizes))}")
         if sizes and min(sizes) < 1:
             raise ValueError(f"transaction {sizes.index(min(sizes)) + 1} is empty")
         if sizes and not _rules_hold(*rows, set(accumulate(sizes))):
@@ -226,8 +235,8 @@ class UncertainDatabase:
         db._set((items, quantities, probabilities, sizes))
         return db
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: a database is immutable")
+    def __setattr__(self, name, *_value):  # also __delattr__, which passes no value
+        raise AttributeError(f"cannot assign to or delete {name!r}: a database is immutable")
 
     __delattr__ = __setattr__
 
@@ -292,20 +301,24 @@ class UncertainDatabase:
 @dataclass(frozen=True)
 class UtilityTable:
     """Signed unit utility per item (may be negative, zero or positive);
-    item ids must be ints >= 0 and every utility a finite float or an
-    int within 2**53 (which a float holds exactly), so that the table
-    file writes each back as it is."""
+    item ids must be ints >= 0 of at most 4,300 digits and every utility
+    a finite float or an int within 2**53 (which a float holds exactly),
+    so that the table file writes each back as it is. The table checks
+    and keeps a plain dict copy of the mapping it is given, so a later
+    change to the caller's mapping does not reach it."""
 
     entries: Mapping[Item, float]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", dict(self.entries))
         for item, u in self.entries.items():
             # a float holds every int within 2**53 exactly, but not every one beyond
             if type(item) is not int or type(u) not in _REAL or type(u) is int and abs(u) > 2**53:
                 raise ValueError(f"an entry must be an int item id and a float utility or an "
-                                 f"int one within 2**53, got {item!r}: {u!r}")
-            if item < 0:
-                raise ValueError(f"item id must be >= 0, got {item}")
+                                 f"int one within 2**53, got {_text(item)}: {_text(u)}")
+            if not 0 <= item < _BIG:
+                raise ValueError(f"item id must be >= 0, got {_text(item)}" if item < 0 else
+                                 f"item id must have at most 4300 digits, got {_text(item)}")
             if not math.isfinite(u):
                 raise ValueError(f"utility must be finite, got {u} for item {item}")
 
@@ -384,7 +397,7 @@ def check_utilities(db: UncertainDatabase, table: UtilityTable) -> list[float]:
         total = math.inf
     if not total <= limit:
         raise DatabaseValidationError(
-            f"invalid database: summed |utility| x quantity, {total}, is not finite "
+            f"invalid database: summed |utility| x quantity, {_text(total)}, is not finite "
             f"or above {limit} (half the largest float)")
     return utilities
 

@@ -32,8 +32,7 @@ class TestParseDatabase:
         assert db.size == 1
         tx = db.transactions[0]
         assert tx.tid == 1
-        assert [(e.item, e.quantity, e.probability) for e in tx.entries] == [
-            (1, 5, 0.6), (2, 3, 0.5), (4, 2, 0.9), (5, 4, 0.8)]
+        assert tx.rows == ((1, 5, 0.6), (2, 3, 0.5), (4, 2, 0.9), (5, 4, 0.8))
 
     def test_empty_file(self):
         assert dataio.parse_database("").size == 0
@@ -87,7 +86,7 @@ class TestParseDatabase:
 
     def test_entries_normalized_ascending(self):
         db = dataio.parse_database("5:1:0.5 1:1:0.5")
-        assert [e.item for e in db.transactions[0].entries] == [1, 5]
+        assert [item for item, _q, _p in db.transactions[0].rows] == [1, 5]
 
     def test_lines_become_transactions_as_the_constructor_builds_them(self):
         db = dataio.parse_database("1:1:0.5 2:3:0.25\n5:1:0.5 3:2:1.0\n")

@@ -102,7 +102,7 @@ def _positive_negative_parts(pattern, db, table):
     pu = nu = 0.0
     want = set(pattern.items)
     for t in db.transactions:
-        if want <= {e.item for e in t.entries}:
+        if want <= {item for item, _q, _p in t.rows}:
             for i in pattern.items:
                 u = measures.item_utility(i, t, table)
                 if u >= 0:
@@ -117,11 +117,11 @@ def _supported_pair(db, seed):
     import random
 
     rng = random.Random(seed)
-    candidates = [t for t in db.transactions if len(t.entries) >= 2]
+    candidates = [t for t in db.transactions if len(t.rows) >= 2]
     if not candidates:
         return None
     t = rng.choice(candidates)
-    items = sorted(e.item for e in t.entries)
+    items = sorted(item for item, _q, _p in t.rows)
     size = rng.randint(2, len(items))
     y = sorted(rng.sample(items, size))
     x = sorted(rng.sample(y, rng.randint(1, size - 1)))

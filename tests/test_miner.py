@@ -16,7 +16,6 @@ from phuimine.model import (
     Pattern,
     Thresholds,
     Transaction,
-    TransactionEntry,
     UncertainDatabase,
     UtilityTable,
     make_database,
@@ -91,8 +90,8 @@ class TestEucs:
     def test_absent_pair_is_zero(self):
         # items 1 and 3 never share a transaction; 2 shares one with each
         db = make_database([
-            Transaction(1, (TransactionEntry(1, 1, 0.5), TransactionEntry(2, 2, 0.5))),
-            Transaction(2, (TransactionEntry(2, 1, 0.5), TransactionEntry(3, 1, 0.5))),
+            Transaction(1, ((1, 1, 0.5), (2, 2, 0.5))),
+            Transaction(2, ((2, 1, 0.5), (3, 1, 0.5))),
         ])
         table = UtilityTable({1: 3.0, 2: 4.0, 3: 5.0})
         eucs = eucs_of(db, table, Thresholds(0.0, 0.0), apply_filter=False)
@@ -114,7 +113,7 @@ class TestEucs:
             for b in items[i + 1:]:
                 rtwu = measures.rtwu(Pattern.of([a, b]), db, table)
                 assert eucs.pair(a, b) == eucs.pair(b, a) == rtwu
-                if not any({a, b} <= {e.item for e in tx.entries} for tx in db.transactions):
+                if not any({a, b} <= {i for i, _q, _p in tx.rows} for tx in db.transactions):
                     assert eucs.pair(a, b).hex() == ZERO
 
 
@@ -188,7 +187,7 @@ class TestMine:
     def test_invalid_database_raises(self, ex_db):
         # a bad occurrence is refused when it is built, before mine()
         with pytest.raises(ValueError, match="quantity must be >= 1"):
-            make_database([Transaction(1, (TransactionEntry(1, 0, 0.5),))])
+            make_database([Transaction(1, ((1, 0, 0.5),))])
         with pytest.raises(DatabaseValidationError, match="missing from utility table"):
             mine(ex_db, UtilityTable({1: 1.0}), TH)
         with pytest.raises(DatabaseValidationError, match="not finite"):
@@ -203,10 +202,9 @@ class TestMine:
         from phuimine import verify
 
         db = make_database([
-            Transaction(1, (TransactionEntry(1, 2, 0.5), TransactionEntry(2, 1, 0.75),
-                            TransactionEntry(3, 1, 1.0))),
-            Transaction(2, (TransactionEntry(2, 3, 1.0), TransactionEntry(3, 2, 0.25))),
-            Transaction(3, (TransactionEntry(1, 1, 1.0), TransactionEntry(3, 4, 0.5))),
+            Transaction(1, ((1, 2, 0.5), (2, 1, 0.75), (3, 1, 1.0))),
+            Transaction(2, ((2, 3, 1.0), (3, 2, 0.25))),
+            Transaction(3, ((1, 1, 1.0), (3, 4, 0.5))),
         ])
         table = UtilityTable({1: 6.0, 2: 0.0, 3: -2.0})
         for th in (Thresholds(0, 0.2), Thresholds(-5, 0.0), Thresholds(5, 0.5)):
@@ -323,11 +321,12 @@ PINNED_COUNTERS = {
 }
 
 
-def _perfbench_workloads():
-    """perfbench's workload definitions (perfbench/workloads.py), read
-    from the checkout without putting perfbench on the path."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _perfbench(name: str):
+    """perfbench's module `name`: its workload definitions (workloads) or
+    its result checks (check), read from the checkout without putting
+    perfbench on the path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -339,8 +338,12 @@ def test_join_tid_counts_equal_the_recorded_ones(workload):
     equal those that perfbench's traced runs counted around every
     construct call (perfbench/expected.json): on fuzz-verify summed over
     the mine() calls of its 240 check_instance calls. On c7-wide most
-    joins are walked, so a walked join counts as a merged one does."""
-    workloads = _perfbench_workloads()
+    joins are walked, so a walked join counts as a merged one does. On
+    c7-wide, c7-scan and dense-deep the result's pattern count and
+    membership digest, by perfbench's own checks (check.py), equal the
+    recorded ones too, on every Python that runs the suite: builtin
+    sum() of floats changed at 3.12."""
+    workloads = _perfbench("workloads")
     expected = json.loads((Path(workloads.__file__).parent / "expected.json").read_text())
     w = workloads.WORKLOADS[workload]
     runs = []
@@ -353,7 +356,12 @@ def test_join_tid_counts_equal_the_recorded_ones(workload):
                                      MiningConfig.from_preset(preset))[1])
     else:
         db, table = workloads.dataset(w)
-        runs.append(mine(db, table, workloads.thresholds(w))[1])
+        found, stats = mine(db, table, workloads.thresholds(w))
+        runs.append(stats)
+        check = _perfbench("check")
+        rows = check.parse_results(dataio.serialize_results(found))
+        want = expected[workload]
+        assert (len(rows), check.membership_digest(rows)) == (want["count"], want["digest"])
     counted = (sum(s.tids_in for s in runs), sum(s.tids_out for s in runs))
     recorded = expected[workload]["counters"]
     assert counted == (recorded["tids_in"], recorded["tids_out"])

@@ -1,4 +1,5 @@
 import pickle
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from phuimine.model import (
     Pattern,
     Thresholds,
     Transaction,
-    TransactionEntry,
     UtilityTable,
     check_utilities,
     UncertainDatabase,
@@ -28,29 +28,26 @@ def test_example_database_validates(ex_db, ex_table):
 
 def test_duplicate_item_is_reported():
     with pytest.raises(ValueError, match="duplicate item 1"):
-        Transaction(1, (
-            TransactionEntry(1, 2, 0.5),
-            TransactionEntry(1, 3, 0.5),
-        ))
+        Transaction(1, ((1, 2, 0.5), (1, 3, 0.5)))
 
 
 def test_probability_out_of_range_is_reported():
     with pytest.raises(ValueError, match=r"probability must be in \(0, 1\]"):
-        TransactionEntry(1, 2, 1.3)
+        Transaction(1, [(1, 2, 1.3)])
 
 
 def test_zero_probability_rejected():
     with pytest.raises(ValueError, match="probability"):
-        TransactionEntry(1, 2, 0.0)
+        Transaction(1, [(1, 2, 0.0)])
 
 
 def test_quantity_below_one_reported():
     with pytest.raises(ValueError, match="quantity must be >= 1"):
-        TransactionEntry(1, 0, 0.5)
+        Transaction(1, [(1, 0, 0.5)])
 
 
 def test_missing_utility_entry_reported():
-    db = make_database([Transaction(1, [TransactionEntry(7, 1, 0.5)])])
+    db = make_database([Transaction(1, [(7, 1, 0.5)])])
     with pytest.raises(DatabaseValidationError, match=r"1 item\(s\) missing from utility table, first \[7\]"):
         check_utilities(db, UtilityTable({1: 4.0}))
 
@@ -64,14 +61,14 @@ def test_non_finite_utility_reported(utility):
 @pytest.mark.parametrize("quantity", [10_000_000_000, 10**400])
 def test_overflowing_occurrence_utility_reported(quantity):
     # a finite unit utility times a large quantity is not a finite float
-    tx = Transaction(1, [TransactionEntry(1, quantity, 0.5), TransactionEntry(2, 1, 0.5)])
+    tx = Transaction(1, [(1, quantity, 0.5), (2, 1, 0.5)])
     with pytest.raises(DatabaseValidationError, match="not finite"):
         check_utilities(make_database([tx]), UtilityTable({1: 1e300, 2: 1.0}))
 
 
 def test_overflowing_utility_sum_reported():
     # every occurrence is finite, their sum is not
-    tx = Transaction(1, [TransactionEntry(1, 1, 0.5), TransactionEntry(2, 1, 0.5)])
+    tx = Transaction(1, [(1, 1, 0.5), (2, 1, 0.5)])
     db = make_database([tx])
     with pytest.raises(DatabaseValidationError, match="not finite"):
         check_utilities(db, UtilityTable({1: 1e308, 2: 1e308}))
@@ -82,29 +79,34 @@ def test_overflowing_utility_sum_reported():
         assert check_utilities(db, table) == db.utilities(table)
 
 
-def _entry(item=1, quantity=1, probability=0.5):
-    return TransactionEntry(item, quantity, probability)
+def _row(item=1, quantity=1, probability=0.5):
+    return (item, quantity, probability)
+
+
+def _one_row(**fields):
+    """The Transaction of the one row _row(**fields), checked when built."""
+    return Transaction(1, [_row(**fields)])
 
 
 @pytest.mark.parametrize("build, match", [
-    (lambda: _entry(item=-1), "item id must be >= 0"),
-    (lambda: _entry(quantity=0), "quantity must be >= 1"),
-    (lambda: _entry(probability=0.0), "probability must be in"),
-    (lambda: _entry(probability=1.3), "probability must be in"),
+    (lambda: _one_row(item=-1), "item id must be >= 0"),
+    (lambda: _one_row(quantity=0), "quantity must be >= 1"),
+    (lambda: _one_row(probability=0.0), "probability must be in"),
+    (lambda: _one_row(probability=1.3), "probability must be in"),
     (lambda: Transaction(1, ()), "empty"),
-    (lambda: Transaction(1, (_entry(2), _entry(2))), "duplicate item 2"),
-    (lambda: Transaction(1, (_entry(5), _entry(2))), "items must ascend"),
-    (lambda: make_database([Transaction(1, (_entry(),)), Transaction(3, (_entry(),))]),
+    (lambda: Transaction(1, (_row(2), _row(2))), "duplicate item 2"),
+    (lambda: Transaction(1, (_row(5), _row(2))), "items must ascend"),
+    (lambda: make_database([Transaction(1, (_row(),)), Transaction(3, (_row(),))]),
      "tids must be 1..n"),
     (lambda: UtilityTable({1: 2.0, 2: float("nan")}), "utility must be finite"),
     (lambda: UtilityTable({-1: 5.0}), "item id must be >= 0"),
     # values that the text formats would not write back as they are
-    (lambda: _entry(quantity=True), "quantity must not be a bool, got True"),
-    (lambda: _entry(quantity=1.5), "quantity must not be a float, got 1.5"),
-    (lambda: _entry(item=1.0), "item id must not be a float, got 1.0"),
-    (lambda: _entry(item=True), "item id must not be a bool, got True"),
-    (lambda: _entry(probability=Fraction(1, 2)), "probability must not be a Fraction"),
-    (lambda: _entry(probability=True), "probability must not be a bool, got True"),
+    (lambda: _one_row(quantity=True), "quantity must not be a bool, got True"),
+    (lambda: _one_row(quantity=1.5), "quantity must not be a float, got 1.5"),
+    (lambda: _one_row(item=1.0), "item id must not be a float, got 1.0"),
+    (lambda: _one_row(item=True), "item id must not be a bool, got True"),
+    (lambda: _one_row(probability=Fraction(1, 2)), "probability must not be a Fraction"),
+    (lambda: _one_row(probability=True), "probability must not be a bool, got True"),
     (lambda: Transaction(1, [(1, 1, 0.5), (2, True, 0.5)]), "quantity must not be a bool"),
     (lambda: Transaction(1, [(1.0, 1, 0.5)]), "item id must not be a float"),
     (lambda: Transaction(1, [(1, 1, Fraction(1, 2))]), "probability must not be a Fraction"),
@@ -117,6 +119,16 @@ def _entry(item=1, quantity=1, probability=0.5):
     # a float holds every int up to 2**53 exactly, but not 2**53 + 1
     (lambda: UtilityTable({1: 2**53 + 1}), r"an int one within 2\*\*53, got 1: 9007199254740993"),
     (lambda: UtilityTable({1: 10**400}), r"an int one within 2\*\*53"),
+    # ints of more than 4,300 digits, which Python does not write as text;
+    # a message gives their size in bits
+    (lambda: _one_row(quantity=10**5000),
+     "quantity must have at most 4300 digits, got a 16610-bit int"),
+    (lambda: _one_row(item=10**5000), "item id must have at most 4300 digits"),
+    (lambda: _one_row(item=-10**5000), "item id must be >= 0, got a 16610-bit int"),
+    (lambda: _one_row(probability=10**5000), r"probability must be in \(0, 1\], got a 16610-bit"),
+    (lambda: UtilityTable({10**5000: 1.0}), "item id must have at most 4300 digits, got a"),
+    (lambda: UtilityTable({-10**5000: 1.0}), "item id must be >= 0, got a 16610-bit int"),
+    (lambda: UtilityTable({1: 10**5000}), r"within 2\*\*53, got 1: a 16610-bit int"),
 ], ids=["negative-item", "zero-quantity", "zero-probability", "probability-above-one",
         "empty-transaction", "duplicate-item", "descending-items", "tid-gap",
         "non-finite-utility", "negative-table-id", "bool-quantity", "float-quantity",
@@ -124,7 +136,8 @@ def _entry(item=1, quantity=1, probability=0.5):
         "transaction-bool-quantity", "transaction-float-item",
         "transaction-fraction-probability", "replace-bool-item", "fraction-utility",
         "bool-utility", "float-table-id", "bool-table-id", "inexact-int-utility",
-        "huge-int-utility"])
+        "huge-int-utility", "long-quantity", "long-item", "long-negative-item",
+        "long-probability", "long-table-id", "long-negative-table-id", "long-int-utility"])
 def test_invalid_value_raises_when_built(build, match):
     with pytest.raises(ValueError, match=match):
         build()
@@ -144,8 +157,33 @@ def test_thresholds_reject_out_of_range(min_util, min_pro, match):
         Thresholds(min_util, min_pro)
 
 
+def test_the_longest_ints_accepted_round_trip():
+    longest = 10**4300 - 1  # 4,300 digits
+    db = UncertainDatabase([longest], [longest], [0.5], [1])
+    assert db.transactions == (Transaction(1, [(longest, longest, 0.5)]),)
+    assert dataio.parse_database(dataio.serialize_database(db)) == db
+    table = UtilityTable({longest: 1.0})
+    assert dataio.parse_ptable(dataio.serialize_ptable(table)) == table
+
+
+def test_summed_int_too_long_to_write_reported():
+    # 4,300 digits times an int within 2**53 sums to more digits than
+    # Python writes as text; the message gives the sum's size
+    db = UncertainDatabase([1], [10**4300 - 1], [0.5], [1])
+    with pytest.raises(DatabaseValidationError, match="x quantity, a 14338-bit int, is not"):
+        check_utilities(db, UtilityTable({1: 2**53}))
+
+
+def test_a_table_keeps_its_own_mapping():
+    entries = {1: 1.0, 2: -2.0}
+    table = UtilityTable(entries)
+    entries[1] = float("nan")  # a value the table would refuse
+    assert table.entries == {1: 1.0, 2: -2.0}
+    assert dataio.parse_ptable(dataio.serialize_ptable(table)) == table
+
+
 def test_tids_must_be_consecutive():
-    tx = Transaction(3, [TransactionEntry(1, 1, 0.5)])
+    tx = Transaction(3, [(1, 1, 0.5)])
     with pytest.raises(ValueError, match="tids must be 1..n"):
         make_database([tx])
 
@@ -233,12 +271,31 @@ class TestColumns:
         (([1.0, 2], [1, 1], [0.5, 0.5], [2]), "item id must not be a float, got 1.0"),
         (([1, 2], [1, 1], [0.5, Fraction(1, 2)], [2]), "probability must not be a Fraction"),
         (([1, 2], [1, 1], [0.5, 0.5], [1.0, 1]), "size must not be a float, got 1.0"),
+        (([1], [10**5000], [0.5], [1]), "quantity must have at most 4300 digits"),
+        (([10**5000], [1], [0.5], [1]), "item id must have at most 4300 digits"),
+        (([1], [1], [0.5], [10**5000]), "size must have at most 4300 digits"),
+        (([1], [1], [0.5], [-10**5000]), "rows for transactions of a 16610-bit int"),
     ], ids=["zero-probability", "descending-items", "empty", "sizes-short", "column-short",
             "bool-quantity", "float-quantity", "bool-item", "float-item",
-            "fraction-probability", "float-size"])
+            "fraction-probability", "float-size", "long-quantity", "long-item", "long-size",
+            "long-negative-size"])
     def test_constructor_names_the_broken_rule(self, columns, match):
         with pytest.raises(ValueError, match=match):
             UncertainDatabase(*columns)
+
+    @pytest.mark.parametrize("change", [lambda db: setattr(db, "items", ()),
+                                        lambda db: delattr(db, "items")],
+                             ids=["assign", "delete"])
+    def test_immutable(self, ex_db, change):
+        with pytest.raises(AttributeError, match="cannot assign to or delete 'items'"):
+            change(ex_db)
+        assert ex_db == example_db()
+
+    def test_not_equal_to_its_plain_columns(self, ex_db):
+        assert ex_db != ex_db.columns and ex_db.columns != ex_db
+
+    def test_repr_evaluates_to_an_equal_database(self, ex_db):
+        assert eval(repr(ex_db), {"UncertainDatabase": UncertainDatabase}) == ex_db
 
     def test_a_descent_between_transactions_is_no_fault(self):
         db = UncertainDatabase([5, 1, 2], [1, 1, 1], [0.5, 0.5, 0.5], [1, 2])
@@ -307,7 +364,7 @@ class TestColumns:
 class TestTransactionRows:
     def test_rebuilt_from_entries_is_equal(self, ex_db):
         for tx in ex_db.transactions:
-            again = Transaction(tx.tid, tx.entries)
+            again = Transaction(tx.tid, tx.rows)
             assert again == tx and hash(again) == hash(tx)
 
     def test_pickle_round_trip(self, ex_db):
@@ -325,7 +382,7 @@ class TestTransactionRows:
             pickle.loads(pickle.dumps(bad))
 
     def test_a_transaction_is_a_two_field_tuple(self):
-        tx = Transaction(3, [TransactionEntry(1, 2, 0.5), (4, 1, 0.25)])
+        tx = Transaction(3, [(1, 2, 0.5), (4, 1, 0.25)])
         plain = (3, ((1, 2, 0.5), (4, 1, 0.25)))
         assert tx == plain and hash(tx) == hash(plain)
         assert len(tx) == 2 and (tx.tid, tx.rows) == plain
@@ -345,27 +402,20 @@ class TestTransactionRows:
         assert type(again.rows[0]) is tuple
 
     def test_rows_are_exact_tuples(self):
-        tx = Transaction(1, [TransactionEntry(1, 2, 0.5), [3, 1, 0.25], (4, 1, 1.0)])
+        # from a named tuple, a list and a tuple
+        Row = namedtuple("Row", "item quantity probability")
+        tx = Transaction(1, [Row(1, 2, 0.5), [3, 1, 0.25], (4, 1, 1.0)])
         assert tx.rows == ((1, 2, 0.5), (3, 1, 0.25), (4, 1, 1.0))
         assert all(type(row) is tuple for row in tx.rows)
 
     def test_entries_are_named_views(self, ex_db):
-        tx = ex_db.transactions[0]
-        assert all(type(e) is TransactionEntry for e in tx.entries)
-        assert [(e.item, e.quantity, e.probability) for e in tx.entries] == list(tx.rows)
-
-    @pytest.mark.parametrize("changes, match", [
-        ({"quantity": 0}, "quantity must be >= 1"),
-        ({"probability": 1.5}, "probability must be in"),
-        ({"item": -1}, "item id must be >= 0"),
-    ], ids=["zero-quantity", "probability-above-one", "negative-item"])
-    def test_replace_checks_the_new_entry(self, changes, match):
-        with pytest.raises(ValueError, match=match):
-            TransactionEntry(1, 1, 0.5)._replace(**changes)
-
-    def test_replace_keeps_a_valid_entry(self):
-        again = TransactionEntry(1, 1, 0.5)._replace(quantity=3)
-        assert type(again) is TransactionEntry and again == (1, 3, 0.5)
+        # what perfbench reads of the view: len() and the named fields of
+        # each entry, and its shuffle rebuilds Transaction(tid, tx.entries)
+        for tx in ex_db.transactions:
+            entries = tx.entries
+            assert len(entries) == len(tx.rows) and entries == tx.rows
+            assert [(e.item, e.quantity, e.probability) for e in entries] == list(tx.rows)
+            assert Transaction(tx.tid, entries) == tx
 
     def test_frozen(self, ex_db):
         with pytest.raises(AttributeError):

@@ -9,7 +9,6 @@ from phuimine.model import (
     Pattern,
     Thresholds,
     Transaction,
-    TransactionEntry,
     UtilityTable,
     make_database,
 )
@@ -34,14 +33,14 @@ def test_min_util_beyond_best_pattern(ex_db, ex_table):
 
 
 def test_single_transaction_boundary():
-    db = make_database([Transaction(1, (TransactionEntry(1, 1, 1.0),))])
+    db = make_database([Transaction(1, ((1, 1, 1.0),))])
     table = UtilityTable({1: 5.0})
     results = brute_force_mine(db, table, Thresholds(5, 1.0))
     assert results_map(results) == {(1,): (5.0, 1.0)}
 
 
 def test_universe_guard():
-    txs = [Transaction(1, tuple(TransactionEntry(i, 1, 0.5) for i in range(1, 22)))]
+    txs = [Transaction(1, [(i, 1, 0.5) for i in range(1, 22)])]
     db = make_database(txs)
     table = UtilityTable({i: 1.0 for i in range(1, 22)})
     with pytest.raises(UniverseTooLargeError):
@@ -93,15 +92,15 @@ def _per_combination_measures(db, table):
     order from 0.0 and 1.0, totals accumulated in tid order."""
     totals = {}
     for tx in db.transactions:
-        entries = sorted(tx.entries, key=lambda e: e.item)
-        for size in range(1, len(entries) + 1):
-            for combo in combinations(entries, size):
+        rows = sorted(tx.rows)
+        for size in range(1, len(rows) + 1):
+            for combo in combinations(rows, size):
                 u = 0.0
                 p = 1.0
-                for e in combo:
-                    u += table.entries[e.item] * e.quantity
-                    p *= e.probability
-                key = tuple(e.item for e in combo)
+                for item, quantity, probability in combo:
+                    u += table.entries[item] * quantity
+                    p *= probability
+                key = tuple(item for item, _q, _p in combo)
                 if key in totals:
                     u += totals[key][0]
                     p += totals[key][1]

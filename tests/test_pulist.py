@@ -12,7 +12,6 @@ from phuimine.model import (
     Pattern,
     Thresholds,
     Transaction,
-    TransactionEntry,
     UncertainDatabase,
     UtilityTable,
     make_database,
@@ -191,8 +190,8 @@ class TestConstruct:
 
     def test_never_cooccurring_items_join_empty(self):
         db = make_database([
-            Transaction(1, (TransactionEntry(1, 1, 0.5),)),
-            Transaction(2, (TransactionEntry(2, 1, 0.5),)),
+            Transaction(1, ((1, 1, 0.5),)),
+            Transaction(2, ((2, 1, 0.5),)),
         ])
         table = UtilityTable({1: 3.0, 2: 4.0})
         order = compute_processing_order(
@@ -545,8 +544,8 @@ def test_s1_abandons_iff_matched_sums_fall_below_a_bound(seed, util_frac, pro_fr
                                     max_tx_len=6, seed=seed))
     for db, table in (dyadic, non_dyadic):
         total_rtu = sum(
-            max(table.entries[e.item] * e.quantity, 0.0)
-            for tx in db.transactions for e in tx.entries
+            max(table.entries[item] * quantity, 0.0)
+            for tx in db.transactions for item, quantity, _p in tx.rows
         )
         drawn = (util_frac * total_rtu, pro_frac * db.size)
         for py, pz, pyz in attempted_joins(db, table):
@@ -816,7 +815,7 @@ class TestJoinScanEquivalence:
         # rpu of 2-decimal utilities rounds differently when the scan
         # adds them front to back instead of in the suffix scan's order
         db = make_database([
-            Transaction(1, tuple(TransactionEntry(i, 1, 0.5) for i in range(1, 6))),
+            Transaction(1, tuple((i, 1, 0.5) for i in range(1, 6))),
         ])
         table = UtilityTable({1: 2.38, 2: 5.44, 3: 3.7, 4: 6.04, 5: 6.25})
         assert join_equivalence_walk(db, table) == []
